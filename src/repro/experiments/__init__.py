@@ -82,7 +82,6 @@ from .engine import (
     SweepRunner,
     SweepTask,
     TaskTimeoutError,
-    ThreadBackend,
     WorkerCrashedError,
     expand_grid,
     resolve_backend,
@@ -174,7 +173,6 @@ __all__ = [
     "SweepRunner",
     "SweepTask",
     "TaskTimeoutError",
-    "ThreadBackend",
     "WorkerCrashedError",
     "cache_digest",
     "collect_shard_results",

@@ -2,14 +2,13 @@
 
 ``BrokerBackend`` is the fifth :class:`~repro.experiments.engine.SweepBackend`
 and the distributed sibling of :class:`~repro.experiments.queue.QueueBackend`:
-the same lease-based claims, heartbeat renewal, expired-lease stealing,
-exponential backoff with deterministic jitter, and poison quarantine — but
-coordinated by a tiny dependency-free TCP broker instead of a shared
-directory, so any host that can open a socket can join a fleet.  The retry
-mathematics are not merely similar: both backends call the *same*
-:func:`~repro.experiments.queue.fail_transition` and judge leases with the
-same :func:`~repro.experiments.cache.lease_expired`, so a task's retry
-trajectory is bit-identical whichever transport carries it.
+the same lease core (:mod:`repro.experiments.leases` — claims, heartbeat
+renewal, expired-lease stealing, backoff with deterministic jitter, poison
+quarantine, worker and coordinator loops), coordinated by a tiny
+dependency-free TCP broker instead of a shared directory, so any host that
+can open a socket can join a fleet.  The broker is a socket, a lock, and a
+journal around one :class:`~repro.experiments.leases.LeaseTable` per sweep;
+every lease and retry decision is the table's.
 
 Wire protocol
 -------------
@@ -44,34 +43,30 @@ protocol assumes a trusted network).  Operations:
 
 Journal
 -------
-Every state *transition* appends one JSON line to
-``<journal_dir>/<sweep_id>.journal`` before the reply is sent: ``sweep``
-(policy), ``task`` (enqueue or requeue — the full record, including the
-backoff's ``not_before``), ``lease``, ``done`` (with the result bytes),
-``poison``, and ``shutdown``.  Heartbeat renewals are deliberately *not*
-journaled: on replay every live lease is restored with a fresh
-``lease_seconds`` grace window, which is exactly the benefit of the doubt a
-renewing worker had earned.  A SIGKILLed broker therefore restarts with
-zero lost claims and zero lost results — replay rebuilds pending tasks,
-leases, and settled payloads, tolerating a torn final line (the only kind
-of tear a single-``write`` append can produce).  Requeues and settlements
-overwrite/remove the lease on replay, so no explicit release entry exists.
+Every state transition appends the table's journal entries, one JSON line
+each, to ``<journal_dir>/<sweep_id>.journal`` before the reply is sent (see
+:class:`~repro.experiments.leases.LeaseTable` for the entry kinds).  The
+handle is unbuffered, so a SIGKILL can tear at most the final line, which
+replay skips.  A SIGKILLed broker therefore restarts with zero lost claims
+and zero lost results: replay rebuilds pending tasks, leases (with a fresh
+heartbeat grace window), and settled payloads.
 
 Failure handling
 ----------------
 Clients use bounded reconnect-with-backoff: attempt ``n`` sleeps
 ``min(1s, connect_backoff * 2**(n-1))`` before retrying, giving a default
 window of roughly half a minute — wide enough to ride out a broker restart,
-finite so nothing hangs forever.  Degradation is graceful at every layer: a
-worker that cannot renew past its lease deadline *abandons* the task (the
-broker re-leases it; the worker's store publish, if any, is absorbed
-idempotently); an embedded broker that dies is restarted by the coordinator
-(up to ``max_broker_restarts``) on the same port; a coordinator that can
-never reach its broker — or whose restart budget is spent — drains the
-remaining tasks inline with full retry/quarantine semantics rather than
-hanging.  Chaos for all of this is injected by plan via the wire-level
-rules in :mod:`repro.experiments.faults` (``drop-connection``,
-``partition``, ``delay-ack``, ``kill-broker``).
+finite so nothing hangs forever.  A worker that cannot renew past its lease
+deadline *abandons* the task (the broker re-leases it; the worker's store
+publish is absorbed idempotently).  An embedded broker's death is detected
+by the coordinator's liveness poll — its probes use a two-attempt budget,
+so a dead broker costs one poll round, not a reconnect window — and it is
+restarted on the same port (up to three times).  A coordinator that can
+never reach its broker, or whose restart budget is spent, runs the shared
+inline worker against an in-process lease table instead of hanging.  The
+wire-level chaos rules of :mod:`repro.experiments.faults`
+(``drop-connection``, ``partition``, ``delay-ack``, ``kill-broker``) fire
+in this module's client and server only.
 
 Standalone usage::
 
@@ -94,31 +89,14 @@ import sys
 import threading
 import time
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .cache import (
-    ArtifactCache,
-    POISON_KIND,
-    SHARD_RESULT_KIND,
-    cache_digest,
-    default_cache,
-    lease_expired,
-    new_lease,
-    poison_key,
-    shard_result_key,
-)
-from .engine import (
-    DEFAULT_BACKOFF,
-    QuarantinedTask,
-    SweepTask,
-    store_label,
-    task_digest,
-    worker_identity,
-)
+from .cache import default_cache
+from .engine import SweepTask
 from .faults import NULL_INJECTOR, FaultPlan
-from .queue import DEFAULT_QUEUE_RETRIES, fail_transition, recall_settled
+from .leases import LeaseBackend, LeaseTable, WorkerSpec, discard
 
 __all__ = [
     "BrokerBackend",
@@ -134,7 +112,15 @@ __all__ = [
 #: Default port for ``python -m repro.experiments.broker serve``.
 DEFAULT_PORT = 7464
 
+#: Embedded-broker restarts a coordinator attempts before draining inline.
+MAX_BROKER_RESTARTS = 3
+
 _SWEEP_ID = re.compile(r"^[A-Za-z0-9_-]{1,64}$")
+
+_Table = LeaseTable | None
+_Message = dict[str, Any]
+#: a broker op's reply fields and the journal entries it implies
+_Reply = tuple[dict[str, Any], list[dict[str, Any]]]
 
 
 def _encode(value: Any) -> str:
@@ -173,17 +159,187 @@ class BrokerUnreachable(BrokerError):
 # ---------------------------------------------------------------------- server
 
 
-class _SweepState:
-    """One sweep's in-memory task state (mirrored 1:1 by its journal)."""
+class _Broker:
+    """Every broker op, minus the socket: a lock and a journal around tables.
 
-    def __init__(self) -> None:
-        self.tasks: dict[str, dict[str, Any]] = {}
-        self.leases: dict[str, dict[str, Any]] = {}
-        self.settled: dict[str, dict[str, Any]] = {}
-        self.retries = DEFAULT_QUEUE_RETRIES
-        self.backoff = DEFAULT_BACKOFF
-        self.shutdown = False
-        self.journal: Any = None  # unbuffered append handle, opened lazily
+    One :class:`LeaseTable` per sweep id.  All mutation happens under one
+    lock — requests are short and a journal append is a single unbuffered
+    write, so the lock is never held across anything slow.  With a
+    ``journal_dir``, every ``*.journal`` in it is replayed on construction;
+    without one (the coordinator's in-process fallback) nothing is
+    journaled.
+
+    ``fault_plan`` is consulted for :class:`~repro.experiments.faults.KillBroker`
+    only: after journaling the N-th completion the process SIGKILLs itself
+    *without replying* — the nastiest crash point, because the worker's ack
+    is lost and must be re-sent to the restarted broker.
+    """
+
+    def __init__(self, journal_dir: Path | None = None, fault_plan: FaultPlan | None = None):
+        self.journal_dir = journal_dir
+        self._lock = threading.Lock()
+        self._tables: dict[str, LeaseTable] = {}
+        self._journals: dict[str, Any] = {}  # unbuffered append handles, opened lazily
+        self._completions = 0  # journaled `done` entries, replayed included
+        self._kill_after = fault_plan.broker_kill_after() if fault_plan else None
+        if journal_dir is not None:
+            journal_dir.mkdir(parents=True, exist_ok=True)
+            self._replay_all()
+
+    def _journal_path(self, sweep_id: str) -> Path:
+        return self.journal_dir / f"{sweep_id}.journal"
+
+    def _journal(self, sweep_id: str, entries: list[dict[str, Any]]) -> None:
+        if not entries or self.journal_dir is None:
+            return
+        handle = self._journals.get(sweep_id)
+        if handle is None:
+            # buffering=0: each write() is one os.write, so a SIGKILL can
+            # tear at most the final line — which replay skips
+            handle = open(self._journal_path(sweep_id), "ab", buffering=0)
+            self._journals[sweep_id] = handle
+        for entry in entries:
+            handle.write(json.dumps(entry).encode() + b"\n")
+
+    def _replay_all(self) -> None:
+        now = time.time()
+        for path in sorted(self.journal_dir.glob("*.journal")):
+            sweep_id = path.stem
+            if not _SWEEP_ID.match(sweep_id):
+                continue
+            table = LeaseTable()
+            replayed_done = 0
+            try:
+                with open(path, "rb") as handle:
+                    for raw in handle:
+                        try:
+                            entry = json.loads(raw)
+                        except ValueError:
+                            continue  # torn tail from a mid-append SIGKILL
+                        if isinstance(entry, dict):
+                            table.apply(entry, now)
+                            replayed_done += entry.get("entry") == "done"
+            except OSError:
+                continue
+            self._tables[sweep_id] = table
+            # replayed completions count toward the kill threshold so a
+            # restarted broker does not die again at the same trigger
+            self._completions += replayed_done
+
+    def handle_message(self, message: dict[str, Any]) -> dict[str, Any]:
+        op = message.get("op")
+        try:
+            with self._lock:
+                if op == "ping":
+                    return {"ok": True, "sweeps": len(self._tables)}
+                sweep_id = message.get("sweep")
+                if not isinstance(sweep_id, str) or not _SWEEP_ID.match(sweep_id):
+                    return {"ok": False, "error": f"invalid sweep id {sweep_id!r}"}
+                handler = getattr(self, f"_op_{op}", None)
+                if handler is None:
+                    return {"ok": False, "error": f"unknown op {op!r}"}
+                table = self._tables.get(sweep_id)
+                reply, entries = handler(sweep_id, table, message, time.time())
+                self._journal(sweep_id, entries)
+                done = sum(entry["entry"] == "done" for entry in entries)
+                self._completions += done
+                if done and self._completions == self._kill_after:
+                    # chaos: die after journaling, before replying — the
+                    # worker's ack is lost and must be re-sent to the replayed
+                    # broker.  `==` (not `>=`): after a restart replays exactly
+                    # this many completions, the counter passes the threshold
+                    # without ever equalling it again
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return {"ok": True, **reply}
+        except Exception as error:  # never let one request kill the server
+            return {"ok": False, "error": f"{type(error).__name__}: {error}"}
+
+    # Each op gets the sweep's table (None for an unknown or retired sweep)
+    # and returns its reply fields plus the journal entries to append.
+
+    def _op_enqueue(self, sweep_id: str, table: _Table, message: _Message, now: float) -> _Reply:
+        table = self._tables.setdefault(sweep_id, LeaseTable())
+        enqueued, known, entries = table.enqueue(
+            message.get("records", []),
+            message.get("retries", table.retries),
+            message.get("backoff", table.backoff),
+            now,
+        )
+        return {"enqueued": enqueued, "known": known, **table.counts()}, entries
+
+    def _op_claim(self, sweep_id: str, table: _Table, message: _Message, now: float) -> _Reply:
+        table = table if table is not None else LeaseTable()  # nothing to claim
+        record, entries = table.claim(
+            str(message.get("owner", "")),
+            float(message.get("lease_seconds", 15.0)),
+            message.get("hard_timeout"),
+            now,
+        )
+        return {"shutdown": table.shutdown, **table.counts(), "record": record}, entries
+
+    def _op_renew(self, sweep_id: str, table: _Table, message: _Message, now: float) -> _Reply:
+        renewed = table is not None and table.renew(
+            message.get("digest"),
+            message.get("owner"),
+            float(message.get("lease_seconds", 15.0)),
+            now,
+        )
+        return {"renewed": renewed}, []
+
+    def _op_complete(self, sweep_id: str, table: _Table, message: _Message, now: float) -> _Reply:
+        if table is None:
+            # retired sweep (everything settled, coordinator gone): a late
+            # or re-sent completion is acknowledged as already absorbed
+            return {"settled": True, "duplicate": True}, []
+        duplicate, entries = table.complete(
+            message.get("digest"), message.get("result"), int(message.get("attempts", 1)), now
+        )
+        return {"settled": True, "duplicate": duplicate}, entries
+
+    def _op_fail(self, sweep_id: str, table: _Table, message: _Message, now: float) -> _Reply:
+        if table is None:
+            return {"state": "settled"}, []
+        state, entries = table.fail(
+            message.get("digest"),
+            int(message.get("attempts", -1)),
+            str(message.get("error", "unknown error")),
+            now,
+        )
+        return {"state": state}, entries
+
+    def _op_collect(self, sweep_id: str, table: _Table, message: _Message, now: float) -> _Reply:
+        table = table if table is not None else LeaseTable()
+        found, entries = table.collect(message.get("digests", []), now)
+        counts = table.counts()
+        return {
+            "settled": found,
+            "pending": counts["pending"],
+            "leased": counts["leased"],
+            "settled_count": counts["settled"],
+        }, entries
+
+    def _op_shutdown(self, sweep_id: str, table: _Table, message: _Message, now: float) -> _Reply:
+        return {}, table.close(now) if table is not None else []
+
+    def _op_retire(self, sweep_id: str, table: _Table, message: _Message, now: float) -> _Reply:
+        self._tables.pop(sweep_id, None)
+        self._close_journal(sweep_id)
+        if self.journal_dir is not None:
+            discard(self._journal_path(sweep_id))
+        return {}, []
+
+    def _close_journal(self, sweep_id: str) -> None:
+        handle = self._journals.pop(sweep_id, None)
+        if handle is not None:
+            try:
+                handle.close()
+            except OSError:
+                pass
+
+    def close(self) -> None:
+        with self._lock:
+            for sweep_id in list(self._journals):
+                self._close_journal(sweep_id)
 
 
 class _BrokerRequestHandler(socketserver.StreamRequestHandler):
@@ -213,20 +369,13 @@ class _BrokerRequestHandler(socketserver.StreamRequestHandler):
 
 
 class BrokerServer(socketserver.ThreadingTCPServer):
-    """The TCP task broker: per-sweep lease state + an append-only journal.
+    """The TCP task broker: a socket in front of :class:`_Broker`.
 
     One instance serves any number of sweeps concurrently (state is keyed by
     sweep id, exactly like the directory queue keys its per-sweep
-    directories).  All mutation happens under one lock — requests are short
-    and the journal append is a single unbuffered write, so the lock is
-    never held across anything slow.  On construction every
-    ``<journal_dir>/*.journal`` is replayed, restoring pending tasks,
-    settled results, and live leases (with a fresh heartbeat grace window).
-
-    ``fault_plan`` is consulted for :class:`~repro.experiments.faults.KillBroker`
-    only: after journaling the N-th completion the process SIGKILLs itself
-    *without replying* — the nastiest crash point, because the worker's ack
-    is lost and must be re-sent to the restarted broker.
+    directories).  On construction every ``<journal_dir>/*.journal`` is
+    replayed, restoring pending tasks, settled results, and live leases
+    (with a fresh heartbeat grace window).
     """
 
     allow_reuse_address = True  # restarts rebind the same port immediately
@@ -237,410 +386,90 @@ class BrokerServer(socketserver.ThreadingTCPServer):
         address: tuple[str, int] = ("127.0.0.1", 0),
         journal_dir: Path | str | None = None,
         fault_plan: FaultPlan | None = None,
-        allow_stop: bool = True,
     ):
         self.journal_dir = (
             Path(journal_dir)
             if journal_dir is not None
             else Path(default_cache().root) / "broker"
         )
-        self.journal_dir.mkdir(parents=True, exist_ok=True)
-        self.allow_stop = allow_stop
-        self._lock = threading.Lock()
-        self._sweeps: dict[str, _SweepState] = {}
-        self._completions = 0  # journaled `done` entries, replayed included
-        self._kill_after = fault_plan.broker_kill_after() if fault_plan else None
+        self.broker = _Broker(self.journal_dir, fault_plan)
         super().__init__(tuple(address), _BrokerRequestHandler)
-        self._replay_all()
 
     @property
     def address(self) -> tuple[str, int]:
         return self.server_address[0], self.server_address[1]
 
-    # ----------------------------------------------------------- journaling
-
-    def _journal_path(self, sweep_id: str) -> Path:
-        return self.journal_dir / f"{sweep_id}.journal"
-
-    def _journal(self, sweep_id: str, state: _SweepState, entry: dict[str, Any]) -> None:
-        if state.journal is None:
-            # buffering=0: each write() is one os.write, so a SIGKILL can
-            # tear at most the final line — which replay skips
-            state.journal = open(self._journal_path(sweep_id), "ab", buffering=0)
-        state.journal.write(json.dumps(entry).encode() + b"\n")
-
-    def _replay_all(self) -> None:
-        for path in sorted(self.journal_dir.glob("*.journal")):
-            sweep_id = path.stem
-            if not _SWEEP_ID.match(sweep_id):
-                continue
-            state = _SweepState()
-            replayed_done = 0
-            try:
-                with open(path, "rb") as handle:
-                    for raw in handle:
-                        try:
-                            entry = json.loads(raw)
-                        except ValueError:
-                            continue  # torn tail from a mid-append SIGKILL
-                        if isinstance(entry, dict):
-                            replayed_done += self._apply(state, entry)
-            except OSError:
-                continue
-            self._sweeps[sweep_id] = state
-            # replayed completions count toward the kill threshold so a
-            # restarted broker does not die again at the same trigger
-            self._completions += replayed_done
-
-    @staticmethod
-    def _apply(state: _SweepState, entry: dict[str, Any]) -> int:
-        """Apply one journal entry; returns 1 for a replayed completion."""
-        kind = entry.get("entry")
-        if kind == "sweep":
-            state.retries = int(entry.get("retries", DEFAULT_QUEUE_RETRIES))
-            state.backoff = float(entry.get("backoff", DEFAULT_BACKOFF))
-            state.shutdown = False  # a (re)enqueueing coordinator reopens it
-        elif kind == "task":
-            record = entry.get("record")
-            if isinstance(record, dict) and record.get("digest") not in state.settled:
-                digest = record["digest"]
-                state.tasks[digest] = record
-                state.leases.pop(digest, None)  # a requeue implies release
-        elif kind == "lease":
-            digest = entry.get("digest")
-            if digest in state.tasks:
-                lease = new_lease(
-                    entry.get("owner", "unknown"), float(entry.get("lease_seconds", 15.0))
-                )
-                # hard deadline stays absolute — a replay never extends it
-                lease["hard_deadline"] = entry.get("hard_deadline")
-                state.leases[digest] = lease
-        elif kind == "done":
-            digest = entry.get("digest")
-            state.settled[digest] = {
-                "status": "done",
-                "result": entry.get("result"),
-                "attempts": int(entry.get("attempts", 1)),
-            }
-            state.tasks.pop(digest, None)
-            state.leases.pop(digest, None)
-            return 1
-        elif kind == "poison":
-            digest = entry.get("digest")
-            state.settled[digest] = {
-                "status": "poison",
-                "task": entry.get("task"),
-                "attempts": int(entry.get("attempts", 0)),
-                "errors": list(entry.get("errors", [])),
-            }
-            state.tasks.pop(digest, None)
-            state.leases.pop(digest, None)
-        elif kind == "shutdown":
-            state.shutdown = True
-        return 0
-
-    # ------------------------------------------------------------- dispatch
-
     def handle_message(self, message: dict[str, Any]) -> dict[str, Any]:
-        op = message.get("op")
-        try:
-            with self._lock:
-                if op == "ping":
-                    return {"ok": True, "sweeps": len(self._sweeps)}
-                if op == "stop":
-                    if not self.allow_stop:
-                        return {"ok": False, "error": "stop is disabled on this broker"}
-                    threading.Thread(target=self.shutdown, daemon=True).start()
-                    return {"ok": True, "stopping": True}
-                sweep_id = message.get("sweep")
-                if not isinstance(sweep_id, str) or not _SWEEP_ID.match(sweep_id):
-                    return {"ok": False, "error": f"invalid sweep id {sweep_id!r}"}
-                handler = getattr(self, f"_op_{op}", None)
-                if handler is None:
-                    return {"ok": False, "error": f"unknown op {op!r}"}
-                return handler(sweep_id, message)
-        except Exception as error:  # never let one request kill the server
-            return {"ok": False, "error": f"{type(error).__name__}: {error}"}
-
-    def _counts(self, state: _SweepState) -> dict[str, int]:
-        return {
-            "pending": len(state.tasks),
-            "leased": len(state.leases),
-            "settled": len(state.settled),
-        }
-
-    def _reap(self, sweep_id: str, state: _SweepState, now: float) -> None:
-        """Steal expired leases: requeue (or quarantine) their tasks.
-
-        Runs inside claim/collect handling — the coordinator polls collect
-        continuously, so expiry is noticed within one poll interval without
-        any background thread.
-        """
-        for digest in [d for d, lease in state.leases.items() if lease_expired(lease, now)]:
-            lease = state.leases.pop(digest)
-            record = state.tasks.get(digest)
-            if record is None or digest in state.settled:
-                continue  # the holder finished before dying; nothing to requeue
-            owner = lease.get("owner", "unknown")
-            self._fail_record(
-                sweep_id,
-                state,
-                record,
-                f"lease expired: worker {owner} died or hung past its deadline",
-                now,
-            )
-
-    def _fail_record(
-        self,
-        sweep_id: str,
-        state: _SweepState,
-        record: dict[str, Any],
-        error: str,
-        now: float,
-    ) -> str:
-        outcome, payload = fail_transition(
-            record, error, state.retries, state.backoff, now
-        )
-        digest = record["digest"]
-        if outcome == "poison":
-            entry = {
-                "entry": "poison",
-                "digest": digest,
-                "task": payload.get("task"),
-                "attempts": payload["attempts"],
-                "errors": list(payload["errors"]),
-            }
-            self._journal(sweep_id, state, entry)
-            state.settled[digest] = {
-                "status": "poison",
-                "task": payload.get("task"),
-                "attempts": payload["attempts"],
-                "errors": list(payload["errors"]),
-            }
-            state.tasks.pop(digest, None)
-        else:
-            self._journal(sweep_id, state, {"entry": "task", "record": payload})
-            state.tasks[digest] = payload
-        state.leases.pop(digest, None)
-        return outcome
-
-    # ------------------------------------------------------------ operations
-
-    def _op_enqueue(self, sweep_id: str, message: dict[str, Any]) -> dict[str, Any]:
-        state = self._sweeps.setdefault(sweep_id, _SweepState())
-        state.retries = int(message.get("retries", state.retries))
-        state.backoff = float(message.get("backoff", state.backoff))
-        state.shutdown = False
-        self._journal(
-            sweep_id,
-            state,
-            {"entry": "sweep", "retries": state.retries, "backoff": state.backoff},
-        )
-        enqueued = known = 0
-        for record in message.get("records", []):
-            digest = record.get("digest")
-            if not isinstance(digest, str) or not digest:
-                return {"ok": False, "error": f"task record without digest: {record!r}"}
-            if digest in state.settled or digest in state.tasks:
-                known += 1
-                continue
-            state.tasks[digest] = record
-            self._journal(sweep_id, state, {"entry": "task", "record": record})
-            enqueued += 1
-        return {"ok": True, "enqueued": enqueued, "known": known, **self._counts(state)}
-
-    def _op_claim(self, sweep_id: str, message: dict[str, Any]) -> dict[str, Any]:
-        state = self._sweeps.get(sweep_id)
-        if state is None:
-            return {"ok": True, "record": None, "shutdown": False, "pending": 0,
-                    "leased": 0, "settled": 0}
-        now = time.time()
-        self._reap(sweep_id, state, now)
-        base = {"ok": True, "shutdown": state.shutdown, **self._counts(state)}
-        if state.shutdown:
-            return {**base, "record": None}
-        owner = str(message.get("owner", ""))
-        # idempotent re-claim: a worker whose claim reply was lost re-sends
-        # the claim after reconnecting and gets its own lease's record back
-        for digest, lease in state.leases.items():
-            if lease.get("owner") == owner and digest in state.tasks:
-                return {**base, "record": self._public_record(state.tasks[digest])}
-        lease_seconds = float(message.get("lease_seconds", 15.0))
-        hard_timeout = message.get("hard_timeout")
-        for digest in sorted(state.tasks):
-            record = state.tasks[digest]
-            if digest in state.leases or record.get("not_before", 0.0) > now:
-                continue
-            hard = now + float(hard_timeout) if hard_timeout is not None else None
-            state.leases[digest] = new_lease(owner, lease_seconds, hard, now)
-            self._journal(
-                sweep_id,
-                state,
-                {
-                    "entry": "lease",
-                    "digest": digest,
-                    "owner": owner,
-                    "lease_seconds": lease_seconds,
-                    "hard_deadline": hard,
-                },
-            )
-            base = {"ok": True, "shutdown": False, **self._counts(state)}
-            return {**base, "record": self._public_record(record)}
-        return {**base, "record": None}
-
-    @staticmethod
-    def _public_record(record: dict[str, Any]) -> dict[str, Any]:
-        return {
-            "digest": record["digest"],
-            "task": record.get("task"),
-            "attempts": record.get("attempts", 0),
-            "errors": list(record.get("errors", [])),
-        }
-
-    def _op_renew(self, sweep_id: str, message: dict[str, Any]) -> dict[str, Any]:
-        state = self._sweeps.get(sweep_id)
-        digest = message.get("digest")
-        owner = message.get("owner")
-        lease = state.leases.get(digest) if state is not None else None
-        now = time.time()
-        if lease is None or lease.get("owner") != owner or lease_expired(lease, now):
-            return {"ok": True, "renewed": False}
-        # renewals are deliberately not journaled: replay re-arms live leases
-        # with a fresh grace window instead (see the module docstring)
-        lease["heartbeat_deadline"] = now + float(message.get("lease_seconds", 15.0))
-        return {"ok": True, "renewed": True}
-
-    def _op_complete(self, sweep_id: str, message: dict[str, Any]) -> dict[str, Any]:
-        state = self._sweeps.get(sweep_id)
-        if state is None:
-            # retired sweep (everything settled, coordinator gone): a late
-            # or re-sent completion is acknowledged as already absorbed
-            return {"ok": True, "settled": True, "duplicate": True}
-        digest = message.get("digest")
-        if digest in state.settled:
-            return {"ok": True, "settled": True, "duplicate": True}
-        attempts = int(message.get("attempts", 1))
-        entry = {
-            "entry": "done",
-            "digest": digest,
-            "result": message.get("result"),
-            "attempts": attempts,
-        }
-        self._journal(sweep_id, state, entry)
-        state.settled[digest] = {
-            "status": "done",
-            "result": message.get("result"),
-            "attempts": attempts,
-        }
-        state.tasks.pop(digest, None)
-        state.leases.pop(digest, None)
-        self._completions += 1
-        if self._kill_after is not None and self._completions == self._kill_after:
-            # chaos: die after journaling, before replying — the worker's ack
-            # is lost and must be re-sent to the replayed broker.  `==` (not
-            # `>=`): after a restart replays exactly this many completions,
-            # the counter passes the threshold without ever equalling it again
-            os.kill(os.getpid(), signal.SIGKILL)
-        return {"ok": True, "settled": True, "duplicate": False}
-
-    def _op_fail(self, sweep_id: str, message: dict[str, Any]) -> dict[str, Any]:
-        state = self._sweeps.get(sweep_id)
-        digest = message.get("digest")
-        if state is None or digest in (state.settled if state else {}):
-            return {"ok": True, "state": "settled"}
-        record = state.tasks.get(digest)
-        if record is None:
-            return {"ok": True, "state": "stale"}
-        # idempotency key: the attempt count the worker saw at claim time.
-        # A re-sent fail (dropped reply) or a fail racing a reaper's requeue
-        # finds the count already advanced and is ignored
-        if int(message.get("attempts", -1)) != int(record.get("attempts", 0)):
-            return {"ok": True, "state": "stale"}
-        outcome = self._fail_record(
-            sweep_id, state, record, str(message.get("error", "unknown error")), time.time()
-        )
-        return {
-            "ok": True,
-            "state": "quarantined" if outcome == "poison" else "requeued",
-        }
-
-    def _op_collect(self, sweep_id: str, message: dict[str, Any]) -> dict[str, Any]:
-        state = self._sweeps.get(sweep_id)
-        if state is None:
-            return {"ok": True, "settled": {}, "pending": 0, "leased": 0, "settled_count": 0}
-        self._reap(sweep_id, state, time.time())
-        wanted = message.get("digests", [])
-        found = {
-            digest: state.settled[digest]
-            for digest in wanted
-            if digest in state.settled
-        }
-        counts = self._counts(state)
-        return {
-            "ok": True,
-            "settled": found,
-            "pending": counts["pending"],
-            "leased": counts["leased"],
-            "settled_count": counts["settled"],
-        }
-
-    def _op_shutdown(self, sweep_id: str, message: dict[str, Any]) -> dict[str, Any]:
-        state = self._sweeps.get(sweep_id)
-        if state is not None and not state.shutdown:
-            state.shutdown = True
-            self._journal(sweep_id, state, {"entry": "shutdown"})
-        return {"ok": True}
-
-    def _op_retire(self, sweep_id: str, message: dict[str, Any]) -> dict[str, Any]:
-        state = self._sweeps.pop(sweep_id, None)
-        if state is not None and state.journal is not None:
-            try:
-                state.journal.close()
-            except OSError:
-                pass
-        try:
-            self._journal_path(sweep_id).unlink()
-        except OSError:
-            pass
-        return {"ok": True}
+        if message.get("op") == "stop":
+            threading.Thread(target=self.shutdown, daemon=True).start()
+            return {"ok": True, "stopping": True}
+        return self.broker.handle_message(message)
 
     def server_close(self) -> None:
-        with self._lock:
-            for state in self._sweeps.values():
-                if state.journal is not None:
-                    try:
-                        state.journal.close()
-                    except OSError:
-                        pass
-                    state.journal = None
+        self.broker.close()
         super().server_close()
 
 
-@dataclass
-class _ServeConfig:
-    """Picklable description of one broker server process."""
-
-    host: str
-    port: int
-    journal_dir: str
-    fault_plan: FaultPlan | None = None
-    allow_stop: bool = True
-
-
-def _broker_server_main(config: _ServeConfig, conn: Any = None) -> None:
+def _broker_server_main(
+    host: str, port: int, journal_dir: str, fault_plan: FaultPlan | None, conn: Any
+) -> None:
     """Subprocess entry: bind, report the bound port, serve until stopped."""
-    server = BrokerServer(
-        (config.host, config.port),
-        config.journal_dir,
-        config.fault_plan,
-        allow_stop=config.allow_stop,
-    )
-    if conn is not None:
-        host, port = server.address
-        conn.send(("ready", host, port))
-        conn.close()
+    server = BrokerServer((host, port), journal_dir, fault_plan)
+    host, port = server.address
+    conn.send(("ready", host, port))
+    conn.close()
     with server:
         server.serve_forever(poll_interval=0.1)
+
+
+class _EmbeddedBroker:
+    """A broker subprocess its owner supervises, restartable on a pinned port."""
+
+    def __init__(
+        self,
+        journal_dir: Path,
+        fault_plan: FaultPlan | None,
+        context: Any,
+        host: str = "127.0.0.1",
+        port: int = 0,
+    ):
+        self.journal_dir = journal_dir
+        self.fault_plan = fault_plan
+        self.context = context
+        self.host = host
+        self.port = port  # 0 picks a free port on first start; restarts reuse it
+        self.process: Any = None
+
+    def start(self) -> tuple[str, int]:
+        parent, child = self.context.Pipe()
+        self.process = self.context.Process(
+            target=_broker_server_main,
+            args=(self.host, self.port, str(self.journal_dir), self.fault_plan, child),
+            daemon=True,
+        )
+        self.process.start()
+        child.close()
+        try:
+            if not parent.poll(15.0):
+                raise RuntimeError("embedded broker did not report ready within 15s")
+            _tag, host, port = parent.recv()
+        finally:
+            parent.close()
+        self.host, self.port = host, port
+        return host, port
+
+    def alive(self) -> bool:
+        return self.process is not None and self.process.is_alive()
+
+    def stop(self) -> None:
+        if self.process is None:
+            return
+        if self.process.is_alive():
+            self.process.terminate()
+            self.process.join(timeout=2.0)
+            if self.process.is_alive():
+                self.process.kill()
+                self.process.join(timeout=1.0)
 
 
 # ---------------------------------------------------------------------- client
@@ -729,8 +558,6 @@ class BrokerClient:
                 if not reply.get("ok", False):
                     raise BrokerError(str(reply.get("error", "request refused")))
                 return reply
-            except BrokerUnreachable:
-                raise
             except BrokerError:
                 raise  # protocol refusal: not a transport failure
             except (OSError, ValueError) as error:
@@ -752,375 +579,333 @@ class BrokerClient:
             return None
 
 
+class _LocalClient:
+    """:class:`BrokerClient`'s in-process stand-in: the same messages, no socket."""
+
+    def __init__(self, broker: _Broker):
+        self.broker = broker
+
+    def call(self, message: dict[str, Any], attempts: int | None = None) -> dict[str, Any]:
+        # a JSON round trip each way shapes payloads exactly as the wire does
+        reply = self.broker.handle_message(json.loads(json.dumps(message)))
+        reply = json.loads(json.dumps(reply))
+        if not reply.get("ok", False):
+            raise BrokerError(str(reply.get("error", "request refused")))
+        return reply
+
+    try_call = call
+
+    def close(self) -> None:
+        pass
+
+
 # ---------------------------------------------------------------------- worker
 
 
 @dataclass
-class _BrokerWorkerConfig:
-    """Everything a broker worker process needs, in one picklable record."""
+class _BrokerLink:
+    """Picklable address of a sweep on a broker (or on an in-process one)."""
 
     address: tuple[str, int]
     sweep_id: str
-    store: ArtifactCache
-    label: str
-    worker_name: str
-    fn: Callable[[Any, SweepTask], Any]
-    shared: Any
-    lease_seconds: float
-    heartbeat_seconds: float
-    task_timeout: float | None
-    poll_seconds: float
-    worker_index: int
-    fault_plan: FaultPlan | None = None
-    connect_timeout: float = 10.0
-    connect_attempts: int = 40
-    connect_backoff: float = 0.05
+    timeout: float
+    attempts: int
+    backoff: float
+    #: the coordinator's in-process fallback broker (never sent to a process)
+    local: _Broker | None = None
 
-
-class _WireHeartbeat(threading.Thread):
-    """Daemon thread renewing one lease over the wire while the task runs.
-
-    Mirrors the directory queue's heartbeat with one addition: if renewals
-    have been *unreachable* (not merely refused) for longer than the lease
-    horizon, the broker has certainly re-leased the task — ``lost`` is set
-    and the worker abandons the completion ack (its store publish, if any,
-    is absorbed idempotently).  A *refused* renewal means the lease was
-    stolen while the broker is healthy: renewal stops, execution finishes,
-    and the publish stays idempotent, exactly like the queue.
-    """
-
-    def __init__(
-        self,
-        client: BrokerClient,
-        sweep_id: str,
-        owner: str,
-        digest: str,
-        lease_seconds: float,
-        interval: float,
-    ):
-        super().__init__(daemon=True, name="repro-broker-heartbeat")
-        self.client = client
-        self.message = {
-            "op": "renew",
-            "sweep": sweep_id,
-            "owner": owner,
-            "digest": digest,
-            "lease_seconds": float(lease_seconds),
-        }
-        self.lease_seconds = float(lease_seconds)
-        self.interval = max(0.01, float(interval))
-        self.lost = threading.Event()
-        self._stop_event = threading.Event()
-
-    def run(self) -> None:
-        abandon_at: float | None = None
-        while not self._stop_event.wait(self.interval):
-            reply = self.client.try_call(self.message, attempts=2)
-            if reply is None:
-                if abandon_at is None:
-                    abandon_at = time.time() + self.lease_seconds
-                elif time.time() > abandon_at:
-                    self.lost.set()
-                    return
-            elif not reply.get("renewed", False):
-                return  # stolen while broker healthy; publish stays idempotent
-            else:
-                abandon_at = None
-
-    def stop(self) -> None:
-        self._stop_event.set()
-        if self.is_alive():
-            self.join(timeout=5.0)
-
-
-class _BrokerWorker:
-    """The claim/execute/publish loop one broker worker runs to exhaustion."""
-
-    def __init__(self, config: _BrokerWorkerConfig):
-        self.config = config
-        self.owner = f"w{config.worker_index}:pid{os.getpid()}:{time.monotonic_ns():x}"
-        self.completed = 0
-        plan = config.fault_plan
-        self.injector = (
-            plan.for_worker(config.worker_index) if plan is not None else NULL_INJECTOR
+    def client(
+        self, attempts: int | None = None, injector: Any = None, wire_faults: bool = False
+    ) -> BrokerClient | _LocalClient:
+        if self.local is not None:
+            return _LocalClient(self.local)
+        return BrokerClient(
+            self.address,
+            timeout=self.timeout,
+            attempts=self.attempts if attempts is None else attempts,
+            backoff=self.backoff,
+            injector=injector,
+            wire_faults=wire_faults,
         )
-        self.client = BrokerClient(
-            config.address,
-            timeout=config.connect_timeout,
-            attempts=config.connect_attempts,
-            backoff=config.connect_backoff,
-            injector=self.injector,
-            wire_faults=True,
-        )
+
+    def connect(self, worker: Any) -> "_BrokerChannel":
+        return _BrokerChannel(self, worker)
+
+
+class _BrokerChannel:
+    """A worker's lease operations as broker requests."""
+
+    def __init__(self, link: _BrokerLink, worker: Any):
+        self.sweep_id = link.sweep_id
+        self.worker = worker
+        self.client = link.client(injector=worker.injector, wire_faults=True)
         # separate connection for renewals (the main socket may be blocked
         # on a claim), short budget so each tick returns quickly — loss
-        # tolerance lives in _WireHeartbeat, not in per-call retries
-        self.heartbeat_client = BrokerClient(
-            config.address,
-            timeout=config.connect_timeout,
-            attempts=2,
-            backoff=config.connect_backoff,
-            injector=self.injector,
+        # tolerance lives in the Heartbeat, not in per-call retries
+        self.heartbeat_client = link.client(attempts=2, injector=worker.injector)
+
+    def _send(self, op: str, **fields: Any) -> None:
+        try:
+            self.client.call({"op": op, "sweep": self.sweep_id, **fields})
+        except BrokerUnreachable:
+            pass  # abandoned: lease expiry requeues the task; the store has any result
+
+    def claim(self) -> tuple[str, dict[str, Any] | None]:
+        spec = self.worker.spec
+        try:
+            reply = self.client.call(
+                {
+                    "op": "claim",
+                    "sweep": self.sweep_id,
+                    "owner": self.worker.owner,
+                    "lease_seconds": spec.lease_seconds,
+                    "hard_timeout": spec.task_timeout,
+                }
+            )
+        except BrokerUnreachable:
+            return "unreachable", None
+        if reply.get("shutdown"):
+            return "shutdown", None
+        record = reply.get("record")
+        if record is None:
+            if reply.get("pending", 0) == 0 and reply.get("leased", 0) == 0:
+                return "drained", None
+            return "idle", None  # backoff windows or live leases: poll again
+        return "claimed", {**record, "task": _decode(record["task"])}
+
+    def renew(self, record: dict[str, Any]) -> bool | None:
+        reply = self.heartbeat_client.try_call(
+            {
+                "op": "renew",
+                "sweep": self.sweep_id,
+                "owner": self.worker.owner,
+                "digest": record["digest"],
+                "lease_seconds": float(self.worker.spec.lease_seconds),
+            }
+        )
+        return None if reply is None else bool(reply.get("renewed", False))
+
+    def settled(self, record: dict[str, Any], kind: str, value: Any) -> bool:
+        if kind != "result":
+            return False  # no op reports a store-side quarantine: run the attempt
+        # a previous holder published to this (shared) store but its ack was
+        # lost: settle the broker from the store, skip re-execution
+        self._complete(record, value)
+        return True
+
+    def complete(self, record: dict[str, Any], result: Any) -> None:
+        delay = self.worker.injector.ack_delay(self.worker.completed)
+        if delay > 0:
+            time.sleep(delay)  # chaos: the lease may expire in the publish→ack gap
+        self._complete(record, result)
+
+    def _complete(self, record: dict[str, Any], result: Any) -> None:
+        self._send(
+            "complete",
+            owner=self.worker.owner,
+            digest=record["digest"],
+            attempts=record.get("attempts", 0) + 1,
+            result=_encode(result),
+        )
+
+    def fail(self, record: dict[str, Any], error: str) -> None:
+        self._send(
+            "fail",
+            owner=self.worker.owner,
+            digest=record["digest"],
+            attempts=record.get("attempts", 0),
+            error=error,
         )
 
     def close(self) -> None:
         self.client.close()
         self.heartbeat_client.close()
 
-    def step(self) -> str:
-        """One claim attempt: 'worked', 'idle', 'drained', or 'shutdown'."""
-        config = self.config
-        reply = self.client.call(
-            {
-                "op": "claim",
-                "sweep": config.sweep_id,
-                "owner": self.owner,
-                "lease_seconds": config.lease_seconds,
-                "hard_timeout": config.task_timeout,
-            }
-        )
-        if reply.get("shutdown"):
-            return "shutdown"
-        record = reply.get("record")
-        if record is None:
-            if reply.get("pending", 0) == 0 and reply.get("leased", 0) == 0:
-                return "drained"
-            return "idle"  # backoff windows or live leases: poll again
-        self._execute(record)
-        return "worked"
-
-    def _execute(self, record: dict[str, Any]) -> None:
-        config = self.config
-        digest = record["digest"]
-        found = recall_settled(config.store, config.label, config.worker_name, digest)
-        if found is not None and found[0] == "result":
-            # a previous holder published to this (shared) store but its ack
-            # was lost: settle the broker from the store, skip re-execution
-            self._complete(digest, found[1], record.get("attempts", 0) + 1)
-            return
-        # settled-check first, injection second (mirroring the queue worker):
-        # a straggler delay injected here stalls a task that *will* execute,
-        # which is what forces the steal + duplicate-absorption path
-        self.injector.on_claim(self.completed)  # may SIGKILL / straggle / partition
-        task = _decode(record["task"])
-        heartbeat: _WireHeartbeat | None = None
-        if self.injector.heartbeat_allowed(self.completed):
-            heartbeat = _WireHeartbeat(
-                self.heartbeat_client,
-                config.sweep_id,
-                self.owner,
-                digest,
-                config.lease_seconds,
-                config.heartbeat_seconds,
-            )
-            heartbeat.start()
-        try:
-            try:
-                self.injector.before_execute(task)  # may raise (poison rule)
-                result = config.fn(config.shared, task)
-            except Exception as error:
-                self._fail(record, f"{type(error).__name__}: {error}")
-                return
-            published = config.store.put(
-                SHARD_RESULT_KIND,
-                shard_result_key(config.label, config.worker_name, digest),
-                {"result": result, "attempts": record.get("attempts", 0) + 1},
-            )
-            if not published:
-                self._fail(
-                    record,
-                    f"failed to publish result to the store at {config.store.root} "
-                    "(unpicklable result or unwritable cache)",
-                )
-                return
-        finally:
-            if heartbeat is not None:
-                heartbeat.stop()
-        if heartbeat is not None and heartbeat.lost.is_set():
-            # broker lost past the lease deadline: the task is certainly
-            # re-leased — abandon the ack; the publish above is the durable
-            # copy and any duplicate execution is absorbed idempotently
-            self.completed += 1
-            return
-        delay = self.injector.ack_delay(self.completed)
-        if delay > 0:
-            time.sleep(delay)  # chaos: lease may expire in the publish→ack gap
-        self._complete(digest, result, record.get("attempts", 0) + 1)
-        self.completed += 1
-        self.injector.on_publish(self.completed)  # may SIGKILL post-publish
-
-    def _complete(self, digest: str, result: Any, attempts: int) -> None:
-        try:
-            self.client.call(
-                {
-                    "op": "complete",
-                    "sweep": self.config.sweep_id,
-                    "owner": self.owner,
-                    "digest": digest,
-                    "attempts": attempts,
-                    "result": _encode(result),
-                }
-            )
-        except BrokerUnreachable:
-            pass  # abandoned: lease expiry requeues it; the store has the result
-
-    def _fail(self, record: dict[str, Any], error: str) -> None:
-        try:
-            self.client.call(
-                {
-                    "op": "fail",
-                    "sweep": self.config.sweep_id,
-                    "owner": self.owner,
-                    "digest": record["digest"],
-                    "attempts": record.get("attempts", 0),
-                    "error": error,
-                }
-            )
-        except BrokerUnreachable:
-            pass  # lease expiry will requeue it with this attempt uncounted
-
-    def run(self) -> int:
-        try:
-            while True:
-                try:
-                    outcome = self.step()
-                except BrokerUnreachable:
-                    # exit abnormally so the coordinator respawns a fresh
-                    # worker once it has restarted (or given up on) the broker
-                    return 3
-                if outcome in ("shutdown", "drained"):
-                    return 0
-                if outcome == "idle":
-                    time.sleep(self.config.poll_seconds)
-        finally:
-            self.close()
-
-
-def _broker_worker_main(config: _BrokerWorkerConfig) -> None:
-    sys.exit(_BrokerWorker(config).run())
-
 
 # ----------------------------------------------------------------- coordinator
 
 
-class _EmbeddedBroker:
-    """A broker subprocess the coordinator owns, restartable on a pinned port."""
+def _settled_payload(digest: str, payload: dict[str, Any]) -> tuple[str, str, dict[str, Any]]:
+    """A collected broker payload as ``(digest, kind, store payload)``."""
+    if payload.get("status") == "done":
+        value = _decode(payload["result"])
+        return digest, "result", {"result": value, "attempts": int(payload.get("attempts", 1))}
+    return digest, "poison", {
+        "task": _decode(payload["task"]) if payload.get("task") else None,
+        "digest": digest,
+        "attempts": int(payload.get("attempts", 0)),
+        "errors": tuple(payload.get("errors", ())),
+    }
 
-    def __init__(self, journal_dir: Path, fault_plan: FaultPlan | None, context: Any):
-        self.journal_dir = journal_dir
-        self.fault_plan = fault_plan
-        self.context = context
-        self.host = "127.0.0.1"
-        self.port = 0  # first start picks a free port; restarts reuse it
-        self.process: Any = None
 
-    def start(self) -> tuple[str, int]:
-        parent, child = self.context.Pipe()
-        self.process = self.context.Process(
-            target=_broker_server_main,
-            args=(
-                _ServeConfig(
-                    self.host, self.port, str(self.journal_dir), self.fault_plan
-                ),
-                child,
-            ),
-            daemon=True,
+class _BrokerTransport:
+    """Coordinator side of the broker: resolve, enqueue, collect, supervise."""
+
+    extra_stats = ("broker_restarts",)
+
+    def __init__(self, backend: "BrokerBackend", spec: WorkerSpec, sweep_id: str):
+        self.backend = backend
+        self.spec = spec
+        self.sweep_id = sweep_id
+        self.broker: _EmbeddedBroker | None = None
+        self.client: BrokerClient | _LocalClient | None = None
+        self.link: _BrokerLink | None = None
+        self.fleet = True
+        self.records: list[dict[str, Any]] = []
+        self.unreachable_rounds = 0
+        self.stats: dict[str, int] = {}
+
+    def start(self, pending: dict[str, SweepTask], stats: dict[str, int], context: Any) -> None:
+        backend, spec = self.backend, self.spec
+        self.stats = stats
+        self.records = [
+            {
+                "digest": digest,
+                "task": _encode(pending[digest]),
+                "attempts": 0,
+                "not_before": 0.0,
+                "errors": [],
+            }
+            for digest in sorted(pending)
+        ]
+        if backend.address is None:
+            journal_dir = (
+                Path(backend.journal_dir)
+                if backend.journal_dir is not None
+                else Path(spec.store.root) / "broker"
+            )
+            self.broker = _EmbeddedBroker(journal_dir, spec.fault_plan, context)
+            try:
+                address = self.broker.start()
+            except (OSError, RuntimeError, EOFError):
+                self._go_local(pending)
+                return
+        else:
+            address = parse_address(backend.address)
+        self.link = _BrokerLink(
+            address,
+            self.sweep_id,
+            float(backend.connect_timeout),
+            int(backend.connect_attempts),
+            float(backend.connect_backoff),
         )
-        self.process.start()
-        child.close()
-        try:
-            if not parent.poll(15.0):
-                raise RuntimeError("embedded broker did not report ready within 15s")
-            _tag, host, port = parent.recv()
-        finally:
-            parent.close()
-        self.host, self.port = host, port
-        return host, port
-
-    def alive(self) -> bool:
-        return self.process is not None and self.process.is_alive()
-
-    def stop(self) -> None:
-        if self.process is None:
+        # an embedded broker's death shows in its process liveness, so probe
+        # it with a short budget (a dead broker costs one poll round, not a
+        # reconnect window); an attached broker gets the full window
+        self.client = self.link.client(attempts=2 if self.broker is not None else None)
+        if self.client.try_call({"op": "ping"}) is None:
+            # graceful degradation: a coordinator that can never reach its
+            # broker finishes the sweep itself instead of hanging
+            self._go_local(pending)
             return
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join(timeout=2.0)
-            if self.process.is_alive():
-                self.process.kill()
-                self.process.join(timeout=1.0)
+        self.client.call(self._enqueue_message(self.records))
+
+    def _enqueue_message(self, records: list[dict[str, Any]]) -> dict[str, Any]:
+        return {
+            "op": "enqueue",
+            "sweep": self.sweep_id,
+            "retries": self.spec.retries,
+            "backoff": self.spec.backoff,
+            "records": records,
+        }
+
+    def _go_local(self, remaining: Any) -> None:
+        """Continue on an in-process broker: the inline worker drains the rest."""
+        if self.client is not None:
+            self.client.close()
+        self.link = _BrokerLink(("127.0.0.1", 0), self.sweep_id, 0.0, 1, 0.0, local=_Broker())
+        self.client = self.link.client()
+        self.fleet = False
+        self.client.call(
+            self._enqueue_message([r for r in self.records if r["digest"] in remaining])
+        )
+
+    def collect(self, digests: list[str]) -> list[tuple[str, str, Any]]:
+        reply = self.client.try_call(
+            {"op": "collect", "sweep": self.sweep_id, "digests": digests}
+        )
+        if reply is None:
+            self.unreachable_rounds += 1
+            return []
+        self.unreachable_rounds = 0
+        settled = reply.get("settled", {})
+        if not settled and reply.get("pending", 0) == 0 and reply.get("leased", 0) == 0:
+            # the broker has no trace of our remaining tasks (a restart with
+            # a wiped journal): re-enqueue them — idempotent against anything
+            # it does still know
+            wanted = set(digests)
+            self.client.try_call(
+                self._enqueue_message([r for r in self.records if r["digest"] in wanted])
+            )
+        return [_settled_payload(digest, payload) for digest, payload in settled.items()]
+
+    def check(self, remaining: Any) -> bool:
+        """Broker liveness: restart an embedded broker, or fall back in-process."""
+        if not self.fleet:
+            return False
+        if self.broker is not None:
+            if self.broker.alive():
+                return False
+            # restart on the pinned port: journal replay makes it lossless
+            if self.stats["broker_restarts"] < MAX_BROKER_RESTARTS:
+                self.stats["broker_restarts"] += 1
+                try:
+                    self.broker.start()
+                    return True
+                except (OSError, RuntimeError, EOFError):
+                    pass
+        elif self.unreachable_rounds < 2:
+            # an attached broker is someone else's to restart: give it two
+            # full reconnect windows before draining inline
+            return False
+        self._go_local(remaining)
+        return True
+
+    def shutdown(self) -> None:
+        if self.client is not None:
+            self.client.try_call({"op": "shutdown", "sweep": self.sweep_id}, attempts=2)
+
+    def close(self, settled: bool) -> None:
+        if self.client is not None:
+            if settled:
+                self.client.try_call({"op": "retire", "sweep": self.sweep_id}, attempts=2)
+            self.client.close()
+        if self.broker is not None:
+            self.broker.stop()
 
 
 @dataclass
-class BrokerBackend:
+class BrokerBackend(LeaseBackend):
     """Socket-distributed elastic sweep backend (leases, retries, quarantine).
 
-    Satisfies the ``SweepBackend`` protocol with the directory queue's exact
-    semantics — results publish through the artifact ``store`` under
-    ``sweep_label`` so resubmission recomputes nothing — but coordination
-    rides a TCP broker, so workers need no shared filesystem.
-
-    Two modes:
+    The directory queue's exact semantics (see
+    :class:`~repro.experiments.leases.LeaseBackend` for the shared fields
+    and statistics), but coordination rides a TCP broker, so workers need
+    no shared filesystem.  Two modes:
 
     * **embedded** (``address=None``, the default and what ``--backend
       broker`` resolves to): the coordinator spawns its own broker
       subprocess on a free localhost port, supervises it, restarts it on
-      the same port if it dies (up to ``max_broker_restarts``; the journal
-      under ``<store.root>/broker`` makes the restart lossless), and stops
-      it at the end.
+      the same port if it dies (up to three times; the journal under
+      ``journal_dir``, default ``<store.root>/broker``, makes the restart
+      lossless), and stops it at the end.
     * **attached** (``address="host:port"``, what ``--broker`` sets): the
       broker is external (``python -m repro.experiments.broker serve``) and
-      its lifecycle belongs to whoever started it.  A coordinator that can
-      never reach it falls back to draining the sweep inline (serially,
-      with full retry/quarantine semantics) instead of hanging.
+      its lifecycle belongs to whoever started it.
 
-    After each submission :attr:`last_stats` reports the queue backend's
-    counters plus ``broker_restarts``; :attr:`quarantined` lists the
-    :class:`QuarantinedTask` sentinels yielded in place of results.
+    Either way, a coordinator that loses its broker for good drains the
+    sweep inline (full retry/quarantine semantics) instead of hanging.
+    ``connect_timeout``/``connect_attempts``/``connect_backoff`` size the
+    clients' reconnect window.  :attr:`last_stats` adds ``broker_restarts``.
     """
 
     address: str | tuple[str, int] | None = None
     journal_dir: Path | str | None = None
-    store: ArtifactCache | None = None
-    sweep_label: str = ""
-    retries: int | None = None
-    task_timeout: float | None = None
-    backoff: float | None = None
-    lease_seconds: float = 15.0
-    heartbeat_seconds: float | None = None
-    poll_seconds: float = 0.05
-    respawn: bool = True
-    max_respawns: int | None = None
-    max_broker_restarts: int = 3
     connect_timeout: float = 10.0
     connect_attempts: int = 40
     connect_backoff: float = 0.05
-    mp_context: str | None = None
-    fault_plan: FaultPlan | None = None
-
-    quarantined: list[QuarantinedTask] = field(default_factory=list, init=False)
-    last_stats: dict[str, int] = field(default_factory=dict, init=False)
 
     name = "broker"
-    #: never downgraded to the in-process serial path at 1 worker
-    queue_semantics = True
-    #: retries are handled natively (broker-side requeue/quarantine)
-    handles_retries = True
-
-    def configure_from_runner(self, runner: Any) -> None:
-        """Adopt runner-level configuration for fields not set explicitly."""
-        if self.store is None:
-            self.store = runner.shard_store
-        if not self.sweep_label and runner.sweep_label:
-            self.sweep_label = runner.sweep_label
-        if self.retries is None:
-            self.retries = runner.retries
-        if self.task_timeout is None:
-            self.task_timeout = runner.task_timeout
-        if self.backoff is None:
-            self.backoff = runner.backoff
-        if self.mp_context is None:
-            self.mp_context = runner.mp_context
 
     def submit(
         self,
@@ -1132,420 +917,9 @@ class BrokerBackend:
     ) -> Iterator[tuple[int, Any]]:
         # chunksize is a pool-dispatch optimization; the broker hands out one
         # task per claim so stealing stays task-granular
-        store = self.store if self.store is not None else default_cache()
-        if not store.enabled:
-            raise ValueError(
-                "the broker backend publishes results through the artifact cache; "
-                "the store must be enabled (unset $REPRO_CACHE_DISABLE or pass "
-                "an enabled cache)"
-            )
-        label = store_label(self.sweep_label, shared)
-        worker_name = worker_identity(fn)
-        # same namespace axes as the store keys: sweeps share broker state
-        # exactly when they would share published results
-        sweep_id = cache_digest({"label": label, "worker": worker_name})[:24]
-        config = _BrokerWorkerConfig(
-            address=("127.0.0.1", 0),  # pinned once the broker is resolved
-            sweep_id=sweep_id,
-            store=store,
-            label=label,
-            worker_name=worker_name,
-            fn=fn,
-            shared=shared,
-            lease_seconds=float(self.lease_seconds),
-            heartbeat_seconds=(
-                float(self.heartbeat_seconds)
-                if self.heartbeat_seconds is not None
-                else max(float(self.lease_seconds) / 4.0, 0.01)
-            ),
-            task_timeout=self.task_timeout,
-            poll_seconds=float(self.poll_seconds),
-            worker_index=0,
-            fault_plan=(
-                self.fault_plan if self.fault_plan is not None else FaultPlan.from_env()
-            ),
-            connect_timeout=float(self.connect_timeout),
-            connect_attempts=int(self.connect_attempts),
-            connect_backoff=float(self.connect_backoff),
-        )
-        return self._coordinate(config, list(tasks), max(1, int(workers)))
-
-    def _coordinate(
-        self, config: _BrokerWorkerConfig, tasks: list[SweepTask], workers: int
-    ) -> Iterator[tuple[int, Any]]:
-        self.quarantined = []
-        stats = {
-            "tasks": len(tasks),
-            "recalled": 0,
-            "enqueued": 0,
-            "quarantined": 0,
-            "worker_deaths": 0,
-            "respawns": 0,
-            "inline_drained": 0,
-            "broker_restarts": 0,
-        }
-        self.last_stats = stats
-        store = config.store
-        retries = int(self.retries) if self.retries is not None else DEFAULT_QUEUE_RETRIES
-        backoff = float(self.backoff) if self.backoff is not None else DEFAULT_BACKOFF
-        digests = [task_digest(task) for task in tasks]
-        positions: dict[str, list[int]] = {}
-        for position, digest in enumerate(digests):
-            positions.setdefault(digest, []).append(position)
-        tasks_by_digest = {
-            digest: tasks[slots[0]] for digest, slots in positions.items()
-        }
-
-        def consume(digest: str, kind: str, value: Any) -> list[tuple[int, Any]]:
-            if kind == "poison":
-                stats["quarantined"] += 1
-                self.quarantined.append(value)
-            return [(position, value) for position in positions.pop(digest)]
-
-        # phase 1 — recall: everything a previous run already settled costs
-        # zero recomputation (the acceptance criterion of a resume)
-        ready: list[tuple[int, Any]] = []
-        for digest in list(positions):
-            found = recall_settled(store, config.label, config.worker_name, digest)
-            if found is None:
-                continue
-            kind, value = found
-            if kind == "result":
-                stats["recalled"] += 1
-            ready.extend(consume(digest, kind, value))
-        yield from ready
-        if not positions:
-            return
-
-        stats["enqueued"] = len(positions)
-        method = self.mp_context or ("fork" if sys.platform == "linux" else "spawn")
-        context = multiprocessing.get_context(method)
-        broker: _EmbeddedBroker | None = None
-        client: BrokerClient | None = None
-        processes: list[Any] = []
-        inline: _BrokerWorker | None = None
-        try:
-            # phase 2 — resolve the broker (spawn embedded, or probe attached)
-            if self.address is None:
-                journal_dir = (
-                    Path(self.journal_dir)
-                    if self.journal_dir is not None
-                    else Path(store.root) / "broker"
-                )
-                broker = _EmbeddedBroker(journal_dir, config.fault_plan, context)
-                try:
-                    address = broker.start()
-                except (OSError, RuntimeError, EOFError):
-                    yield from self._drain_inline(
-                        config, tasks_by_digest, positions, stats, consume,
-                        retries, backoff,
-                    )
-                    return
-            else:
-                address = parse_address(self.address)
-            config = replace(config, address=address)
-            client = BrokerClient(
-                address,
-                timeout=float(self.connect_timeout),
-                attempts=int(self.connect_attempts),
-                backoff=float(self.connect_backoff),
-            )
-            if client.try_call({"op": "ping"}) is None:
-                # graceful degradation: a coordinator that can never reach
-                # its broker finishes the sweep itself instead of hanging
-                yield from self._drain_inline(
-                    config, tasks_by_digest, positions, stats, consume,
-                    retries, backoff,
-                )
-                return
-
-            # phase 3 — enqueue only the unsettled remainder
-            records = [
-                {
-                    "digest": digest,
-                    "task": _encode(tasks_by_digest[digest]),
-                    "attempts": 0,
-                    "not_before": 0.0,
-                    "errors": [],
-                }
-                for digest in sorted(positions)
-            ]
-            client.call(
-                {
-                    "op": "enqueue",
-                    "sweep": config.sweep_id,
-                    "retries": retries,
-                    "backoff": backoff,
-                    "records": records,
-                }
-            )
-
-            # phase 4 — spawn the fleet and stream results out of the broker
-            next_index = 0
-            spawn_budget = workers + (
-                int(self.max_respawns)
-                if self.max_respawns is not None
-                else 4 * workers + 4
-            )
-
-            def spawn() -> None:
-                nonlocal next_index
-                process = context.Process(
-                    target=_broker_worker_main,
-                    args=(replace(config, worker_index=next_index),),
-                    daemon=True,
-                )
-                process.start()
-                processes.append(process)
-                next_index += 1
-
-            for _ in range(min(workers, len(positions))):
-                spawn()
-
-            unreachable_rounds = 0
-            while positions:
-                progressed = False
-                reply = client.try_call(
-                    {
-                        "op": "collect",
-                        "sweep": config.sweep_id,
-                        "digests": sorted(positions),
-                    }
-                )
-                if reply is not None:
-                    unreachable_rounds = 0
-                    settled = reply.get("settled", {})
-                    for digest, payload in settled.items():
-                        if digest not in positions:
-                            continue
-                        progressed = True
-                        for item in self._absorb(config, digest, payload, consume):
-                            yield item
-                    if (
-                        positions
-                        and not settled
-                        and reply.get("pending", 0) == 0
-                        and reply.get("leased", 0) == 0
-                    ):
-                        # the broker has no trace of our remaining tasks (a
-                        # restart with a wiped journal): re-enqueue them —
-                        # idempotent against anything it does still know
-                        client.try_call(
-                            {
-                                "op": "enqueue",
-                                "sweep": config.sweep_id,
-                                "retries": retries,
-                                "backoff": backoff,
-                                "records": [
-                                    record
-                                    for record in records
-                                    if record["digest"] in positions
-                                ],
-                            }
-                        )
-                else:
-                    unreachable_rounds += 1
-                # the store also settles tasks: local workers publish there
-                # before acking, so a lost ack never loses a result
-                for digest in list(positions):
-                    found = recall_settled(
-                        store, config.label, config.worker_name, digest
-                    )
-                    if found is None:
-                        continue
-                    progressed = True
-                    for item in consume(digest, *found):
-                        yield item
-                if not positions:
-                    break
-                # fleet liveness: absorb deaths, respawn within budget
-                alive = []
-                died = 0
-                for process in processes:
-                    if process.is_alive():
-                        alive.append(process)
-                    elif process.exitcode not in (0, None):
-                        died += 1
-                processes[:] = alive
-                stats["worker_deaths"] += died
-                if self.respawn:
-                    for _ in range(died):
-                        if next_index >= spawn_budget:
-                            break
-                        spawn()
-                        stats["respawns"] += 1
-                # broker liveness: restart the embedded broker on its pinned
-                # port (journal replay makes the restart lossless); an
-                # attached broker is someone else's to restart — after two
-                # full unreachable windows, drain inline rather than hang
-                if broker is not None and not broker.alive():
-                    if stats["broker_restarts"] < int(self.max_broker_restarts):
-                        stats["broker_restarts"] += 1
-                        try:
-                            broker.start()
-                            progressed = True
-                        except (OSError, RuntimeError, EOFError):
-                            yield from self._drain_inline(
-                                config, tasks_by_digest, positions, stats,
-                                consume, retries, backoff,
-                            )
-                            return
-                    else:
-                        yield from self._drain_inline(
-                            config, tasks_by_digest, positions, stats, consume,
-                            retries, backoff,
-                        )
-                        return
-                elif broker is None and unreachable_rounds >= 2:
-                    yield from self._drain_inline(
-                        config, tasks_by_digest, positions, stats, consume,
-                        retries, backoff,
-                    )
-                    return
-                # fleet gone (drained early, dead, or respawn exhausted) with
-                # work left: the coordinator claims through the broker itself
-                # so leases/journal stay authoritative — a sweep must
-                # terminate even with zero surviving workers
-                if not processes and positions:
-                    if inline is None:
-                        inline = _BrokerWorker(
-                            replace(config, worker_index=-1, fault_plan=None)
-                        )
-                    try:
-                        if inline.step() == "worked":
-                            stats["inline_drained"] += 1
-                            progressed = True
-                    except BrokerUnreachable:
-                        pass  # broker liveness handling owns this next round
-                if not progressed:
-                    time.sleep(config.poll_seconds)
-        finally:
-            if client is not None:
-                client.try_call(
-                    {"op": "shutdown", "sweep": config.sweep_id}, attempts=2
-                )
-            deadline = time.time() + 10.0
-            for process in processes:
-                process.join(timeout=max(0.1, deadline - time.time()))
-            for process in processes:
-                if process.is_alive():
-                    process.terminate()
-                    process.join(timeout=1.0)
-            if inline is not None:
-                inline.close()
-            if client is not None:
-                if not positions:
-                    # sweep fully settled: retire the broker-side state (all
-                    # state worth keeping lives in the store); an abandoned
-                    # sweep keeps its journal so a resume picks it back up
-                    client.try_call(
-                        {"op": "retire", "sweep": config.sweep_id}, attempts=2
-                    )
-                client.close()
-            if broker is not None:
-                broker.stop()
-
-    def _absorb(
-        self,
-        config: _BrokerWorkerConfig,
-        digest: str,
-        payload: dict[str, Any],
-        consume: Callable[[str, str, Any], list[tuple[int, Any]]],
-    ) -> list[tuple[int, Any]]:
-        """Write one broker-settled payload into the store and yield its slots."""
-        store = config.store
-        if payload.get("status") == "done":
-            value = _decode(payload["result"])
-            store.put(
-                SHARD_RESULT_KIND,
-                shard_result_key(config.label, config.worker_name, digest),
-                {"result": value, "attempts": int(payload.get("attempts", 1))},
-            )
-            return consume(digest, "result", value)
-        task = _decode(payload["task"]) if payload.get("task") else None
-        sentinel = QuarantinedTask(
-            task=task,
-            digest=digest,
-            attempts=int(payload.get("attempts", 0)),
-            errors=tuple(payload.get("errors", ())),
-        )
-        store.put(
-            POISON_KIND,
-            poison_key(config.label, config.worker_name, digest),
-            {
-                "task": task,
-                "digest": digest,
-                "attempts": sentinel.attempts,
-                "errors": sentinel.errors,
-            },
-        )
-        return consume(digest, "poison", sentinel)
-
-    def _drain_inline(
-        self,
-        config: _BrokerWorkerConfig,
-        tasks_by_digest: dict[str, SweepTask],
-        positions: dict[str, list[int]],
-        stats: dict[str, int],
-        consume: Callable[[str, str, Any], list[tuple[int, Any]]],
-        retries: int,
-        backoff: float,
-    ) -> Iterator[tuple[int, Any]]:
-        """No-broker fallback: finish the sweep serially, full retry semantics.
-
-        Used when the broker can never be reached (attached mode) or its
-        restart budget is spent (embedded mode).  Each remaining task is
-        executed in-process with the same :func:`fail_transition` requeue/
-        quarantine policy, honouring the backoff windows, so even total
-        broker loss degrades to a slower — never a different — sweep.
-        """
-        store = config.store
-        for digest in sorted(positions, key=lambda d: positions[d][0]):
-            record: dict[str, Any] = {
-                "digest": digest,
-                "task": tasks_by_digest[digest],
-                "attempts": 0,
-                "errors": [],
-            }
-            while True:
-                found = recall_settled(store, config.label, config.worker_name, digest)
-                if found is not None:
-                    for item in consume(digest, *found):
-                        yield item
-                    break
-                try:
-                    result = config.fn(config.shared, record["task"])
-                except Exception as error:
-                    outcome, payload = fail_transition(
-                        record, f"{type(error).__name__}: {error}", retries, backoff
-                    )
-                    if outcome == "poison":
-                        store.put(
-                            POISON_KIND,
-                            poison_key(config.label, config.worker_name, digest),
-                            payload,
-                        )
-                        sentinel = QuarantinedTask(
-                            task=payload.get("task"),
-                            digest=digest,
-                            attempts=payload["attempts"],
-                            errors=tuple(payload["errors"]),
-                        )
-                        for item in consume(digest, "poison", sentinel):
-                            yield item
-                        break
-                    record = payload
-                    time.sleep(max(0.0, record["not_before"] - time.time()))
-                    continue
-                store.put(
-                    SHARD_RESULT_KIND,
-                    shard_result_key(config.label, config.worker_name, digest),
-                    {"result": result, "attempts": record["attempts"] + 1},
-                )
-                stats["inline_drained"] += 1
-                for item in consume(digest, "result", result):
-                    yield item
-                break
+        spec, sweep_id = self._spec(fn, shared)
+        transport = _BrokerTransport(self, spec, sweep_id)
+        return self._coordinate(transport, spec, list(tasks), max(1, int(workers)))
 
 
 # -------------------------------------------------------------------- CLI
@@ -1636,40 +1010,30 @@ def main(argv: list[str] | None = None) -> int:
                 pass
         return 0
 
-    context = multiprocessing.get_context(
-        "fork" if sys.platform == "linux" else "spawn"
+    broker = _EmbeddedBroker(
+        journal_dir,
+        plan,
+        multiprocessing.get_context("fork" if sys.platform == "linux" else "spawn"),
+        host=args.host,
+        port=int(args.port),
     )
     restarts = 0
-    host, port = args.host, int(args.port)
     while True:
-        parent, child = context.Pipe()
-        process = context.Process(
-            target=_broker_server_main,
-            args=(_ServeConfig(host, port, str(journal_dir), plan), child),
-        )
-        process.start()
-        child.close()
-        try:
-            if parent.poll(15.0):
-                _tag, host, port = parent.recv()
-                print(
-                    f"broker listening on {host}:{port} (journal: {journal_dir})",
-                    flush=True,
-                )
-        finally:
-            parent.close()
-        process.join()
-        if process.exitcode == 0:
+        host, port = broker.start()
+        print(f"broker listening on {host}:{port} (journal: {journal_dir})", flush=True)
+        broker.process.join()
+        exitcode = broker.process.exitcode
+        if exitcode == 0:
             return 0
         if restarts >= int(args.max_restarts):
             print(
-                f"broker died (exit {process.exitcode}) with the restart budget spent",
+                f"broker died (exit {exitcode}) with the restart budget spent",
                 file=sys.stderr,
             )
             return 1
         restarts += 1
         print(
-            f"broker died (exit {process.exitcode}); restarting on {host}:{port} "
+            f"broker died (exit {exitcode}); restarting on {host}:{port} "
             f"({restarts}/{args.max_restarts})",
             flush=True,
         )

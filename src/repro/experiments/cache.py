@@ -54,17 +54,12 @@ the budget again.  The same operations are exposed on the command line::
     python -m repro.experiments.cache evict --budget 512M
     python -m repro.experiments.cache verify [--remove]
 
-Coordination primitives
------------------------
-The fault-tolerant queue backend (:mod:`repro.experiments.queue`) builds
-its worker-coordination protocol on the same filesystem guarantees this
-module already relies on: :func:`acquire_lease` claims a task atomically
-(``O_CREAT | O_EXCL`` via a hard link of a fully written temp file, so a
-lease is never observable half-written), :func:`renew_lease` refreshes the
-heartbeat deadline with the same atomic-replace idiom as :meth:`put`, and
-:func:`steal_lease` takes an expired lease with ``os.replace`` so exactly
-one of N concurrent stealers wins.  Quarantined (poison) tasks are ordinary
-content-addressed artifacts under the ``sweep-poison`` kind
+Sweep results
+-------------
+Sharded sweeps and the lease backends (:mod:`repro.experiments.leases`)
+publish per-task results as ordinary content-addressed artifacts under the
+``sweep-shard`` kind (:data:`SHARD_RESULT_KIND`/:func:`shard_result_key`)
+and quarantined (poison) tasks under ``sweep-poison``
 (:data:`POISON_KIND`/:func:`poison_key`), so resume, dedup, ``stats``, and
 ``prune`` all treat them like any other artifact.
 """
@@ -92,19 +87,12 @@ __all__ = [
     "CacheStats",
     "POISON_KIND",
     "SHARD_RESULT_KIND",
-    "acquire_lease",
     "cache_digest",
     "collect_shard_results",
     "default_cache",
-    "lease_expired",
-    "new_lease",
     "poison_key",
-    "read_lease",
-    "release_lease",
-    "renew_lease",
     "set_default_cache",
     "shard_result_key",
-    "steal_lease",
     "parse_age",
     "parse_size",
     "main",
@@ -226,9 +214,10 @@ class ArtifactCache:
         self.root = Path(self.root)
         self._stores_since_sweep = 0
         self._memory: dict[str, Any] = {}
-        # the in-process layer is shared across ThreadBackend workers (the
-        # cache rides inside their shared payload), so its check-then-evict
-        # bookkeeping needs a lock; disk I/O stays lock-free (atomic replace)
+        # one cache object may be used from several threads of a process
+        # (a caller driving sweeps from a thread pool), so the in-process
+        # layer's check-then-evict bookkeeping needs a lock; disk I/O stays
+        # lock-free (atomic replace)
         self._memory_lock = threading.Lock()
 
     # ----------------------------------------------------------- plumbing
@@ -645,163 +634,6 @@ def collect_shard_results(
         else:
             found[digest] = payload
     return found, missing
-
-
-# ------------------------------------------------------------- lease files
-#
-# The queue backend's mutual-exclusion primitive.  A lease is a small JSON
-# file next to the queued task; holding it means "this worker is executing
-# the task".  The protocol needs exactly three filesystem guarantees, all of
-# which the artifact store already depends on: atomic create-if-absent
-# (claim), atomic replace (heartbeat renewal), and atomic rename (steal).
-# Readers therefore always see a complete lease or none — never a torn one —
-# and an unreadable lease can safely be treated as expired, because stealing
-# it is itself atomic (exactly one stealer wins the rename).
-
-
-def new_lease(
-    owner: str,
-    lease_seconds: float,
-    hard_deadline: float | None = None,
-    now: float | None = None,
-) -> dict[str, Any]:
-    """A fresh lease payload: the one lease shape every holder agrees on.
-
-    ``heartbeat_deadline`` starts at now + ``lease_seconds`` and is pushed
-    forward by renewals; ``hard_deadline`` (the ``--task-timeout`` bound) is
-    absolute and never renewed.  Shared by the directory queue (which writes
-    it to a lease file) and the socket broker (which keeps it in memory and
-    journals it) so :func:`lease_expired` judges both identically.
-    """
-    now = time.time() if now is None else now
-    return {
-        "owner": str(owner),
-        "acquired": now,
-        "heartbeat_deadline": now + float(lease_seconds),
-        "hard_deadline": float(hard_deadline) if hard_deadline is not None else None,
-    }
-
-
-def acquire_lease(
-    path: Path | str,
-    owner: str,
-    lease_seconds: float,
-    hard_deadline: float | None = None,
-) -> bool:
-    """Atomically claim a lease file; ``True`` iff this caller created it.
-
-    The lease is written to a temp file first and linked into place with
-    ``os.link`` (atomic create-if-absent *with* content, unlike a bare
-    ``O_CREAT | O_EXCL`` open followed by a write, which would expose an
-    empty lease between the two syscalls).  See :func:`new_lease` for the
-    deadline semantics.
-    """
-    payload = json.dumps(new_lease(owner, lease_seconds, hard_deadline))
-    path = Path(path)
-    temp_name = None
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        handle, temp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        with os.fdopen(handle, "w") as temp_file:
-            temp_file.write(payload)
-        os.link(temp_name, path)
-    except FileExistsError:
-        return False
-    except OSError:
-        return False
-    finally:
-        if temp_name is not None:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-    return True
-
-
-def read_lease(path: Path | str) -> dict[str, Any] | None:
-    """The lease's JSON payload, or None (absent, unreadable, or corrupt)."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, ValueError):
-        return None
-    return payload if isinstance(payload, dict) else None
-
-
-def lease_expired(
-    lease: Mapping[str, Any] | None, now: float | None = None
-) -> bool:
-    """Whether a lease may be stolen: past either deadline, or unreadable."""
-    if lease is None:
-        return True
-    now = time.time() if now is None else now
-    heartbeat = lease.get("heartbeat_deadline")
-    hard = lease.get("hard_deadline")
-    if isinstance(heartbeat, (int, float)) and now > heartbeat:
-        return True
-    if isinstance(hard, (int, float)) and now > hard:
-        return True
-    # a lease carrying neither deadline is malformed; holding it forever
-    # would deadlock the queue, so it counts as expired too
-    return not isinstance(heartbeat, (int, float)) and not isinstance(hard, (int, float))
-
-
-def renew_lease(path: Path | str, owner: str, lease_seconds: float) -> bool:
-    """Push the heartbeat deadline forward if ``owner`` still holds the lease.
-
-    Returns ``False`` when the lease was stolen (or the rewrite failed) —
-    the worker keeps executing regardless, because publishing the result is
-    idempotent; the thief merely re-runs the task redundantly.
-    """
-    path = Path(path)
-    lease = read_lease(path)
-    if lease is None or lease.get("owner") != str(owner):
-        return False
-    lease["heartbeat_deadline"] = time.time() + float(lease_seconds)
-    temp_name = None
-    try:
-        handle, temp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        with os.fdopen(handle, "w") as temp_file:
-            temp_file.write(json.dumps(lease))
-        os.replace(temp_name, path)
-    except OSError:
-        if temp_name is not None:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-        return False
-    return True
-
-
-def steal_lease(path: Path | str) -> dict[str, Any] | None:
-    """Atomically take a lease off its task: exactly one concurrent caller wins.
-
-    The winner receives the stolen lease's payload (``{}`` if unreadable) and
-    owns the requeue decision; losers (and calls on an already-stolen lease)
-    get ``None``.  Implemented as ``os.replace`` to a caller-unique name, so
-    there is no read-check-unlink window for two stealers to race through.
-    """
-    path = Path(path)
-    unique = f".steal-{os.getpid()}-{threading.get_ident()}-{time.monotonic_ns()}"
-    target = path.with_name(path.name + unique)
-    try:
-        os.replace(path, target)
-    except OSError:
-        return None
-    lease = read_lease(target) or {}
-    try:
-        os.unlink(target)
-    except OSError:
-        pass
-    return lease
-
-
-def release_lease(path: Path | str) -> None:
-    """Drop a lease (idempotent; releasing a stolen/absent lease is a no-op)."""
-    try:
-        os.unlink(path)
-    except OSError:
-        pass
 
 
 #: Last invalid $REPRO_CACHE_BUDGET value warned about (warn once per value).

@@ -24,8 +24,8 @@ Execution
 Grid-shaped drivers expand their operating points with
 :func:`~repro.experiments.engine.expand_grid` and execute them through a
 :class:`~repro.experiments.engine.SweepRunner` (pluggable serial /
-process-pool / thread-pool backends; see the engine module docstring for the
-worker model).  Drivers accept a ``runner`` argument so callers can share
+process-pool / queue / broker backends; see the engine module docstring for
+the worker model).  Drivers accept a ``runner`` argument so callers can share
 one pool — and one shard configuration — across experiments.
 
 Command line
@@ -34,7 +34,7 @@ Every driver module is runnable (``python -m repro.experiments.<driver>``)
 and shares one execution vocabulary, wired through
 :func:`experiment_parser` / :func:`run_experiment_cli`:
 
-* ``--workers N`` / ``--backend {serial,process,thread,queue,broker}`` pick
+* ``--workers N`` / ``--backend {serial,process,queue,broker}`` pick
   the execution backend (defaults honour ``$REPRO_SWEEP_WORKERS`` /
   ``$REPRO_SWEEP_BACKEND``); ``--broker host:port`` attaches the broker
   backend to an externally-served task broker;
@@ -411,7 +411,7 @@ def experiment_parser(prog: str, description: str) -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="worker processes/threads (default: $REPRO_SWEEP_WORKERS or CPU count)",
+        help="worker processes (default: $REPRO_SWEEP_WORKERS or CPU count)",
     )
     group.add_argument(
         "--backend",
@@ -453,7 +453,7 @@ def experiment_parser(prog: str, description: str) -> argparse.ArgumentParser:
         metavar="N",
         help="failed-task retry budget: attempt each task at most N+1 times. "
         "honored on every backend (queue requeues with backoff and "
-        "quarantines once spent; serial/process/thread retry in-worker and "
+        "quarantines once spent; serial/process retry in-worker and "
         "re-raise). default: 0 (queue backend: 2)",
     )
     group.add_argument(
@@ -464,7 +464,7 @@ def experiment_parser(prog: str, description: str) -> argparse.ArgumentParser:
         help="per-task hang bound. queue backend: hard lease deadline after "
         "which the task is stolen and requeued; process backend: stall "
         "detection (no completion within the window fails the sweep). "
-        "serial/thread backends cannot preempt a task and ignore it",
+        "the serial backend cannot preempt a task and ignores it",
     )
     group.add_argument(
         "--backoff",

@@ -25,10 +25,6 @@ Execution is delegated to a :class:`SweepBackend`:
   payload is pickled once per worker (pool initializer) and the small task
   records are streamed; ``fn`` must be a module-level callable of
   ``(shared, task)`` so it can be pickled under any start method.
-* :class:`ThreadBackend` — a thread pool for inference-only tasks whose
-  hot loops release the GIL inside NumPy (no pickling at all; the shared
-  payload is handed to every thread by reference, so workers must treat it
-  as read-only).
 * ``QueueBackend`` (:mod:`repro.experiments.queue`) — the fault-tolerant
   elastic backend: a shared-directory task queue with lease-based claims,
   heartbeat renewal, work-stealing re-execution of dead workers' tasks, and
@@ -53,12 +49,12 @@ Robustness
 failure policy.  Retries are honored on *every* backend: the queue backend
 requeues failed tasks natively (with exponential backoff + deterministic
 jitter, see :func:`retry_delay`, then quarantines them as
-:class:`QuarantinedTask` once the budget is spent); the serial/process/
-thread backends wrap the worker in :class:`RetryingWorker`, which retries
-in place and re-raises once the budget is spent.  ``task_timeout`` needs a
+:class:`QuarantinedTask` once the budget is spent); the serial and process
+backends wrap the worker in :class:`RetryingWorker`, which retries in place
+and re-raises once the budget is spent.  ``task_timeout`` needs a
 backend that can preempt a task, so it is honored by the queue backend (as
 the lease's hard deadline) and the process backend (as a stall detector
-raising :class:`TaskTimeoutError`); serial/thread backends document-ignore
+raising :class:`TaskTimeoutError`); the serial backend document-ignores
 it.  A process-pool worker killed by signal (SIGKILL, OOM) surfaces as
 :class:`WorkerCrashedError` naming the in-flight tasks instead of an opaque
 ``BrokenProcessPool``.
@@ -116,7 +112,6 @@ __all__ = [
     "SweepBackend",
     "SerialBackend",
     "ProcessBackend",
-    "ThreadBackend",
     "ShardSpec",
     "ShardIncompleteError",
     "QuarantinedTask",
@@ -135,7 +130,7 @@ _ENV_WORKERS = "REPRO_SWEEP_WORKERS"
 _ENV_BACKEND = "REPRO_SWEEP_BACKEND"
 
 #: Names accepted by ``SweepRunner(backend=...)`` and ``$REPRO_SWEEP_BACKEND``.
-BACKEND_NAMES = ("serial", "process", "thread", "queue", "broker")
+BACKEND_NAMES = ("serial", "process", "queue", "broker")
 
 #: Default base delay (seconds) between retry attempts; see :func:`retry_delay`.
 DEFAULT_BACKOFF = 0.5
@@ -406,7 +401,7 @@ class QuarantinedTask:
 class RetryingWorker:
     """Picklable wrapper retrying ``fn(shared, task)`` in place.
 
-    How the serial/process/thread backends honor ``SweepRunner(retries=)``:
+    How the serial and process backends honor ``SweepRunner(retries=)``:
     the retry loop runs *inside* the worker (sleeping :func:`retry_delay`
     between attempts), so those backends keep their execution model and
     simply re-raise once the budget is spent.  The queue backend never sees
@@ -648,36 +643,6 @@ class ProcessBackend:
         return stream()
 
 
-class ThreadBackend:
-    """Thread pool for workers whose hot loops release the GIL (NumPy).
-
-    Nothing is pickled: every thread sees the same shared payload object, so
-    workers must treat it as read-only (all the experiment drivers already
-    do — their workers copy networks before mutating them).
-    """
-
-    name = "thread"
-
-    def submit(self, fn, shared, tasks, workers, chunksize):
-        def stream() -> Iterator[tuple[int, Any]]:
-            pool = concurrent.futures.ThreadPoolExecutor(max_workers=workers)
-            try:
-                futures = {
-                    pool.submit(fn, shared, task): position
-                    for position, task in enumerate(tasks)
-                }
-                for future in concurrent.futures.as_completed(futures):
-                    yield futures[future], future.result()
-            except BaseException:
-                # a failing (or abandoned) sweep must not run the queued
-                # remainder to completion before the error reaches the caller
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
-            pool.shutdown()
-
-        return stream()
-
-
 def resolve_backend(
     spec: str | SweepBackend | None,
     mp_context: str | None = None,
@@ -695,8 +660,6 @@ def resolve_backend(
             return SerialBackend()
         if name == "process":
             return ProcessBackend(mp_context, task_timeout=task_timeout)
-        if name == "thread":
-            return ThreadBackend()
         if name == "queue":
             # local import: the queue module builds on the engine's tasks,
             # digests, and retry policy, so the dependency points that way
@@ -814,14 +777,14 @@ class SweepRunner:
     Parameters
     ----------
     workers:
-        Worker processes/threads.  ``None`` → ``$REPRO_SWEEP_WORKERS`` or CPU
+        Worker processes.  ``None`` → ``$REPRO_SWEEP_WORKERS`` or CPU
         count.  1 (or a single-CPU host) always takes the in-process path.
     parallel:
         Master switch; ``False`` forces in-process serial execution
         regardless of ``workers``/``backend`` (used by sweeps whose points
         share mutable state).
     backend:
-        Backend name (``"serial"``/``"process"``/``"thread"``) or
+        Backend name (``"serial"``/``"process"``/``"queue"``/``"broker"``) or
         :class:`SweepBackend` instance.  ``None`` → ``$REPRO_SWEEP_BACKEND``
         or ``"process"``.
     mp_context:
@@ -853,8 +816,8 @@ class SweepRunner:
     task_timeout:
         Per-task hang bound in seconds.  Queue backend: the lease's hard
         deadline, after which the task is stolen and requeued.  Process
-        backend: stall detection (:class:`TaskTimeoutError`).  Serial and
-        thread backends cannot preempt a running task and ignore it.
+        backend: stall detection (:class:`TaskTimeoutError`).  The serial
+        backend cannot preempt a running task and ignores it.
     backoff:
         Base delay between retry attempts (:func:`retry_delay` grows it
         exponentially with deterministic jitter).  ``None`` →

@@ -54,14 +54,16 @@ Wire-level rules (broker backend, :mod:`repro.experiments.broker`):
 CLI injection
 -------------
 ``$REPRO_FAULT_PLAN`` carries a JSON-encoded plan into driver CLIs (the CI
-chaos-smoke job kills a ``fig09_sram --backend queue`` worker this way, and
-broker-smoke kills a live broker under a driver)::
+lease-smoke job kills a ``fig09_sram --backend queue`` worker this way, and
+a live broker under a driver)::
 
     REPRO_FAULT_PLAN='[{"kind": "kill", "worker": 0, "after_tasks": 1}]' \\
         python -m repro.experiments.fig09_sram --figure a --backend queue
 
 Only queue/broker workers (and the broker server) consult the plan — the
-fault hooks live in their loops, so other backends ignore the variable.
+fault hooks live in the lease worker's execute path
+(:class:`~repro.experiments.leases.LeaseWorker`) and the broker's socket
+client and server, so other backends ignore the variable.
 Malformed plans fail fast with the accepted grammar
 (:func:`rule_grammar`) instead of failing deep inside a worker.
 """
@@ -402,9 +404,9 @@ class FaultPlan:
 
 
 class WorkerFaultInjector:
-    """One worker's slice of a fault plan, consulted at the queue hook points.
+    """One worker's slice of a fault plan, consulted at the lease hook points.
 
-    The queue/broker worker calls :meth:`on_claim` after acquiring a lease
+    The lease worker calls :meth:`on_claim` after acquiring a lease
     (before executing), :meth:`heartbeat_allowed` when deciding whether to
     start the renewal thread, and :meth:`on_publish` after a completed
     task's result landed.  The broker client additionally consults
@@ -455,7 +457,7 @@ class WorkerFaultInjector:
     def before_execute(self, task) -> None:
         """Hook inside the execution try-block; raising fails the *attempt*.
 
-        The queue worker treats the raise exactly like a worker-function
+        The lease worker treats the raise exactly like a worker-function
         exception: the task is requeued with backoff and quarantined once
         ``attempts > retries`` — never a crashed worker, never a deadlock.
         """

@@ -1,12 +1,13 @@
 """Fault-tolerant elastic sweep backend: a shared-directory task queue.
 
-``QueueBackend`` is the fourth :class:`~repro.experiments.engine.SweepBackend`
-and the one built for the ROADMAP's long-running-service north star: a sweep
-that keeps its promises when workers are SIGKILLed, OOMed, hung, or simply
-added and removed mid-flight.  There is no broker — the queue is a directory
-(by default under the artifact-cache root), so anything that can share a
-filesystem can share a sweep, and all coordination rides the same atomic
-rename/link/replace guarantees the cache already depends on.
+``QueueBackend`` is the fourth :class:`~repro.experiments.engine.SweepBackend`:
+a sweep that keeps its promises when workers are SIGKILLed, OOMed, hung, or
+simply added and removed mid-flight.  There is no broker — the queue is a
+directory (by default under the artifact-cache root), so anything that can
+share a filesystem can share a sweep, and all coordination rides the same
+atomic rename/link/replace guarantees the cache already depends on.  The
+lease, retry, quarantine, worker, and coordinator logic is the shared core
+in :mod:`repro.experiments.leases`; this module is its on-disk transport.
 
 Queue layout
 ------------
@@ -31,71 +32,44 @@ Claim protocol
 --------------
 A worker scans ``tasks/`` (rotated by worker index so a fleet doesn't
 contend on one head), skips records whose ``not_before`` backoff is in the
-future, and claims a task by atomically creating its lease file.  While the
-task executes, a daemon thread renews the lease's heartbeat deadline every
-``lease_seconds/4``; the hard deadline (``task_timeout``) is never renewed.
-On success the worker publishes to the store *first*, then removes the task
+future, and claims a task by atomically creating its lease file.  On
+success the worker publishes to the store *first*, then removes the task
 file, then the lease — every step idempotent, so a crash between any two of
-them is absorbed by the next worker's re-scan.  On failure (exception,
-publish failure, or an expired lease stolen by a peer) the task is requeued
-with ``attempts + 1`` and a ``not_before`` of now + :func:`retry_delay`
-(exponential backoff, deterministic jitter); once ``attempts > retries`` it
-is quarantined to the poison store and the coordinator yields a
-:class:`~repro.experiments.engine.QuarantinedTask` in its place — the sweep
-completes with a report instead of deadlocking.
-
-Elasticity
-----------
-Workers are plain processes running :func:`_queue_worker_main`; they join by
-scanning the directory and leave when the queue is idle or the shutdown
-sentinel appears.  The coordinator respawns abnormally-dead workers (up to a
-budget), steals expired leases itself, and — if the whole fleet is dead with
-no respawn budget left — drains the queue inline, so the sweep *always*
-terminates.  A coordinator killed outright leaves orphaned workers that
-finish the queued tasks, publish, and exit; the restarted coordinator
-recalls their work from the store.
+them is absorbed by the next worker's re-scan.  A failed attempt rewrites
+the task record through :func:`~repro.experiments.leases.fail_transition`
+(or quarantines it to the poison store); an expired lease is stolen with
+:func:`~repro.experiments.leases.steal_lease` and requeued the same way.
+Workers poll every ``poll_seconds`` — a shared directory has nothing to
+block on.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import pickle
 import shutil
-import sys
-import tempfile
-import threading
 import time
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .cache import (
-    ArtifactCache,
-    POISON_KIND,
-    SHARD_RESULT_KIND,
+from .cache import POISON_KIND, poison_key
+from .engine import SweepTask
+from .leases import (
+    DEFAULT_QUEUE_RETRIES,
+    LeaseBackend,
+    WorkerSpec,
     acquire_lease,
-    cache_digest,
-    default_cache,
+    atomic_write,
+    discard,
+    fail_transition,
     lease_expired,
-    poison_key,
     read_lease,
+    recall_settled,
     release_lease,
     renew_lease,
-    shard_result_key,
     steal_lease,
 )
-from .engine import (
-    DEFAULT_BACKOFF,
-    QuarantinedTask,
-    SweepTask,
-    retry_delay,
-    store_label,
-    task_digest,
-    worker_identity,
-)
-from .faults import NULL_INJECTOR, FaultPlan
 
 __all__ = [
     "QueueBackend",
@@ -104,29 +78,12 @@ __all__ = [
     "recall_settled",
 ]
 
-#: Queue-backend default retry budget (used when the runner leaves it unset):
-#: unlike the in-process backends, retrying here is what the backend is *for*.
-DEFAULT_QUEUE_RETRIES = 2
-
 _SHUTDOWN_SENTINEL = "shutdown"
 
 
 def _write_record(path: Path, record: dict[str, Any]) -> bool:
     """Atomically (re)write a task record; readers see old, new, or nothing."""
-    temp_name = None
-    try:
-        handle, temp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        with os.fdopen(handle, "wb") as temp_file:
-            pickle.dump(record, temp_file, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(temp_name, path)
-        return True
-    except OSError:
-        if temp_name is not None:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-        return False
+    return atomic_write(path, pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 def _read_record(path: Path) -> dict[str, Any] | None:
@@ -140,269 +97,119 @@ def _read_record(path: Path) -> dict[str, Any] | None:
     return record if isinstance(record, dict) else None
 
 
-def fail_transition(
-    record: dict[str, Any],
-    error: str,
-    retries: int,
-    backoff: float,
-    now: float | None = None,
-) -> tuple[str, dict[str, Any]]:
-    """The one requeue-or-quarantine decision every queue flavour shares.
-
-    Given a task record ``{task, digest, attempts, errors, ...}`` and the
-    error that failed this attempt, returns either ``("requeue", record')``
-    — attempts incremented, the error appended, and ``not_before`` pushed to
-    now + :func:`~repro.experiments.engine.retry_delay` (exponential backoff
-    with deterministic per-digest jitter) — or, once ``attempts > retries``,
-    ``("poison", payload)`` where the payload is store-shaped
-    ``{task, digest, attempts, errors}``.  The directory queue persists the
-    outcome as a task-file rewrite / poison-store put; the socket broker
-    journals it — both express this exact transition so chaos tests can
-    assert identical retry trajectories across backends.
-    """
-    now = time.time() if now is None else now
-    digest = record["digest"]
-    attempts = record.get("attempts", 0) + 1
-    errors = [*record.get("errors", []), error]
-    if attempts > int(retries):
-        return "poison", {
-            "task": record.get("task"),
-            "digest": digest,
-            "attempts": attempts,
-            "errors": tuple(errors),
-        }
-    return "requeue", {
-        **record,
-        "attempts": attempts,
-        "errors": errors,
-        "not_before": now + retry_delay(backoff, digest, attempts),
-    }
-
-
-def recall_settled(
-    store: ArtifactCache, label: str, worker_name: str, digest: str
-) -> tuple[str, Any] | None:
-    """Look a task up in the store's terminal states.
-
-    Returns ``("result", value)`` for a published result, ``("poison",
-    QuarantinedTask)`` for a quarantined task, or ``None`` while the task is
-    still unsettled.  This is the single source of truth for "is this task
-    done?" — workers use it to skip re-execution, and both the queue and
-    broker coordinators use it to recall prior work at zero recomputation.
-    """
-    payload = store.get(SHARD_RESULT_KIND, shard_result_key(label, worker_name, digest))
-    if payload is not None:
-        return "result", payload["result"]
-    payload = store.get(POISON_KIND, poison_key(label, worker_name, digest))
-    if payload is not None:
-        return "poison", QuarantinedTask(
-            task=payload.get("task"),
-            digest=digest,
-            attempts=int(payload.get("attempts", 0)),
-            errors=tuple(payload.get("errors", ())),
-        )
-    return None
-
-
-@dataclass
-class _WorkerConfig:
-    """Everything a queue worker process needs, in one picklable record."""
+@dataclass(frozen=True)
+class _QueueLink:
+    """Picklable address of one sweep's queue directory."""
 
     sweep_dir: str
-    store: ArtifactCache
-    label: str
-    worker_name: str
-    fn: Callable[[Any, SweepTask], Any]
-    shared: Any
-    retries: int
-    backoff: float
-    lease_seconds: float
-    heartbeat_seconds: float
-    task_timeout: float | None
-    poll_seconds: float
-    worker_index: int
-    fault_plan: FaultPlan | None = None
+
+    def connect(self, worker: Any) -> "_QueueDir":
+        return _QueueDir(Path(self.sweep_dir), worker.spec, worker.owner)
 
 
-class _Heartbeat:
-    """Daemon thread renewing one task's lease while the task executes."""
+class _QueueDir:
+    """One sweep's queue directory: the transport for workers and coordinator.
 
-    def __init__(self, lease_path: Path, owner: str, lease_seconds: float, interval: float):
-        self.lease_path = lease_path
+    Workers claim, renew, complete, and fail through it; the coordinator
+    (owner-less) enqueues, steals expired leases every round, signals
+    shutdown, and retires the directory once the sweep settles.
+    """
+
+    extra_stats = ()
+    fleet = True
+
+    def __init__(self, sweep_dir: Path, spec: WorkerSpec, owner: str = ""):
+        self.sweep_dir = sweep_dir
+        self.link = _QueueLink(str(sweep_dir))
+        self.spec = spec
         self.owner = owner
-        self.lease_seconds = lease_seconds
-        self.interval = max(0.01, float(interval))
-        self._stop = threading.Event()
-        # named so tests can assert no repro-* thread outlives its sweep
-        self._thread = threading.Thread(
-            target=self._run, daemon=True, name="repro-heartbeat"
-        )
+        self.tasks_dir = sweep_dir / "tasks"
+        self.leases_dir = sweep_dir / "leases"
+        self.shutdown_path = sweep_dir / _SHUTDOWN_SENTINEL
 
-    def start(self) -> None:
-        self._thread.start()
+    def _task_path(self, record: dict[str, Any]) -> Path:
+        return self.tasks_dir / f"{record['digest']}.pkl"
 
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval):
-            if not renew_lease(self.lease_path, self.owner, self.lease_seconds):
-                # stolen (we straggled past our own deadline): stop renewing
-                # and let the execution finish — the publish is idempotent
-                return
-
-    def stop(self) -> None:
-        self._stop.set()
-        # join so stop() is a real resource release, not a request: once it
-        # returns, no renewal can race a lease this worker already released
-        if self._thread.is_alive():
-            self._thread.join(timeout=5.0)
-
-
-class _QueueWorker:
-    """The claim/execute/publish loop one worker process runs to exhaustion."""
-
-    def __init__(self, config: _WorkerConfig):
-        self.config = config
-        self.sweep_dir = Path(config.sweep_dir)
-        self.tasks_dir = self.sweep_dir / "tasks"
-        self.leases_dir = self.sweep_dir / "leases"
-        # unique per process *and* per coordinator spawn: renewals must not
-        # confuse two incarnations that recycled a pid
-        self.owner = f"w{config.worker_index}:pid{os.getpid()}:{time.monotonic_ns():x}"
-        self.completed = 0
-        plan = config.fault_plan
-        self.injector = (
-            plan.for_worker(config.worker_index) if plan is not None else NULL_INJECTOR
-        )
-
-    # ------------------------------------------------------------- scanning
+    def _lease_path(self, record: dict[str, Any]) -> Path:
+        return self.leases_dir / f"{record['digest']}.lease"
 
     def _pending_files(self) -> list[Path]:
         try:
             names = sorted(path.name for path in self.tasks_dir.glob("*.pkl"))
         except OSError:
             return []
-        if names and self.config.worker_index > 0:
+        index = self.spec.worker_index
+        if names and index > 0:
             # deterministic rotation: workers start their scans at different
             # offsets so a fresh fleet doesn't all fight over the first task
-            pivot = self.config.worker_index % len(names)
+            pivot = index % len(names)
             names = names[pivot:] + names[:pivot]
         return [self.tasks_dir / name for name in names]
 
-    def _settled(self, digest: str) -> bool:
-        """Whether the task already has a terminal record in the store."""
-        config = self.config
-        return (
-            recall_settled(config.store, config.label, config.worker_name, digest)
-            is not None
-        )
-
-    # ------------------------------------------------------ claim + execute
-
-    def drain_once(self) -> bool:
-        """Reclaim expired leases, then claim and run one task.
-
-        Returns True when any progress was made (a lease reclaimed or a task
-        executed) so the caller can rescan immediately instead of polling.
-        """
-        progressed = self.reclaim_expired() > 0
+    def claim(self) -> tuple[str, dict[str, Any] | None]:
+        """Steal expired leases, then lease the first claimable task."""
+        if self.shutdown_path.exists() or not self.tasks_dir.is_dir():
+            return "shutdown", None
+        reclaimed = self.reclaim()
+        spec = self.spec
         now = time.time()
+        hard = now + spec.task_timeout if spec.task_timeout is not None else None
         for path in self._pending_files():
             record = _read_record(path)
             if record is None or record.get("not_before", 0.0) > now:
                 continue
-            digest = record["digest"]
-            lease_path = self.leases_dir / f"{digest}.lease"
-            hard = (
-                now + self.config.task_timeout
-                if self.config.task_timeout is not None
-                else None
-            )
-            if not acquire_lease(
-                lease_path, self.owner, self.config.lease_seconds, hard_deadline=hard
-            ):
+            lease_path = self._lease_path(record)
+            if not acquire_lease(lease_path, self.owner, spec.lease_seconds, hard_deadline=hard):
                 continue
-            # won the claim — but between scan and claim the task may have
-            # been completed (or quarantined) by the previous lease holder
+            # won the claim — but between scan and claim the previous lease
+            # holder may have completed (and removed) the task
             record = _read_record(path)
-            if record is None or self._settled(digest):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
+            if record is None:
                 release_lease(lease_path)
                 continue
-            self._execute(path, lease_path, record)
-            return True
-        return progressed
+            return "claimed", record
+        if reclaimed:
+            return "busy", None  # progress: rescan before polling
+        return ("drained" if self._idle() else "idle"), None
 
-    def _execute(self, path: Path, lease_path: Path, record: dict[str, Any]) -> None:
-        config = self.config
-        digest = record["digest"]
-        self.injector.on_claim(self.completed)  # may SIGKILL mid-claim
-        heartbeat: _Heartbeat | None = None
-        if self.injector.heartbeat_allowed(self.completed):
-            heartbeat = _Heartbeat(
-                lease_path, self.owner, config.lease_seconds, config.heartbeat_seconds
-            )
-            heartbeat.start()
+    def _idle(self) -> bool:
         try:
-            try:
-                self.injector.before_execute(record["task"])  # may raise (poison)
-                result = config.fn(config.shared, record["task"])
-            except Exception as error:
-                self._fail_task(path, record, f"{type(error).__name__}: {error}")
-                release_lease(lease_path)
-                return
-            published = config.store.put(
-                SHARD_RESULT_KIND,
-                shard_result_key(config.label, config.worker_name, digest),
-                {"result": result, "attempts": record.get("attempts", 0) + 1},
+            return not any(self.tasks_dir.glob("*.pkl")) and not any(
+                self.leases_dir.glob("*.lease")
             )
-            if not published:
-                # the store is the worker's only channel to the coordinator;
-                # an unpublishable result is a failed attempt (retried, then
-                # quarantined with the reason) — never a silent deadlock
-                self._fail_task(
-                    path,
-                    record,
-                    f"failed to publish result to the store at {config.store.root} "
-                    "(unpicklable result or unwritable cache)",
-                )
-                release_lease(lease_path)
-                return
-        finally:
-            if heartbeat is not None:
-                heartbeat.stop()
-        # publish → task file → lease, each idempotent: dying between steps
-        # leaves either a claimable no-op (next claimer sees _settled) or an
-        # expiring lease; never a lost result
-        try:
-            path.unlink()
         except OSError:
-            pass
-        release_lease(lease_path)
-        self.completed += 1
-        self.injector.on_publish(self.completed)  # may SIGKILL post-publish
+            return False
 
-    def _fail_task(self, path: Path, record: dict[str, Any], error: str) -> None:
+    def renew(self, record: dict[str, Any]) -> bool:
+        return renew_lease(self._lease_path(record), self.owner, self.spec.lease_seconds)
+
+    def settled(self, record: dict[str, Any], kind: str, value: Any) -> bool:
+        # the store already holds a terminal state: nothing to requeue, just
+        # tidy the task file (publish → task file → lease, each idempotent)
+        self.complete(record, value)
+        return True
+
+    def complete(self, record: dict[str, Any], result: Any) -> None:
+        discard(self._task_path(record))
+        release_lease(self._lease_path(record))
+
+    def fail(self, record: dict[str, Any], error: str) -> None:
+        self._requeue(record, error)
+        release_lease(self._lease_path(record))
+
+    def _requeue(self, record: dict[str, Any], error: str) -> None:
         """Requeue a failed attempt with backoff, or quarantine it."""
-        config = self.config
-        state, payload = fail_transition(record, error, config.retries, config.backoff)
+        spec = self.spec
+        state, payload = fail_transition(record, error, spec.retries, spec.backoff)
         if state == "poison":
-            config.store.put(
-                POISON_KIND,
-                poison_key(config.label, config.worker_name, record["digest"]),
-                payload,
+            spec.store.put(
+                POISON_KIND, poison_key(spec.label, spec.worker_name, record["digest"]), payload
             )
-            try:
-                path.unlink()
-            except OSError:
-                pass
+            discard(self._task_path(record))
         else:
-            _write_record(path, payload)
+            _write_record(self._task_path(record), payload)
 
-    # ------------------------------------------------------- work stealing
-
-    def reclaim_expired(self) -> int:
+    def reclaim(self) -> int:
         """Steal expired leases; requeue (or quarantine) their tasks."""
         try:
             lease_paths = sorted(self.leases_dir.glob("*.lease"))
@@ -416,142 +223,72 @@ class _QueueWorker:
             stolen = steal_lease(lease_path)
             if stolen is None:
                 continue  # a peer won the steal; it owns the requeue
-            digest = lease_path.stem
-            task_path = self.tasks_dir / f"{digest}.pkl"
-            record = _read_record(task_path)
-            if record is None or self._settled(digest):
+            record = _read_record(self.tasks_dir / f"{lease_path.stem}.pkl")
+            if record is None:
+                continue
+            spec = self.spec
+            if recall_settled(spec.store, spec.label, spec.worker_name, record["digest"]):
                 # the holder finished (or the task was quarantined) before
                 # dying; nothing to requeue — just tidy the task file
-                if record is not None:
-                    try:
-                        task_path.unlink()
-                    except OSError:
-                        pass
+                discard(self._task_path(record))
                 continue
             owner = stolen.get("owner", "unknown")
-            self._fail_task(
-                task_path,
-                record,
-                f"lease expired: worker {owner} died or hung past its deadline",
-            )
+            self._requeue(record, f"lease expired: worker {owner} died or hung past its deadline")
             reclaimed += 1
         return reclaimed
 
-    # ------------------------------------------------------------ main loop
+    # ----------------------------------------------------------- coordinator
 
-    def _queue_idle(self) -> bool:
+    def start(self, pending: dict[str, SweepTask], stats: dict[str, int], context: Any) -> None:
+        self.tasks_dir.mkdir(parents=True, exist_ok=True)
+        self.leases_dir.mkdir(parents=True, exist_ok=True)
+        discard(self.shutdown_path)  # stale sentinel from an earlier coordinator
+        for digest, task in pending.items():
+            path = self.tasks_dir / f"{digest}.pkl"
+            if path.exists():
+                continue  # a concurrent coordinator already queued it
+            _write_record(
+                path,
+                {"task": task, "digest": digest, "attempts": 0, "not_before": 0.0, "errors": []},
+            )
+
+    def collect(self, digests: list[str]) -> list[tuple[str, str, Any]]:
+        # terminal states live in the store only; this round's transport work
+        # is stealing the leases of dead or hung workers
+        self.reclaim()
+        return []
+
+    def check(self, remaining: Any) -> bool:
+        return False
+
+    def shutdown(self) -> None:
         try:
-            if any(self.tasks_dir.glob("*.pkl")):
-                return False
-            if any(self.leases_dir.glob("*.lease")):
-                return False
+            self.shutdown_path.touch()
         except OSError:
-            return False
-        return True
+            pass
 
-    def run(self) -> None:
-        shutdown = self.sweep_dir / _SHUTDOWN_SENTINEL
-        while True:
-            if shutdown.exists() or not self.tasks_dir.is_dir():
-                return
-            if self.drain_once():
-                continue
-            if self._queue_idle():
-                return
-            # tasks exist but none claimable (backoff windows / live leases):
-            # poll — a shared directory has nothing to block on
-            time.sleep(self.config.poll_seconds)
-
-
-def _queue_worker_main(config: _WorkerConfig) -> None:
-    _QueueWorker(config).run()
-
-
-# ---------------------------------------------------------------- coordinator
+    def close(self, settled: bool = False) -> None:
+        if settled:
+            shutil.rmtree(self.sweep_dir, ignore_errors=True)
 
 
 @dataclass
-class QueueBackend:
+class QueueBackend(LeaseBackend):
     """Shared-directory elastic queue backend (leases, retries, quarantine).
 
-    Satisfies the ``SweepBackend`` protocol.  Unlike the pool backends it is
-    *stateful across submissions by design*: results publish through the
-    artifact ``store`` under ``sweep_label``, so resubmitting the same sweep
-    — after a crash, from another process, or concurrently — recomputes
-    nothing that already published.  ``SweepRunner`` fills ``store``/
-    ``sweep_label``/policy fields from its own configuration via
-    :meth:`configure_from_runner` (only where unset here).
+    See :class:`~repro.experiments.leases.LeaseBackend` for the shared
+    fields, statistics, and resume semantics.
 
     Parameters
     ----------
     queue_dir:
         Root for per-sweep queue directories (default: ``<store.root>/queue``
         — next to, not inside, the artifact kinds).
-    retries:
-        Retry budget per task (``attempts <= retries + 1``); ``None`` →
-        :data:`DEFAULT_QUEUE_RETRIES`.
-    task_timeout:
-        Hard lease deadline per attempt; a task running past it is stolen
-        and requeued even if its worker still heartbeats.  ``None`` → no
-        hard bound (heartbeat expiry still covers dead workers).
-    lease_seconds:
-        Heartbeat deadline horizon: a worker that misses renewals for this
-        long is presumed dead and its task is stolen.  The renewal interval
-        is ``lease_seconds / 4`` unless ``heartbeat_seconds`` overrides it.
-    respawn / max_respawns:
-        Whether (and how many times, default ``4 * workers + 4``) the
-        coordinator replaces workers that died abnormally.  With respawn
-        exhausted or disabled and the whole fleet dead, the coordinator
-        drains the queue inline rather than deadlocking.
-    fault_plan:
-        Chaos injection (:mod:`repro.experiments.faults`); ``None`` reads
-        ``$REPRO_FAULT_PLAN`` so CLI runs can be fault-injected too.
-
-    After each completed submission, :attr:`last_stats` reports
-    ``{"tasks", "recalled", "enqueued", "quarantined", "worker_deaths",
-    "respawns", "inline_drained"}`` and :attr:`quarantined` lists the
-    :class:`QuarantinedTask` sentinels yielded in place of results.
     """
 
     queue_dir: Path | str | None = None
-    store: ArtifactCache | None = None
-    sweep_label: str = ""
-    retries: int | None = None
-    task_timeout: float | None = None
-    backoff: float | None = None
-    lease_seconds: float = 15.0
-    heartbeat_seconds: float | None = None
-    poll_seconds: float = 0.05
-    respawn: bool = True
-    max_respawns: int | None = None
-    mp_context: str | None = None
-    fault_plan: FaultPlan | None = None
-
-    quarantined: list[QuarantinedTask] = field(default_factory=list, init=False)
-    last_stats: dict[str, int] = field(default_factory=dict, init=False)
 
     name = "queue"
-    #: SweepRunner must not downgrade this backend to the in-process serial
-    #: path at 1 worker, and should hand it runner-level configuration
-    queue_semantics = True
-    #: retries are handled natively (requeue/quarantine) — SweepRunner must
-    #: not additionally wrap the worker in RetryingWorker
-    handles_retries = True
-
-    def configure_from_runner(self, runner: Any) -> None:
-        """Adopt runner-level configuration for fields not set explicitly."""
-        if self.store is None:
-            self.store = runner.shard_store
-        if not self.sweep_label and runner.sweep_label:
-            self.sweep_label = runner.sweep_label
-        if self.retries is None:
-            self.retries = runner.retries
-        if self.task_timeout is None:
-            self.task_timeout = runner.task_timeout
-        if self.backoff is None:
-            self.backoff = runner.backoff
-        if self.mp_context is None:
-            self.mp_context = runner.mp_context
 
     def submit(
         self,
@@ -563,198 +300,7 @@ class QueueBackend:
     ) -> Iterator[tuple[int, Any]]:
         # chunksize is a pool-dispatch optimization; the queue hands out one
         # task per claim so stealing stays task-granular
-        store = self.store if self.store is not None else default_cache()
-        if not store.enabled:
-            raise ValueError(
-                "the queue backend publishes results through the artifact cache; "
-                "the store must be enabled (unset $REPRO_CACHE_DISABLE or pass "
-                "an enabled cache)"
-            )
-        label = store_label(self.sweep_label, shared)
-        worker_name = worker_identity(fn)
-        root = (
-            Path(self.queue_dir)
-            if self.queue_dir is not None
-            else Path(store.root) / "queue"
-        )
-        # same namespace axes as the store keys: sweeps share queue state
-        # exactly when they would share published results
-        sweep_id = cache_digest({"label": label, "worker": worker_name})[:24]
-        config = _WorkerConfig(
-            sweep_dir=str(root / sweep_id),
-            store=store,
-            label=label,
-            worker_name=worker_name,
-            fn=fn,
-            shared=shared,
-            retries=(
-                int(self.retries) if self.retries is not None else DEFAULT_QUEUE_RETRIES
-            ),
-            backoff=float(self.backoff) if self.backoff is not None else DEFAULT_BACKOFF,
-            lease_seconds=float(self.lease_seconds),
-            heartbeat_seconds=(
-                float(self.heartbeat_seconds)
-                if self.heartbeat_seconds is not None
-                else max(float(self.lease_seconds) / 4.0, 0.01)
-            ),
-            task_timeout=self.task_timeout,
-            poll_seconds=float(self.poll_seconds),
-            worker_index=0,
-            fault_plan=(
-                self.fault_plan if self.fault_plan is not None else FaultPlan.from_env()
-            ),
-        )
-        return self._coordinate(config, list(tasks), max(1, int(workers)))
-
-    def _coordinate(
-        self, config: _WorkerConfig, tasks: list[SweepTask], workers: int
-    ) -> Iterator[tuple[int, Any]]:
-        self.quarantined = []
-        stats = {
-            "tasks": len(tasks),
-            "recalled": 0,
-            "enqueued": 0,
-            "quarantined": 0,
-            "worker_deaths": 0,
-            "respawns": 0,
-            "inline_drained": 0,
-        }
-        self.last_stats = stats
-        store = config.store
-        digests = [task_digest(task) for task in tasks]
-        positions: dict[str, list[int]] = {}
-        for position, digest in enumerate(digests):
-            positions.setdefault(digest, []).append(position)
-
-        def recall(digest: str) -> tuple[str, Any] | None:
-            return recall_settled(store, config.label, config.worker_name, digest)
-
-        def consume(digest: str, kind: str, value: Any) -> list[tuple[int, Any]]:
-            if kind == "poison":
-                stats["quarantined"] += 1
-                self.quarantined.append(value)
-            return [(position, value) for position in positions.pop(digest)]
-
-        # phase 1 — recall: everything a previous run (or a concurrent sweep
-        # over an overlapping grid) already settled costs zero recomputation
-        ready: list[tuple[int, Any]] = []
-        for digest in list(positions):
-            found = recall(digest)
-            if found is None:
-                continue
-            kind, value = found
-            if kind == "result":
-                stats["recalled"] += 1
-            ready.extend(consume(digest, kind, value))
-        yield from ready
-        if not positions:
-            return
-
-        # phase 2 — enqueue only the unsettled remainder
-        stats["enqueued"] = len(positions)
-        sweep_dir = Path(config.sweep_dir)
-        tasks_dir = sweep_dir / "tasks"
-        leases_dir = sweep_dir / "leases"
-        tasks_dir.mkdir(parents=True, exist_ok=True)
-        leases_dir.mkdir(parents=True, exist_ok=True)
-        shutdown = sweep_dir / _SHUTDOWN_SENTINEL
-        try:
-            shutdown.unlink()  # stale sentinel from an earlier coordinator
-        except OSError:
-            pass
-        for digest in positions:
-            path = tasks_dir / f"{digest}.pkl"
-            if path.exists():
-                continue  # a concurrent coordinator already queued it
-            _write_record(
-                path,
-                {
-                    "task": tasks[positions[digest][0]],
-                    "digest": digest,
-                    "attempts": 0,
-                    "not_before": 0.0,
-                    "errors": [],
-                },
-            )
-
-        # phase 3 — spawn the fleet and stream results out of the store
-        method = self.mp_context or ("fork" if sys.platform == "linux" else "spawn")
-        context = multiprocessing.get_context(method)
-        processes: list[Any] = []
-        next_index = 0
-        spawn_budget = workers + (
-            int(self.max_respawns) if self.max_respawns is not None else 4 * workers + 4
-        )
-        # the coordinator's own (never fault-injected) worker: steals expired
-        # leases while the fleet runs and drains inline if the fleet dies
-        inline = _QueueWorker(replace(config, worker_index=-1, fault_plan=None))
-
-        def spawn() -> None:
-            nonlocal next_index
-            process = context.Process(
-                target=_queue_worker_main,
-                args=(replace(config, worker_index=next_index),),
-                daemon=True,
-            )
-            process.start()
-            processes.append(process)
-            next_index += 1
-
-        try:
-            for _ in range(min(workers, len(positions))):
-                spawn()
-            while positions:
-                progressed = False
-                for digest in list(positions):
-                    found = recall(digest)
-                    if found is None:
-                        continue
-                    progressed = True
-                    for item in consume(digest, *found):
-                        yield item
-                if not positions:
-                    break
-                alive = []
-                died = 0
-                for process in processes:
-                    if process.is_alive():
-                        alive.append(process)
-                    elif process.exitcode not in (0, None):
-                        # exit 0 is a clean drain (idle queue); a signal or
-                        # nonzero exit is a death the fleet must absorb
-                        died += 1
-                processes[:] = alive
-                stats["worker_deaths"] += died
-                if self.respawn:
-                    for _ in range(died):
-                        if next_index >= spawn_budget:
-                            break
-                        spawn()
-                        stats["respawns"] += 1
-                inline.reclaim_expired()
-                if not processes:
-                    # fleet gone (dead, drained early, or respawn exhausted):
-                    # the coordinator finishes the sweep itself — a sweep
-                    # must terminate even with zero surviving workers
-                    if inline.drain_once():
-                        stats["inline_drained"] += 1
-                        progressed = True
-                if not progressed:
-                    time.sleep(config.poll_seconds)
-        finally:
-            try:
-                shutdown.touch()
-            except OSError:
-                pass
-            deadline = time.time() + 10.0
-            for process in processes:
-                process.join(timeout=max(0.1, deadline - time.time()))
-            for process in processes:
-                if process.is_alive():
-                    process.terminate()
-                    process.join(timeout=1.0)
-            if not positions:
-                # sweep fully settled: retire the queue directory (all state
-                # worth keeping lives in the store); a killed/abandoned sweep
-                # keeps its directory so a resume can pick the queue back up
-                shutil.rmtree(sweep_dir, ignore_errors=True)
+        spec, sweep_id = self._spec(fn, shared)
+        root = self.queue_dir if self.queue_dir is not None else spec.store.root / "queue"
+        queue = _QueueDir(Path(root) / sweep_id, spec)
+        return self._coordinate(queue, spec, list(tasks), max(1, int(workers)))

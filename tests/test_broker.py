@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -497,6 +498,25 @@ class TestBrokerBackend:
         counts = _log_counts(shared["log"])
         assert sorted(counts) == sorted(str(t.voltage) for t in tasks)
         assert set(counts.values()) == {1}  # replay made the restart lossless
+
+    def test_killed_embedded_broker_restarts_within_a_poll_round(self, store):
+        """A dead embedded broker is noticed by liveness, not a reconnect window.
+
+        The coordinator's probes of its own broker use a short budget, so the
+        kill costs one poll round; a full client budget (~34 s at this
+        backoff) would stall the sweep long past the bound asserted here.
+        """
+        plan = FaultPlan(rules=(KillBroker(after_completions=2),))
+        backend = _broker_backend(store, fault_plan=plan, backoff=0.02)
+        start = time.perf_counter()
+        results = _runner(backend, store, workers=2).map(
+            _draw_worker, _grid(6), shared={"offset": 4}
+        )
+        assert time.perf_counter() - start < 10.0
+        assert backend.last_stats["broker_restarts"] == 1
+        assert results == SweepRunner(workers=1).map(
+            _draw_worker, _grid(6), shared={"offset": 4}
+        )
 
     def test_kill_workers_mid_sweep_bit_identical(self, store):
         plan = FaultPlan(

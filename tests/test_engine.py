@@ -19,7 +19,6 @@ from repro.experiments.engine import (
     SweepRunner,
     SweepTask,
     TaskTimeoutError,
-    ThreadBackend,
     WorkerCrashedError,
     expand_grid,
     resolve_backend,
@@ -140,23 +139,20 @@ class TestBackends:
     def test_all_backends_bit_identical(self):
         serial = self._mini_sweep(SweepRunner(workers=1, backend="serial"))
         process = self._mini_sweep(SweepRunner(workers=3, backend="process"))
-        thread = self._mini_sweep(SweepRunner(workers=3, backend="thread"))
-        assert serial == process == thread
+        assert serial == process
         assert [r["value"] for r in serial] == [v**2 + 4 for v in range(9)]
 
     def test_backend_instances_accepted(self):
-        runner = SweepRunner(workers=3, backend=ThreadBackend())
+        runner = SweepRunner(workers=3, backend=ProcessBackend())
         assert self._mini_sweep(runner) == self._mini_sweep(SweepRunner(workers=1))
 
     def test_env_override_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_BACKEND", "thread")
-        assert isinstance(resolve_backend(None), ThreadBackend)
         monkeypatch.setenv("REPRO_SWEEP_BACKEND", "serial")
         assert isinstance(resolve_backend(None), SerialBackend)
         monkeypatch.delenv("REPRO_SWEEP_BACKEND")
         assert isinstance(resolve_backend(None), ProcessBackend)
         # an explicit argument beats the environment
-        monkeypatch.setenv("REPRO_SWEEP_BACKEND", "thread")
+        monkeypatch.setenv("REPRO_SWEEP_BACKEND", "serial")
         assert isinstance(resolve_backend("process"), ProcessBackend)
 
     def test_unknown_backend_rejected(self):
@@ -184,7 +180,7 @@ class TestBackends:
         assert runner.tasks_run == 5
 
     @pytest.mark.parametrize("backend,workers", [
-        ("serial", 1), ("process", 3), ("thread", 3),
+        ("serial", 1), ("process", 3),
     ])
     def test_as_completed_streams_every_backend(self, backend, workers):
         tasks = expand_grid(params=[{"value": v} for v in range(7)], seed=2)
@@ -216,11 +212,10 @@ class TestBackends:
 
     def test_map_is_ordered_on_unordered_backends(self):
         tasks = expand_grid(params=[{"value": v} for v in range(16)], seed=9)
-        for backend in ("process", "thread"):
-            results = SweepRunner(workers=4, backend=backend).map(
-                _square_worker, tasks, shared={"offset": 0}
-            )
-            assert [r["index"] for r in results] == list(range(16))
+        results = SweepRunner(workers=4, backend="process").map(
+            _square_worker, tasks, shared={"offset": 0}
+        )
+        assert [r["index"] for r in results] == list(range(16))
 
     def test_progress_callback_sees_every_completion(self):
         seen = []
@@ -231,7 +226,7 @@ class TestBackends:
         assert seen == [(1, 4), (2, 4), (3, 4), (4, 4)]
 
     @pytest.mark.parametrize("backend,workers", [
-        ("serial", 1), ("process", 3), ("thread", 3),
+        ("serial", 1), ("process", 3),
     ])
     def test_worker_errors_propagate(self, backend, workers):
         tasks = expand_grid(params=[{"value": v} for v in range(8)], seed=4)
@@ -239,23 +234,9 @@ class TestBackends:
         with pytest.raises(RuntimeError, match="boom"):
             runner.map(_failing_worker, tasks, shared={"bad": 3})
 
-    def test_thread_backend_cancels_queue_on_failure(self):
-        # task 0 fails instantly; the 39 queued 50 ms sleepers must be
-        # cancelled rather than drained to completion before the error
-        # surfaces (which would stall a long sweep for its full duration)
-        tasks = expand_grid(params=[{"value": v} for v in range(40)], seed=4)
-        stream = ThreadBackend().submit(
-            _failing_worker, {"bad": 0, "delay": 0.05}, tasks, workers=2, chunksize=1
-        )
-        start = time.perf_counter()
-        with pytest.raises(RuntimeError, match="boom"):
-            for _ in stream:
-                pass
-        assert time.perf_counter() - start < 1.0  # 40 x 50 ms if drained
-
     def test_submit_results_matches_map(self):
         tasks = expand_grid(params=[{"value": v} for v in range(6)], seed=3)
-        runner = SweepRunner(workers=2, backend="thread")
+        runner = SweepRunner(workers=2, backend="process")
         execution = runner.submit(_square_worker, tasks, shared={"offset": 1})
         assert len(execution) == 6
         assert execution.results() == SweepRunner(workers=1).map(
@@ -267,7 +248,7 @@ class TestRobustness:
     """Retry budgets, crash diagnostics, and hang bounds on the pool backends."""
 
     @pytest.mark.parametrize("backend,workers", [
-        ("serial", 1), ("process", 3), ("thread", 3),
+        ("serial", 1), ("process", 3),
     ])
     def test_retries_recover_transient_failures(self, backend, workers):
         _FLAKY_CALLS.clear()
@@ -329,7 +310,7 @@ class TestRobustness:
 
 class TestArtifactCache:
     def test_memory_layer_thread_safe(self, tmp_path):
-        # the cache rides inside ThreadBackend shared payloads: hammer the
+        # one cache object may serve several threads: hammer the
         # check-then-evict bookkeeping from many threads at a tiny capacity
         import concurrent.futures
 
@@ -439,15 +420,19 @@ class TestDriverEquivalence:
                 b.word_rate,
             )
 
-    def test_fig9a_three_backends_identical(self):
-        """Seeded mini-sweep through serial, process, and thread backends."""
+    def test_fig9a_three_backends_identical(self, tmp_path):
+        """Seeded mini-sweep through serial, process, and queue backends."""
         voltages = np.array([0.46, 0.52])
         rows = []
-        for backend, workers in (("serial", 1), ("process", 2), ("thread", 2)):
+        for backend, workers in (("serial", 1), ("process", 2), ("queue", 2)):
             result = run_fig9a(
                 voltages=voltages,
                 num_words=96,
-                runner=SweepRunner(workers=workers, backend=backend),
+                runner=SweepRunner(
+                    workers=workers,
+                    backend=backend,
+                    shard_store=ArtifactCache(root=tmp_path / backend),
+                ),
             )
             rows.append(
                 [

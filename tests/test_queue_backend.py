@@ -17,15 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.experiments.cache import (
-    ArtifactCache,
-    acquire_lease,
-    lease_expired,
-    read_lease,
-    release_lease,
-    renew_lease,
-    steal_lease,
-)
+from repro.experiments.cache import ArtifactCache
 from repro.experiments.engine import (
     QuarantinedTask,
     SweepRunner,
@@ -39,6 +31,14 @@ from repro.experiments.faults import (
     FaultPlan,
     KillWorker,
     SuppressHeartbeat,
+)
+from repro.experiments.leases import (
+    acquire_lease,
+    lease_expired,
+    read_lease,
+    release_lease,
+    renew_lease,
+    steal_lease,
 )
 from repro.experiments.queue import DEFAULT_QUEUE_RETRIES, QueueBackend
 
