@@ -22,11 +22,12 @@ import numpy as np
 
 from ..accelerator.microcode import WeightPlacement
 from ..nn.network import Network
+from ..quant.fixed_point import round_to_code
 from ..quant.quantizer import LayerQuantization, WeightQuantizer
 from ..sram.bitops import pack_bits, popcount
 from ..sram.fault_map import FaultMap
 
-__all__ = ["LayerMasks", "FaultMaskSet", "apply_masks_to_values"]
+__all__ = ["LayerMasks", "FaultMaskSet", "CompiledMasks", "apply_masks_to_values"]
 
 
 def apply_masks_to_values(
@@ -125,28 +126,18 @@ class FaultMaskSet:
 
     # ----------------------------------------------------------- apply
 
-    def masked_layer_parameters(
-        self, network: Network, layer_index: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Quantized, fault-masked view of one layer's master parameters."""
-        layer = network.layers[layer_index]
-        masks = self.layer_masks[layer_index]
-        fmt = self.layer_formats[layer_index]
-        weights = apply_masks_to_values(
-            layer.weights, masks.weight_and, masks.weight_or, fmt.weight_format
-        )
-        bias = apply_masks_to_values(
-            layer.bias, masks.bias_and, masks.bias_or, fmt.bias_format
-        )
-        return weights, bias
+    def compile(self, network: Network) -> "CompiledMasks":
+        """Lay the masks out flat against ``network``'s parameters.
+
+        Raises ``ValueError`` when the depth, any mask's shape or the word
+        lengths do not fit the network.
+        """
+        return CompiledMasks(self, network)
 
     def install(self, network: Network) -> None:
         """Set every layer's effective parameters to the masked view."""
-        if len(network.layers) != len(self.layer_masks):
-            raise ValueError("mask set does not match network depth")
-        for index, layer in enumerate(network.layers):
-            weights, bias = self.masked_layer_parameters(network, index)
-            layer.set_effective(weights, bias)
+        compiled = self.compile(network)
+        compiled.set_effective(network, compiled.masked(network))
 
     # ----------------------------------------------------- constructors
 
@@ -218,6 +209,127 @@ class FaultMaskSet:
             word_bits,
             description=description or f"random fault rate {fault_rate:.3f}",
         )
+
+
+class CompiledMasks:
+    """A :class:`FaultMaskSet` laid out flat against one network's parameters.
+
+    Every parameter is one element of a flat vector ordered
+    ``[W0 … Wn−1, b0 … bn−1]`` (each tensor raveled in C order; weights come
+    first so weight decay touches a prefix).  Per element the layout holds
+    the LSB ``scale``, the representable ``lower``/``upper`` values and the
+    AND/OR masks as ``int64`` bit patterns.  Every layer shares one word
+    length, so the code range and the sign-extension shift are scalars, and
+    masking the whole network is a fixed handful of numpy calls whatever its
+    depth.  Results equal :func:`apply_masks_to_values` per tensor bit for
+    bit (see ``docs/performance.md``).
+    """
+
+    def __init__(self, mask_set: FaultMaskSet, network: Network) -> None:
+        layers = network.layers
+        if len(layers) != len(mask_set.layer_masks):
+            raise ValueError("mask set does not match network depth")
+        entries = list(zip(layers, mask_set.layer_masks, mask_set.layer_formats))
+        # one row per tensor: (name, parameter shape, AND mask, OR mask, format)
+        tensors = [
+            (f"layer {index} weights", layer.weights.shape, masks.weight_and,
+             masks.weight_or, fmt.weight_format)
+            for index, (layer, masks, fmt) in enumerate(entries)
+        ] + [
+            (f"layer {index} bias", layer.bias.shape, masks.bias_and, masks.bias_or,
+             fmt.bias_format)
+            for index, (layer, masks, fmt) in enumerate(entries)
+        ]
+        for name, shape, and_mask, or_mask, _ in tensors:
+            # a mis-shaped mask would broadcast one row's faults to every row
+            if np.shape(and_mask) != shape or np.shape(or_mask) != shape:
+                raise ValueError(
+                    f"{name}: mask shape {np.shape(and_mask)} does not match "
+                    f"parameter shape {shape}"
+                )
+        _, shapes, and_masks, or_masks, formats = zip(*tensors)
+        word_lengths = {fmt.total_bits for fmt in formats}
+        if len(word_lengths) != 1:
+            raise ValueError(f"layer formats mix word lengths {sorted(word_lengths)}")
+        sizes = [int(np.prod(shape)) for shape in shapes]
+        stops = np.cumsum(sizes).tolist()
+        self._views = [
+            (slice(stop - size, stop), shape) for stop, size, shape in zip(stops, sizes, shapes)
+        ]
+        #: number of weight elements (the prefix weight decay applies to)
+        self.num_weights = stops[len(layers) - 1]
+        self.scale = np.repeat([fmt.scale for fmt in formats], sizes)
+        self.lower = np.repeat([fmt.min_value for fmt in formats], sizes)
+        self.upper = np.repeat([fmt.max_value for fmt in formats], sizes)
+        self.and_mask = _flat([np.asarray(m, dtype=np.uint64) for m in and_masks]).view(np.int64)
+        self.or_mask = _flat([np.asarray(m, dtype=np.uint64) for m in or_masks]).view(np.int64)
+        self.min_code = formats[0].min_code
+        self.max_code = formats[0].max_code
+        self.shift = 64 - formats[0].total_bits
+
+    def masters(self, network: Network) -> np.ndarray:
+        """The master parameters as one flat vector."""
+        layers = network.layers
+        return _flat([layer.weights for layer in layers] + [layer.bias for layer in layers])
+
+    def gradients(self, network: Network) -> np.ndarray:
+        """The parameter gradients of the last backward pass as one flat vector."""
+        layers = network.layers
+        return _flat(
+            [layer.grad_weights for layer in layers] + [layer.grad_bias for layer in layers]
+        )
+
+    def quantize(self, values: np.ndarray) -> np.ndarray:
+        """Saturated codes of flat values, exactly ``quantize_to_code`` per tensor.
+
+        The range check is ``code_to_word``'s: saturated codes always pass it,
+        so it only rejects NaN values.
+        """
+        codes = round_to_code(values / self.scale, self.min_code, self.max_code)
+        if codes.min() < self.min_code or codes.max() > self.max_code:
+            raise ValueError("code out of range for this format")
+        return codes
+
+    def clip(self, values: np.ndarray) -> np.ndarray:
+        """Flat values clamped to each element's representable range."""
+        # np.clip's result in two ufunc passes, without its dispatch overhead
+        return np.minimum(np.maximum(values, self.lower), self.upper)
+
+    def dequantize(self, codes: np.ndarray) -> np.ndarray:
+        """Flat codes back to values."""
+        return codes.astype(float) * self.scale
+
+    def apply(self, codes: np.ndarray) -> np.ndarray:
+        """Flat codes through the AND/OR masks, decoded to values."""
+        words = (codes & self.and_mask) | self.or_mask
+        # move the word's sign bit to bit 63 and shift back arithmetically:
+        # the bits above the word (from the codes or the masks) drop out
+        return self.dequantize((words << self.shift) >> self.shift)
+
+    def masked(self, network: Network) -> np.ndarray:
+        """The masked view of the network's master parameters, flat."""
+        return self.apply(self.quantize(self.masters(network)))
+
+    def split(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-layer ``(weights, bias)`` views into a flat vector."""
+        views = [flat[span].reshape(shape) for span, shape in self._views]
+        depth = len(views) // 2
+        return list(zip(views[:depth], views[depth:]))
+
+    def set_effective(self, network: Network, flat: np.ndarray) -> None:
+        """Install views of ``flat`` as every layer's effective parameters."""
+        for layer, (weights, bias) in zip(network.layers, self.split(flat)):
+            layer.set_effective(weights, bias)
+
+    def set_masters(self, network: Network, flat: np.ndarray) -> None:
+        """Make every layer's master parameters views of ``flat``."""
+        for layer, (weights, bias) in zip(network.layers, self.split(flat)):
+            layer.weights, layer.bias = weights, bias
+
+
+def _flat(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays raveled (C order) and joined end to end."""
+    return np.concatenate(arrays, axis=None)
 
 
 def _random_masks(

@@ -24,8 +24,7 @@ from ..nn.data import Dataset
 from ..nn.network import Network
 from ..nn.optimizers import Optimizer
 from ..nn.trainer import Trainer, TrainingHistory
-from ..quant.quantizer import WeightQuantizer
-from .masking import FaultMaskSet, apply_masks_to_values
+from .masking import CompiledMasks, FaultMaskSet
 
 __all__ = ["MemoryAdaptiveTrainer"]
 
@@ -73,6 +72,8 @@ class MemoryAdaptiveTrainer(Trainer):
         if len(mask_set) != len(network.layers):
             raise ValueError("mask set depth does not match the network")
         self.mask_set = mask_set
+        #: the mask set compiled for this network, refreshed by every fit
+        self._compiled: CompiledMasks | None = None
 
     @classmethod
     def from_config(cls, network: Network, mask_set: FaultMaskSet, config) -> "MemoryAdaptiveTrainer":
@@ -106,55 +107,38 @@ class MemoryAdaptiveTrainer(Trainer):
         self.mask_set.install(self.network)
 
     def train_step(self, inputs: np.ndarray, targets: np.ndarray) -> float:
-        """One MAT iteration: mask, forward, backward, adapted update."""
-        self._install_masked_view()
+        """One MAT iteration: mask, forward, backward, adapted update.
+
+        Runs on the flat layout of :class:`~repro.matic.masking.CompiledMasks`,
+        so every stage is one numpy expression over all parameters.
+        """
+        masks = self._compiled
+        if masks is None:
+            masks = self._compiled = self.mask_set.compile(self.network)
+        masters = masks.masters(self.network)
+        codes = masks.quantize(masters)
+        # m[n]: the masked/quantized parameters the passes use
+        masked = masks.apply(codes)
+        masks.set_effective(self.network, masked)
         predictions = self.network.forward(inputs, training=True)
         loss_value = self.network.backward(predictions, targets)
+        gradient = masks.gradients(self.network)
         if self.weight_decay:
-            for layer in self.network.layers:
-                layer.grad_weights = (
-                    layer.grad_weights + self.weight_decay * layer.effective_weights
-                )
-
-        for index, layer in enumerate(self.network.layers):
-            fmt = self.mask_set.layer_formats[index]
-            weight_format = fmt.weight_format
-            bias_format = fmt.bias_format
-            # m[n]: the masked/quantized parameters the passes just used
-            masked_weights = layer.effective_weights
-            masked_bias = layer.effective_bias
-            # ε_q: *fractional* (sub-LSB) quantization error of the master
-            # parameters.  Masters are clamped to the representable range
-            # first; otherwise a master pushed outside the range by a fault
-            # would make ε_q the full clipping error and the float weights
-            # would drift without bound.
-            clipped_weights = np.clip(
-                layer.weights, weight_format.min_value, weight_format.max_value
-            )
-            clipped_bias = np.clip(
-                layer.bias, bias_format.min_value, bias_format.max_value
-            )
-            eps_weights = clipped_weights - weight_format.quantize(clipped_weights)
-            eps_bias = clipped_bias - bias_format.quantize(clipped_bias)
-            # optimizer delta corresponds to α · ∂J/∂m (with momentum/Adam
-            # generalizations handled by the optimizer itself)
-            delta_weights = self.optimizer.parameter_delta(
-                f"layer{index}.weights", layer.grad_weights
-            )
-            delta_bias = self.optimizer.parameter_delta(
-                f"layer{index}.bias", layer.grad_bias
-            )
-            layer.weights = np.clip(
-                masked_weights - delta_weights + eps_weights,
-                weight_format.min_value,
-                weight_format.max_value,
-            )
-            layer.bias = np.clip(
-                masked_bias - delta_bias + eps_bias,
-                bias_format.min_value,
-                bias_format.max_value,
-            )
-
+            weights = slice(0, masks.num_weights)  # the flat layout's weight prefix
+            gradient[weights] += self.weight_decay * masked[weights]
+        # ε_q: *fractional* (sub-LSB) quantization error of the master
+        # parameters.  Masters are clamped to the representable range first;
+        # otherwise a master pushed outside the range by a fault would make
+        # ε_q the full clipping error and the float weights would drift
+        # without bound.  Q(clip(w)) is the saturated Q(w), so the codes
+        # above serve both the masked view and ε_q.
+        eps = masks.clip(masters) - masks.dequantize(codes)
+        # optimizer delta corresponds to α · ∂J/∂m (with momentum/Adam
+        # generalizations handled by the optimizer itself); every update is
+        # elementwise, so one delta over the flat gradient equals the
+        # per-tensor deltas
+        delta = self.optimizer.parameter_delta("parameters", gradient)
+        masks.set_masters(self.network, masks.clip(masked - delta + eps))
         return loss_value
 
     def fit(
@@ -172,6 +156,7 @@ class MemoryAdaptiveTrainer(Trainer):
         as-is; call :meth:`repro.nn.network.Network.clear_effective` to get
         back the pure float model.
         """
+        self._compiled = self.mask_set.compile(self.network)
         history = super().fit(train, validation=validation, verbose=verbose)
         self._install_masked_view()
         return history
@@ -185,18 +170,6 @@ class MemoryAdaptiveTrainer(Trainer):
         effective weights (e.g. the weight quantizer during deployment).
         """
         clone = self.network.copy()
-        for index, layer in enumerate(clone.layers):
-            masks = self.mask_set.layer_masks[index]
-            fmt = self.mask_set.layer_formats[index]
-            layer.weights = apply_masks_to_values(
-                layer.weights, masks.weight_and, masks.weight_or, fmt.weight_format
-            )
-            layer.bias = apply_masks_to_values(
-                layer.bias, masks.bias_and, masks.bias_or, fmt.bias_format
-            )
+        masks = self.mask_set.compile(clone)
+        masks.set_masters(clone, masks.masked(clone))
         return clone
-
-
-def quantizer_for(mask_set: FaultMaskSet) -> WeightQuantizer:
-    """Convenience: a quantizer matching the mask set's word length."""
-    return WeightQuantizer(total_bits=mask_set.word_bits)

@@ -13,7 +13,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["FixedPointFormat"]
+__all__ = ["FixedPointFormat", "round_to_code"]
+
+
+def round_to_code(scaled: np.ndarray, min_code: int, max_code: int) -> np.ndarray:
+    """Round LSB-unit values half away from zero and saturate to ``int64`` codes.
+
+    ``scaled`` is ``values / scale``.  The clip happens before the ``int64``
+    cast, against bounds the cast can take: float64 cannot represent every
+    code of formats wider than 53 bits, and ``float(max_code)`` rounds up to
+    ``2**(total_bits-1)``, which is out of range (and overflows ``int64`` at
+    64 bits).  A NaN input casts to an arbitrary code, which callers catch
+    with a range check.
+    """
+    rounded = np.copysign(np.floor(np.abs(scaled) + 0.5), scaled)
+    ceiling = float(max_code)
+    if ceiling > max_code:
+        # clip to the float just below, then saturate what reached the top
+        ceiling = float(np.nextafter(ceiling, 0.0))
+    codes = np.asarray(np.clip(rounded, float(min_code), ceiling).astype(np.int64))
+    if ceiling < max_code:
+        codes = np.where(rounded >= float(max_code), max_code, codes)
+    return codes
 
 
 @dataclass(frozen=True)
@@ -79,22 +100,10 @@ class FixedPointFormat:
         """Quantize float values to integer codes with saturation.
 
         Rounding is round-half-away-from-zero to match typical hardware
-        quantizers; results are ``int64``.  Saturation is decided in the
-        float domain but the clip itself happens on integers: float64 cannot
-        represent every code of formats wider than 53 bits, so clipping
-        against ``float(max_code)`` would overflow the int64 cast for
-        ``total_bits`` near 64.
+        quantizers; results are ``int64`` (see :func:`round_to_code`).
         """
         values = np.asarray(values, dtype=float)
-        scaled = values / self.scale
-        rounded = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
-        # float(max_code) rounds up to 2**(total_bits-1) for wide formats, so
-        # anything at or above it saturates; float(min_code) is always exact.
-        high = rounded >= float(self.max_code)
-        low = rounded <= float(self.min_code)
-        in_range = np.where(high | low, 0.0, rounded).astype(np.int64)
-        codes = np.where(high, self.max_code, np.where(low, self.min_code, in_range))
-        return codes.astype(np.int64)
+        return round_to_code(values / self.scale, self.min_code, self.max_code)
 
     def dequantize_code(self, codes: np.ndarray) -> np.ndarray:
         """Convert integer codes back to float values."""

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.quant import FixedPointFormat
+from repro.quant.fixed_point import round_to_code
 
 
 class TestFormatProperties:
@@ -177,6 +178,33 @@ class TestWideFormats:
             fmt.max_code,
         ).astype(np.int64)
         np.testing.assert_array_equal(codes, expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        total_bits=st.integers(2, 64),
+        values=st.lists(
+            st.one_of(
+                st.floats(allow_nan=False),
+                st.integers(-(2**64), 2**64).map(float),
+                st.integers(-(2**53), 2**53).map(lambda k: k + 0.5),
+            ),
+            min_size=1,
+            max_size=16,
+        ),
+    )
+    def test_round_to_code_matches_integer_reference(self, total_bits, values):
+        """Round ``floor(|x| + 0.5)`` in float, then saturate on Python ints."""
+        min_code, max_code = -(2 ** (total_bits - 1)), 2 ** (total_bits - 1) - 1
+
+        def reference(x: float) -> int:
+            if np.isinf(x):
+                return max_code if x > 0 else min_code
+            magnitude = int(np.floor(abs(x) + 0.5))
+            return min(max(-magnitude if x < 0 else magnitude, min_code), max_code)
+
+        codes = round_to_code(np.array(values), min_code, max_code)
+        assert codes.dtype == np.int64
+        assert codes.tolist() == [reference(x) for x in values]
 
 
 class TestHypothesisProperties:

@@ -116,7 +116,8 @@ class TestFaultMaskSet:
 
     def test_masked_values_respect_masks(self, network, quantizer):
         masks = FaultMaskSet.random(network, quantizer, 0.3, rng=5)
-        weights, bias = masks.masked_layer_parameters(network, 0)
+        masks.install(network)
+        weights = network.layers[0].effective_weights
         fmt = masks.layer_formats[0].weight_format
         words = fmt.float_to_word(weights)
         layer_masks = masks.layer_masks[0]
@@ -136,7 +137,9 @@ class TestFaultMaskSet:
         mask_set = FaultMaskSet.from_fault_maps(
             network, quantizer, program.placement, fault_maps
         )
-        predicted_weights, predicted_bias = mask_set.masked_layer_parameters(network, 0)
+        mask_set.install(network)
+        predicted_weights = network.layers[0].effective_weights
+        predicted_bias = network.layers[0].effective_bias
 
         weight_words, bias_words = program.placement.load_layer_words(
             memory, 0, voltage=voltage
@@ -159,9 +162,9 @@ class TestFaultMaskSet:
         network = Network("5-4-2", seed=1)
         quantizer = WeightQuantizer(total_bits=12, frac_bits=8)
         masks = FaultMaskSet.random(network, quantizer, rate, rng=seed)
-        for index in range(len(network.layers)):
-            weights, bias = masks.masked_layer_parameters(network, index)
-            fmt = masks.layer_formats[index].weight_format
+        masks.install(network)
+        for layer, formats in zip(network.layers, masks.layer_formats):
+            weights, fmt = layer.effective_weights, formats.weight_format
             assert np.all(weights <= fmt.max_value) and np.all(weights >= fmt.min_value)
 
 

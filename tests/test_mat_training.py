@@ -84,7 +84,7 @@ class TestUpdateRule:
         trainer.fit(toy_dataset)
         deployed = trainer.deployed_accuracy_view()
         x = toy_dataset.inputs[:16]
-        np.testing.assert_allclose(deployed.predict(x), network.predict(x), atol=1e-6)
+        np.testing.assert_array_equal(deployed.predict(x), network.predict(x))
 
 
 class TestRecoveryBehaviour:
