@@ -31,19 +31,17 @@ and heavyweight artifacts (float baselines, memory-adaptive fine-tuning,
 topology-sweep fits) are memoized by the content-addressed artifact cache
 (:mod:`repro.experiments.cache`).  For sweeps that must survive worker
 death, the elastic queue backend (:mod:`repro.experiments.queue`) adds
-lease-based claiming, retries with quarantine, and zero-recompute resume;
-the socket broker (:mod:`repro.experiments.broker`) serves the same
-semantics over TCP for fleets with no shared filesystem; and
-:mod:`repro.experiments.faults` is the deterministic chaos harness for
-both — process-level (kill/delay/no-heartbeat/poison) and wire-level
-(drop-connection/partition/delay-ack/kill-broker) rules.
+lease-based claiming, retries with quarantine, and zero-recompute resume,
+and :mod:`repro.experiments.faults` is its deterministic chaos harness
+(kill/delay/no-heartbeat/poison rules).
 
-The engine/cache/common core is imported eagerly; the nine driver modules
-load lazily (PEP 562).  Laziness is not an import-time optimization: it
-keeps ``python -m repro.experiments.<driver>`` from importing the target
-module *before* ``runpy`` executes it as ``__main__`` (the double-execution
-``RuntimeWarning``), which also guaranteed every CLI run a second copy of
-the driver's classes and workers.
+The engine/cache/common core is imported eagerly; the driver modules, the
+queue backend, and the fault harness load lazily (PEP 562).  For the
+drivers, laziness keeps ``python -m repro.experiments.<driver>`` from
+importing the target module *before* ``runpy`` executes it as ``__main__``
+(the double-execution ``RuntimeWarning``, which also gave every CLI run a
+second copy of the driver's classes and workers).  For the queue and the
+fault harness it spares every serial or process run their import cost.
 """
 
 from importlib import import_module
@@ -88,24 +86,15 @@ from .engine import (
     retry_delay,
     task_digest,
 )
-from .faults import (
-    DelayAck,
-    DelayTask,
-    DropConnection,
-    FaultPlan,
-    KillBroker,
-    KillWorker,
-    PartitionWorker,
-    PoisonTask,
-    SuppressHeartbeat,
-)
-from .queue import QueueBackend
-#: Lazily exported attributes: name -> submodule that defines it.  Mostly
-#: driver entry points; also BrokerBackend, whose module is runnable
-#: (``python -m repro.experiments.broker serve``) and therefore must not be
-#: pre-imported here (the runpy double-execution warning, same as drivers).
-_DRIVER_EXPORTS = {
-    "BrokerBackend": "broker",
+
+#: Lazily exported attributes: name -> submodule that defines it.
+_LAZY_EXPORTS = {
+    "DelayTask": "faults",
+    "FaultPlan": "faults",
+    "KillWorker": "faults",
+    "PoisonTask": "faults",
+    "SuppressHeartbeat": "faults",
+    "QueueBackend": "queue",
     "run_fig5": "fig05_mat_sweep",
     "run_fig9a": "fig09_sram",
     "run_fig9b": "fig09_sram",
@@ -128,14 +117,14 @@ _DRIVER_EXPORTS = {
     "DEFAULT_OPERATING_VOLTAGES": "fleet_population",
 }
 
-#: Driver submodules, also reachable as package attributes once requested.
-_DRIVER_MODULES = frozenset(_DRIVER_EXPORTS.values())
+#: Lazy submodules, also reachable as package attributes once requested.
+_LAZY_MODULES = frozenset(_LAZY_EXPORTS.values())
 
 
 def __getattr__(name: str):
-    if name in _DRIVER_MODULES:
+    if name in _LAZY_MODULES:
         return import_module(f".{name}", __name__)
-    module_name = _DRIVER_EXPORTS.get(name)
+    module_name = _LAZY_EXPORTS.get(name)
     if module_name is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(import_module(f".{module_name}", __name__), name)
@@ -144,20 +133,15 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_DRIVER_EXPORTS) | _DRIVER_MODULES)
+    return sorted(set(globals()) | set(_LAZY_EXPORTS) | _LAZY_MODULES)
 
 
 __all__ = [
     "ArtifactCache",
-    "BrokerBackend",
-    "DelayAck",
     "DelayTask",
-    "DropConnection",
     "ExperimentResult",
     "FaultPlan",
-    "KillBroker",
     "KillWorker",
-    "PartitionWorker",
     "PoisonTask",
     "PreparedBenchmark",
     "ProcessBackend",

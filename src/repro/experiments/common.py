@@ -24,7 +24,7 @@ Execution
 Grid-shaped drivers expand their operating points with
 :func:`~repro.experiments.engine.expand_grid` and execute them through a
 :class:`~repro.experiments.engine.SweepRunner` (pluggable serial /
-process-pool / queue / broker backends; see the engine module docstring for
+process-pool / queue backends; see the engine module docstring for
 the worker model).  Drivers accept a ``runner`` argument so callers can share
 one pool — and one shard configuration — across experiments.
 
@@ -34,10 +34,9 @@ Every driver module is runnable (``python -m repro.experiments.<driver>``)
 and shares one execution vocabulary, wired through
 :func:`experiment_parser` / :func:`run_experiment_cli`:
 
-* ``--workers N`` / ``--backend {serial,process,queue,broker}`` pick
-  the execution backend (defaults honour ``$REPRO_SWEEP_WORKERS`` /
-  ``$REPRO_SWEEP_BACKEND``); ``--broker host:port`` attaches the broker
-  backend to an externally-served task broker;
+* ``--workers N`` / ``--backend {serial,process,queue}`` pick the
+  execution backend (defaults honour ``$REPRO_SWEEP_WORKERS`` /
+  ``$REPRO_SWEEP_BACKEND``);
 * ``--shard I/N`` runs one deterministic slice of the grid and merges the
   full table through the artifact cache once every shard has published;
 * ``--stream`` prints each grid point as it completes (the engine's
@@ -393,7 +392,6 @@ _EXECUTION_ARGS = frozenset(
         "retries",
         "task_timeout",
         "backoff",
-        "broker",
     }
 )
 
@@ -431,14 +429,6 @@ def experiment_parser(prog: str, description: str) -> argparse.ArgumentParser:
         "--stream",
         action="store_true",
         help="print each grid point as it completes (incremental rendering)",
-    )
-    group.add_argument(
-        "--broker",
-        default=None,
-        metavar="HOST:PORT",
-        help="attach sweep execution to a live task broker (implies "
-        "--backend broker; start one with "
-        "`python -m repro.experiments.broker serve`)",
     )
     group.add_argument(
         "--cache-dir",
@@ -502,22 +492,9 @@ def runner_from_args(
         if key not in _EXECUTION_ARGS
     }
     label = f"{sweep}:{cache_digest(config)[:16]}"
-    backend: Any = args.backend
-    broker_address = getattr(args, "broker", None)
-    if broker_address:
-        if backend not in (None, "broker"):
-            raise ValueError(
-                f"--broker attaches the broker backend; it cannot be combined "
-                f"with --backend {backend}"
-            )
-        # attached mode: the broker at this address owns task coordination
-        # (lazy import keeps the socket layer off non-broker CLI paths)
-        from .broker import BrokerBackend, parse_address
-
-        backend = BrokerBackend(address=parse_address(broker_address))
     runner = SweepRunner(
         workers=args.workers,
-        backend=backend,
+        backend=args.backend,
         shard=args.shard,
         shard_store=cache,
         sweep_label=label,

@@ -29,10 +29,6 @@ Execution is delegated to a :class:`SweepBackend`:
   elastic backend: a shared-directory task queue with lease-based claims,
   heartbeat renewal, work-stealing re-execution of dead workers' tasks, and
   poison quarantine.  See :doc:`docs/robustness`.
-* ``BrokerBackend`` (:mod:`repro.experiments.broker`) — the queue's
-  socket-distributed sibling for hosts that share no filesystem: the same
-  lease/retry/quarantine semantics served by a TCP broker with an
-  append-only journal, so a killed broker restarts with zero lost claims.
 
 ``SweepRunner(backend=...)`` accepts a backend name or instance; ``None``
 falls back to ``$REPRO_SWEEP_BACKEND`` and finally to ``"process"``.  A
@@ -130,7 +126,7 @@ _ENV_WORKERS = "REPRO_SWEEP_WORKERS"
 _ENV_BACKEND = "REPRO_SWEEP_BACKEND"
 
 #: Names accepted by ``SweepRunner(backend=...)`` and ``$REPRO_SWEEP_BACKEND``.
-BACKEND_NAMES = ("serial", "process", "queue", "broker")
+BACKEND_NAMES = ("serial", "process", "queue")
 
 #: Default base delay (seconds) between retry attempts; see :func:`retry_delay`.
 DEFAULT_BACKOFF = 0.5
@@ -666,13 +662,6 @@ def resolve_backend(
             from .queue import QueueBackend
 
             return QueueBackend(mp_context=mp_context, task_timeout=task_timeout)
-        if name == "broker":
-            # embedded-broker mode: the backend spawns (and supervises) its
-            # own broker subprocess; `--broker host:port` attaches to a live
-            # one instead (see repro.experiments.broker)
-            from .broker import BrokerBackend
-
-            return BrokerBackend(mp_context=mp_context, task_timeout=task_timeout)
         raise ValueError(
             f"unknown sweep backend {spec!r} (expected one of {BACKEND_NAMES})"
         )
@@ -730,8 +719,8 @@ class SweepExecution:
                 yield position, value
         except BaseException:
             # the error (or a caller abandoning as_completed mid-iteration)
-            # must release backend resources — worker fleets, broker sockets,
-            # heartbeat threads — not leave them to a GC-timed finalizer
+            # must release backend resources — worker fleets, heartbeat
+            # threads — not leave them to a GC-timed finalizer
             self.close()
             raise
 
@@ -784,7 +773,7 @@ class SweepRunner:
         regardless of ``workers``/``backend`` (used by sweeps whose points
         share mutable state).
     backend:
-        Backend name (``"serial"``/``"process"``/``"queue"``/``"broker"``) or
+        Backend name (``"serial"``/``"process"``/``"queue"``) or
         :class:`SweepBackend` instance.  ``None`` → ``$REPRO_SWEEP_BACKEND``
         or ``"process"``.
     mp_context:

@@ -2,17 +2,15 @@
 
 The queue backend's whole value proposition — leases expire, tasks are
 stolen, sweeps survive dead workers — is unobservable on a healthy host.
-This module makes failure reproducible: a :class:`FaultPlan` is a seeded,
-picklable description of *which* worker misbehaves, *when*, and *how*, and
-the queue/broker workers consult their :class:`WorkerFaultInjector` at fixed
-hook points (task claim, heartbeat renewal, result publish, and — on the
-broker backend — every wire request).  Because kill points are counted in
-completed tasks and all randomness is seeded, a chaos test that kills
-worker 0 after its first task does so on every run, on every host.
+This module makes failure reproducible: a :class:`FaultPlan` is a picklable
+description of *which* worker misbehaves, *when*, and *how*, and the queue
+workers consult their :class:`WorkerFaultInjector` at fixed hook points
+(task claim, task execution, heartbeat renewal, result publish).  Because
+kill points are counted in completed tasks, a chaos test that kills worker
+0 after its first task does so on every run, on every host.
 
 Fault rules
 -----------
-Process-level rules (queue and broker workers):
 
 * :class:`KillWorker` — ``os.kill(getpid(), SIGKILL)`` after N completed
   tasks.  ``phase="claim"`` dies *after acquiring the next lease* (the
@@ -31,39 +29,17 @@ Process-level rules (queue and broker workers):
   deterministically quarantined once the retry budget is spent — the rule
   that exercises the ``QuarantinedTask`` rendering path end to end.
 
-Wire-level rules (broker backend, :mod:`repro.experiments.broker`):
-
-* :class:`DropConnection` — the worker's broker client closes its socket
-  right after sending a request, before reading the reply.  The reply is
-  lost, so the client must reconnect-with-backoff and re-send; the broker
-  protocol is idempotent per ``(digest, attempts)``, so the retry is
-  absorbed without double-counting.
-* :class:`PartitionWorker` — from the claim of the N-th task, every wire
-  call from that worker fails for ``seconds`` (the socket is never even
-  touched), modelling a network partition.  Heartbeats stop reaching the
-  broker, the lease expires, the broker re-leases the task elsewhere, and
-  the partitioned worker abandons it once its lease deadline passes.
-* :class:`DelayAck` — sleeps between publishing a result to the store and
-  sending the ``complete`` ack; with a short lease the task is re-leased in
-  that window and the duplicate is absorbed idempotently.
-* :class:`KillBroker` — consulted by the *broker process*, not a worker:
-  SIGKILL right after journaling the N-th completed task (the reply for
-  that completion is never sent).  Recovery is journal replay: a restarted
-  broker reloads every pending task, restored lease, and settled result.
-
 CLI injection
 -------------
 ``$REPRO_FAULT_PLAN`` carries a JSON-encoded plan into driver CLIs (the CI
-lease-smoke job kills a ``fig09_sram --backend queue`` worker this way, and
-a live broker under a driver)::
+lease-smoke job kills a ``fig09_sram --backend queue`` worker this way)::
 
     REPRO_FAULT_PLAN='[{"kind": "kill", "worker": 0, "after_tasks": 1}]' \\
         python -m repro.experiments.fig09_sram --figure a --backend queue
 
-Only queue/broker workers (and the broker server) consult the plan — the
-fault hooks live in the lease worker's execute path
-(:class:`~repro.experiments.leases.LeaseWorker`) and the broker's socket
-client and server, so other backends ignore the variable.
+Only queue workers consult the plan — the fault hooks live in the queue
+worker's execute path (:class:`~repro.experiments.queue.LeaseWorker`), so
+other backends ignore the variable.
 Malformed plans fail fast with the accepted grammar
 (:func:`rule_grammar`) instead of failing deep inside a worker.
 """
@@ -71,7 +47,6 @@ Malformed plans fail fast with the accepted grammar
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import os
 import signal
@@ -79,13 +54,9 @@ import time
 from dataclasses import asdict, dataclass
 
 __all__ = [
-    "DelayAck",
     "DelayTask",
-    "DropConnection",
     "FaultPlan",
-    "KillBroker",
     "KillWorker",
-    "PartitionWorker",
     "PoisonTask",
     "SuppressHeartbeat",
     "WorkerFaultInjector",
@@ -102,13 +73,11 @@ _KILL_PHASES = ("claim", "publish")
 class KillWorker:
     """SIGKILL worker ``worker`` once it has completed ``after_tasks`` tasks.
 
-    ``after_tasks=None`` draws the count deterministically from the plan
-    seed (1–3), so randomized chaos stays reproducible.  See the module
-    docstring for the ``phase`` semantics.
+    See the module docstring for the ``phase`` semantics.
     """
 
     worker: int
-    after_tasks: int | None = None
+    after_tasks: int
     phase: str = "claim"
 
     kind = "kill"
@@ -164,102 +133,11 @@ class PoisonTask:
     kind = "poison"
 
 
-@dataclass(frozen=True)
-class DropConnection:
-    """Forcibly close the broker connection after sending a request.
-
-    Fires on every ``every``-th matching wire request (``op`` is a substring
-    filter over the request's operation name; empty matches any), at most
-    ``limit`` times (``None`` = unlimited).  The reply is lost, so the
-    client must reconnect and re-send — exercising the reconnect-with-
-    backoff path and the broker protocol's idempotency.
-    """
-
-    worker: int
-    every: int = 1
-    op: str = ""
-    limit: int | None = 1
-
-    kind = "drop-connection"
-
-
-@dataclass(frozen=True)
-class PartitionWorker:
-    """Cut the worker off from the broker for ``seconds``.
-
-    Triggers once, on the claim hook of the task after ``after_tasks``
-    completions: every wire call from this worker (heartbeats included)
-    fails until the window closes.  The broker re-leases the abandoned task
-    once its lease expires; the healed worker's late traffic is absorbed
-    idempotently.
-    """
-
-    worker: int
-    after_tasks: int = 0
-    seconds: float = 1.0
-
-    kind = "partition"
-
-
-@dataclass(frozen=True)
-class DelayAck:
-    """Sleep ``seconds`` between store publish and the ``complete`` ack.
-
-    Fires on every ``every``-th completed task.  With a lease shorter than
-    the delay, the broker re-leases the task in the publish→ack window and
-    the duplicate execution is absorbed idempotently.
-    """
-
-    worker: int
-    seconds: float
-    every: int = 1
-
-    kind = "delay-ack"
-
-
-@dataclass(frozen=True)
-class KillBroker:
-    """SIGKILL the *broker process* after journaling ``after_completions`` tasks.
-
-    Consulted by the broker server, never by workers (the default
-    ``worker=-1`` is cosmetic — :meth:`FaultPlan.for_worker` filters this
-    rule out).  The kill lands *after* the journal append and *before* the
-    completion reply is sent, so recovery exercises both journal replay and
-    the client-side re-send of a lost ack.  Journal-replayed completions
-    count toward the threshold, so a restarted broker does not die again at
-    the same point.
-    """
-
-    after_completions: int = 1
-    worker: int = -1
-
-    kind = "kill-broker"
-
-
 _RULE_TYPES = {
-    cls.kind: cls
-    for cls in (
-        KillWorker,
-        DelayTask,
-        SuppressHeartbeat,
-        PoisonTask,
-        DropConnection,
-        PartitionWorker,
-        DelayAck,
-        KillBroker,
-    )
+    cls.kind: cls for cls in (KillWorker, DelayTask, SuppressHeartbeat, PoisonTask)
 }
 
-FaultRule = (
-    KillWorker
-    | DelayTask
-    | SuppressHeartbeat
-    | PoisonTask
-    | DropConnection
-    | PartitionWorker
-    | DelayAck
-    | KillBroker
-)
+FaultRule = KillWorker | DelayTask | SuppressHeartbeat | PoisonTask
 
 
 def rule_grammar() -> str:
@@ -319,40 +197,21 @@ def _rule_from_entry(entry: object, position: int) -> FaultRule:
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """A seeded set of fault rules, distributable to workers by index."""
+    """A set of fault rules, distributable to workers by index."""
 
     rules: tuple[FaultRule, ...] = ()
-    seed: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rules", tuple(self.rules))
 
     def for_worker(self, index: int) -> "WorkerFaultInjector":
-        """The injector a queue/broker worker with this index should consult.
+        """The injector a queue worker with this index should consult.
 
         ``worker=-1`` on a rule is a wildcard: every worker in the fleet
         applies it (the coordinator's inline drain worker never consults a
         plan, so even wildcard rules cannot poison the coordinator itself).
-        :class:`KillBroker` rules are broker-side and never distributed to
-        workers (see :meth:`broker_kill_after`).
         """
-        mine = [
-            rule
-            for rule in self.rules
-            if not isinstance(rule, KillBroker) and rule.worker in (index, -1)
-        ]
-        return WorkerFaultInjector(index, mine, seed=self.seed)
-
-    def broker_kill_after(self) -> int | None:
-        """The completion count after which the broker should SIGKILL itself.
-
-        ``None`` when the plan carries no :class:`KillBroker` rule; the
-        first such rule wins otherwise.
-        """
-        for rule in self.rules:
-            if isinstance(rule, KillBroker):
-                return int(rule.after_completions)
-        return None
+        return WorkerFaultInjector([rule for rule in self.rules if rule.worker in (index, -1)])
 
     # ------------------------------------------------- env/JSON round-trip
 
@@ -362,7 +221,7 @@ class FaultPlan:
         )
 
     @classmethod
-    def from_json(cls, text: str, seed: int = 0) -> "FaultPlan":
+    def from_json(cls, text: str) -> "FaultPlan":
         try:
             entries = json.loads(text)
         except ValueError as error:
@@ -378,7 +237,7 @@ class FaultPlan:
         rules = [
             _rule_from_entry(entry, position) for position, entry in enumerate(entries)
         ]
-        return cls(rules=tuple(rules), seed=seed)
+        return cls(rules=tuple(rules))
 
     def to_env(self, environ: dict[str, str] | None = None) -> dict[str, str]:
         """Write the plan into an environment mapping (default ``os.environ``)."""
@@ -406,49 +265,26 @@ class FaultPlan:
 class WorkerFaultInjector:
     """One worker's slice of a fault plan, consulted at the lease hook points.
 
-    The lease worker calls :meth:`on_claim` after acquiring a lease
-    (before executing), :meth:`heartbeat_allowed` when deciding whether to
-    start the renewal thread, and :meth:`on_publish` after a completed
-    task's result landed.  The broker client additionally consults
-    :meth:`wire_drop` after sending each request, :meth:`partition_active`
-    before touching the socket, and :meth:`ack_delay` before sending a
-    completion ack.  All decisions are pure functions of (rules, seed,
-    completed count) — no live randomness.
+    The queue worker calls :meth:`on_claim` after acquiring a lease
+    (before executing), :meth:`before_execute` inside the execution,
+    :meth:`heartbeat_allowed` when deciding whether to start the renewal
+    thread, and :meth:`on_publish` after a completed task's result landed.
+    All decisions are pure functions of (rules, completed count) — no live
+    randomness.
     """
 
-    def __init__(self, index: int, rules: list, seed: int = 0):
-        self.index = index
+    def __init__(self, rules: list):
         self._delays = [rule for rule in rules if isinstance(rule, DelayTask)]
         self._suppress = [rule for rule in rules if isinstance(rule, SuppressHeartbeat)]
         self._poisons = [rule for rule in rules if isinstance(rule, PoisonTask)]
-        self._drops = [rule for rule in rules if isinstance(rule, DropConnection)]
-        self._drop_matches = [0] * len(self._drops)
-        self._drop_fired = [0] * len(self._drops)
-        self._partitions = [rule for rule in rules if isinstance(rule, PartitionWorker)]
-        self._partition_done = [False] * len(self._partitions)
-        self._partition_until = 0.0
-        self._ack_delays = [rule for rule in rules if isinstance(rule, DelayAck)]
-        self._kill: tuple[int, str] | None = None
         kills = [rule for rule in rules if isinstance(rule, KillWorker)]
-        if kills:
-            rule = kills[0]
-            after = rule.after_tasks
-            if after is None:
-                token = hashlib.sha256(f"faults:{seed}:{index}".encode()).digest()
-                after = 1 + token[0] % 3
-            self._kill = (int(after), rule.phase)
+        self._kill = (int(kills[0].after_tasks), kills[0].phase) if kills else None
 
     def on_claim(self, completed: int) -> None:
         """Hook after lease acquisition; may sleep (straggle) or never return."""
         for rule in self._delays:
             if rule.every > 0 and (completed + 1) % rule.every == 0:
                 time.sleep(rule.seconds)
-        for position, rule in enumerate(self._partitions):
-            if not self._partition_done[position] and completed >= rule.after_tasks:
-                self._partition_done[position] = True
-                self._partition_until = max(
-                    self._partition_until, time.time() + float(rule.seconds)
-                )
         if self._kill is not None:
             after, phase = self._kill
             if phase == "claim" and completed >= after:
@@ -474,40 +310,6 @@ class WorkerFaultInjector:
         """Whether this task's lease may be renewed while it runs."""
         return not any(completed >= rule.after_tasks for rule in self._suppress)
 
-    # ----------------------------------------------------- wire-level hooks
-
-    def wire_drop(self, op: str) -> bool:
-        """Whether to sever the connection after sending this request."""
-        dropped = False
-        for position, rule in enumerate(self._drops):
-            if rule.op and rule.op not in op:
-                continue
-            self._drop_matches[position] += 1
-            if rule.limit is not None and self._drop_fired[position] >= rule.limit:
-                continue
-            if rule.every > 0 and self._drop_matches[position] % rule.every == 0:
-                self._drop_fired[position] += 1
-                dropped = True
-        return dropped
-
-    def partition_active(self) -> bool:
-        """Whether this worker is currently partitioned from the broker.
-
-        The window is armed by :meth:`on_claim` (see
-        :class:`PartitionWorker`) and shared by every connection the worker
-        process holds — the main client and the heartbeat client fail
-        together, exactly like a real network partition.
-        """
-        return time.time() < self._partition_until
-
-    def ack_delay(self, completed: int) -> float:
-        """Seconds to sleep between store publish and the completion ack."""
-        total = 0.0
-        for rule in self._ack_delays:
-            if rule.every > 0 and (completed + 1) % rule.every == 0:
-                total += float(rule.seconds)
-        return total
-
     def on_publish(self, completed: int) -> None:
         """Hook after a clean publish + lease release; may never return."""
         if self._kill is not None:
@@ -523,4 +325,4 @@ class WorkerFaultInjector:
 
 
 #: Injector that never fires — what workers use when no plan is active.
-NULL_INJECTOR = WorkerFaultInjector(-1, [])
+NULL_INJECTOR = WorkerFaultInjector([])

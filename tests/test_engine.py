@@ -551,6 +551,65 @@ class TestDriverCLIs:
             for flag in ("--warm-start", "--no-warm-start"):
                 assert flag in out, f"{module_name} --help is missing {flag}"
 
+    def test_shard_label_is_pinned_across_execution_flags(self, monkeypatch, tmp_path):
+        """The shard-store label digests only what a sweep computes, so
+        execution flags never move it."""
+        from repro.experiments import fig09_sram
+        from repro.experiments.common import runner_from_args
+
+        labels = []
+        monkeypatch.setattr(
+            fig09_sram,
+            "run_experiment_cli",
+            lambda args, sweep, invoke: labels.append(
+                runner_from_args(args, sweep)[0].sweep_label
+            ),
+        )
+        grid = ["--figure", "a", "--num-words", "256", "--cache-dir", str(tmp_path),
+                "--voltages", "0.42", "0.46", "0.50", "0.54"]
+        fig09_sram.main(grid)
+        fig09_sram.main([*grid, "--backend", "queue", "--workers", "2"])
+        assert labels == ["fig9a:753e1b9647859de2"] * 2
+
+    def test_queue_and_fault_modules_load_lazily(self):
+        """A serial driver run never imports the queue machinery, yet the
+        package still exports its names."""
+        import subprocess
+        import sys
+
+        script = (
+            "import sys\n"
+            "import repro.experiments.fig10_error_vs_voltage\n"
+            "print(sorted(m for m in ('faults', 'leases', 'queue')\n"
+            "             if f'repro.experiments.{m}' in sys.modules))\n"
+            "from repro.experiments import FaultPlan, QueueBackend\n"
+            "print(FaultPlan.__module__, QueueBackend.__module__)\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            check=True,
+        )
+        assert result.stdout.splitlines() == [
+            "[]",
+            "repro.experiments.faults repro.experiments.queue",
+        ]
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--backend", "broker"], "invalid choice: 'broker'"),
+        (["--broker", "127.0.0.1:7464"], "unrecognized arguments: --broker"),
+    ])
+    def test_removed_backend_flags_rejected(self, flags, message, capsys):
+        from repro.experiments import fig09_sram
+
+        with pytest.raises(SystemExit) as info:
+            fig09_sram.main(["--figure", "a", *flags])
+        assert info.value.code == 2
+        assert message in capsys.readouterr().err
+
 
 #: Per-driver (cheap grid args, poison match) for the quarantine-rendering
 #: sweep below.  Matches address one task's ``describe()`` string, so the

@@ -1,32 +1,33 @@
-"""The lease core driven directly: no sockets and no worker processes.
+"""The queue directory and its lease core driven in process: no worker processes.
 
-:class:`LeaseTable` is the one lease/retry/quarantine state machine behind
-the broker (and, through :func:`fail_transition`, the directory queue).  It
-takes ``now`` as an argument, so random interleavings of claims, renewals,
-completions, failures and lease expiries run on synthetic time here, and
-every journal prefix it emits is replayed and compared with the live table.
-The worker's execute path runs against an in-memory table, and the
-heartbeat against a scripted ``renew`` on a 10 ms interval.
+Claims, renewals, completions, failures and lease reclaims run against a
+real queue directory on synthetic time: :func:`synthetic_time` swaps the
+``time`` attribute of :mod:`repro.experiments.leases` and
+:mod:`repro.experiments.queue` for a clock the test advances.  Random
+interleavings by three owners are checked against a model of who holds
+which lease.  The worker's execute path runs against a queue directory
+under ``tmp_path``, and the heartbeat against a scripted ``renew`` on a
+10 ms interval.
 """
 
 from __future__ import annotations
 
-import json
+import contextlib
+import tempfile
 import threading
+import time
+import types
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.cache import ArtifactCache
+from repro.experiments import leases, queue
+from repro.experiments.cache import SHARD_RESULT_KIND, ArtifactCache, shard_result_key
 from repro.experiments.engine import expand_grid
-from repro.experiments.leases import (
-    Heartbeat,
-    LeaseTable,
-    LeaseWorker,
-    WorkerSpec,
-    recall_settled,
-)
+from repro.experiments.leases import Heartbeat, read_lease, recall_settled
+from repro.experiments.queue import LeaseWorker, WorkerSpec, _QueueDir, _read_record
 
 DIGESTS = ("d0", "d1", "d2", "d3")
 POISON = "d3"  # every attempt at this task fails
@@ -34,261 +35,274 @@ OWNERS = ("w0", "w1", "w2")
 LEASE_SECONDS = 1.0
 RETRIES = 2
 BACKOFF = 0.1
+LABEL = "leases-test"
+WORKER = "double"
 
 
-def _records(digests):
-    return [
-        {"digest": d, "task": f"task-{d}", "attempts": 0, "not_before": 0.0, "errors": []}
-        for d in digests
-    ]
+@contextlib.contextmanager
+def synthetic_time():
+    """Run the lease core on a clock the caller advances through ``clock.now``."""
+    clock = types.SimpleNamespace(now=1000.0)
+    fake = types.SimpleNamespace(
+        time=lambda: clock.now,
+        monotonic_ns=time.monotonic_ns,
+        sleep=lambda seconds: setattr(clock, "now", clock.now + seconds),
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(leases, "time", fake)
+        patch.setattr(queue, "time", fake)
+        yield clock
 
 
-def _replay(journal, now):
-    """A fresh table rebuilt from a journal, as the broker replays one from disk."""
-    table = LeaseTable()
-    for entry in journal:
-        table.apply(json.loads(json.dumps(entry)), now)
-    return table
+def _double_or_raise(shared, task):
+    shared["calls"].append(task.voltage)
+    if task.voltage == shared["bad"]:
+        raise RuntimeError("bad voltage")
+    return task.voltage * 2
 
 
-def _state(table):
-    """What replay must rebuild: heartbeat deadlines are re-armed by design."""
-    owners = {d: (lease["owner"], lease["hard_deadline"]) for d, lease in table.leases.items()}
-    return table.tasks, table.settled, owners, table.retries, table.backoff, table.shutdown
+def _spec(root: Path, store: ArtifactCache, retries: int = RETRIES, **kw) -> WorkerSpec:
+    kw.setdefault("task_timeout", None)
+    return WorkerSpec(
+        store=store,
+        label=LABEL,
+        worker_name=WORKER,
+        fn=_double_or_raise,
+        shared=None,
+        retries=retries,
+        backoff=BACKOFF,
+        lease_seconds=LEASE_SECONDS,
+        poll_seconds=0.0,
+        sweep_dir=root / "sweep",
+        **kw,
+    )
 
 
-def _settlements(journal):
-    counts: dict[str, int] = {}
-    for entry in journal:
-        if entry["entry"] in ("done", "poison"):
-            counts[entry["digest"]] = counts.get(entry["digest"], 0) + 1
-    return counts
+def _queue(root: Path, digests, retries: int = RETRIES, **kw):
+    """A store, a queue directory holding ``digests``, and one handle per owner."""
+    store = ArtifactCache(root=root / "cache")
+    spec = _spec(root, store, retries, **kw)
+    coordinator = _QueueDir(spec)
+    coordinator.enqueue({digest: f"task-{digest}" for digest in digests})
+    return store, coordinator, {owner: _QueueDir(spec, owner) for owner in OWNERS}
+
+
+def _publish(store: ArtifactCache, digest: str) -> None:
+    store.put(
+        SHARD_RESULT_KIND,
+        shard_result_key(LABEL, WORKER, digest),
+        {"result": f"result-{digest}", "attempts": 1},
+    )
+
+
+def _settled(store: ArtifactCache, digest: str):
+    return recall_settled(store, LABEL, WORKER, digest)
+
+
+def _on_disk(coordinator: _QueueDir):
+    """(pending digests, {digest: lease owner}) as the queue directory holds them."""
+    pending = {path.stem for path in coordinator.tasks_dir.glob("*.pkl")}
+    owners = {
+        path.stem: (read_lease(path) or {}).get("owner")
+        for path in coordinator.leases_dir.glob("*.lease")
+    }
+    return pending, owners
 
 
 OPS = st.lists(
     st.tuples(
-        st.sampled_from(("enqueue", "claim", "renew", "complete", "fail", "reap", "collect")),
-        st.sampled_from(DIGESTS),
+        st.sampled_from(("claim", "renew", "complete", "fail", "reclaim")),
         st.sampled_from(OWNERS),
         st.floats(min_value=0.0, max_value=0.6, allow_nan=False),
-        st.booleans(),  # re-send the request, as after a lost reply
     ),
     min_size=5,
     max_size=40,
 )
 
 
-class TestLeaseTableProperties:
-    @settings(max_examples=100, deadline=None)
+class TestQueueProperties:
+    @settings(max_examples=60, deadline=None)
     @given(st.sets(st.sampled_from(DIGESTS), min_size=1), OPS)
     def test_random_interleavings(self, initial, ops):
-        table = LeaseTable()
-        _, _, journal = table.enqueue(_records(sorted(initial)), RETRIES, BACKOFF, 0.0)
-        enqueued = set(initial)
-        held: dict[str, dict] = {}  # owner -> the record its last claim returned
-        now = 0.0
+        with tempfile.TemporaryDirectory() as root, synthetic_time() as clock:
+            store, coordinator, queues = _queue(Path(root), sorted(initial))
+            held: dict[str, dict] = {}  # owner -> the record its last claim returned
+            # the model: digest -> (owner, heartbeat deadline) of every lease
+            model: dict[str, tuple[str, float]] = {}
+            results: set[str] = set()  # digests published with a result
 
-        def check():
-            assert _state(_replay(journal, now)) == _state(table)
-            assert set(table.leases) <= set(table.tasks)
-            for digest in enqueued:  # no task lost, none settled twice
-                assert (digest in table.tasks) != (digest in table.settled)
-            assert all(count == 1 for count in _settlements(journal).values())
+            def steal_expired():
+                for digest, (_, deadline) in list(model.items()):
+                    if clock.now > deadline:
+                        del model[digest]
 
-        for op, digest, owner, step, resend in ops:
-            now += step
-            record = held.get(owner)
-            if op == "enqueue":
-                _, _, entries = table.enqueue(_records([digest]), RETRIES, BACKOFF, now)
-                enqueued.add(digest)
-            elif op == "claim":
-                claimed, entries = table.claim(owner, LEASE_SECONDS, None, now)
-                if resend:
-                    again, extra = table.claim(owner, LEASE_SECONDS, None, now)
-                    assert again == claimed and extra == []
-                if claimed is not None:
-                    held[owner] = claimed
-            elif op == "renew" and record is not None:
-                table.renew(record["digest"], owner, LEASE_SECONDS, now)
-                entries = []
-            elif op == "complete" and record is not None and record["digest"] != POISON:
-                digest = record["digest"]
-                duplicate, entries = table.complete(
-                    digest, f"result-{digest}", record["attempts"] + 1, now
-                )
-                assert duplicate == (entries == [])
-                if resend:
-                    assert table.complete(digest, "again", 9, now) == (True, [])
-            elif op == "fail" and record is not None:
-                state, entries = table.fail(record["digest"], record["attempts"], "boom", now)
-                if resend:
-                    again = table.fail(record["digest"], record["attempts"], "boom", now)
-                    expected = "settled" if state in ("quarantined", "settled") else "stale"
-                    assert again == (expected, [])
-            elif op == "reap":
-                entries = table.reap(now)
-            elif op == "collect":
-                found, entries = table.collect(DIGESTS, now)
-                assert found == {d: p for d, p in table.settled.items()}
-            else:
-                entries = []
-            journal += entries
-            check()
+            def check():
+                pending, owners = _on_disk(coordinator)
+                # every lease is on disk under the holder the model expects
+                assert owners == {d: owner for d, (owner, _) in model.items()}
+                # no task is lost: it is pending or settled in the store
+                for digest in initial - pending:
+                    assert _settled(store, digest) is not None
+                # a task settled with a result never comes back to tasks/
+                assert not results & pending
 
-        # drain on synthetic time: every enqueued task settles exactly once
-        for _ in range(100):
-            if not table.tasks:
-                break
-            now += 10.0  # past every backoff window and lease deadline
-            claimed, entries = table.claim("drainer", LEASE_SECONDS, None, now)
-            journal += entries
-            if claimed is None:
-                continue
-            if claimed["digest"] == POISON:
-                _, entries = table.fail(POISON, claimed["attempts"], "boom", now)
-            else:
-                _, entries = table.complete(claimed["digest"], "late", 1, now)
-            journal += entries
-            check()
-        assert not table.tasks and not table.leases
-        assert set(table.settled) == enqueued
-        assert _settlements(journal) == dict.fromkeys(enqueued, 1)
-        if POISON in enqueued:
-            poison = table.settled[POISON]
-            assert poison["status"] == "poison"
-            assert poison["attempts"] == RETRIES + 1
-            assert len(poison["errors"]) == RETRIES + 1
+            for op, owner, step in ops:
+                clock.now += step
+                record = held.get(owner)
+                if op == "claim":
+                    steal_expired()
+                    status, claimed = queues[owner].claim()
+                    if claimed is not None:
+                        assert claimed["digest"] not in model
+                        model[claimed["digest"]] = (owner, clock.now + LEASE_SECONDS)
+                        held[owner] = claimed
+                elif op == "reclaim":
+                    steal_expired()
+                    coordinator.reclaim()
+                elif record is None:
+                    continue
+                else:
+                    digest = record["digest"]
+                    holder = model.get(digest, (None,))[0]
+                    if op == "renew":
+                        assert queues[owner].renew(record) == (holder == owner)
+                        if holder == owner:
+                            model[digest] = (owner, clock.now + LEASE_SECONDS)
+                    elif op == "complete" and digest != POISON:
+                        _publish(store, digest)
+                        queues[owner].complete(record)
+                        model.pop(digest, None)
+                        results.add(digest)
+                    elif op == "fail":
+                        queues[owner].fail(record, "boom")
+                        if holder == owner:
+                            del model[digest]
+                check()
+
+            # drain: every enqueued task settles, the poison by quarantine
+            for _ in range(100):
+                clock.now += 10.0  # past every backoff window and lease deadline
+                status, claimed = queues["w0"].claim()
+                if status == "drained":
+                    break
+                if claimed is None:
+                    continue
+                if claimed["digest"] == POISON:
+                    queues["w0"].fail(claimed, "boom")
+                else:
+                    _publish(store, claimed["digest"])
+                    queues["w0"].complete(claimed)
+            assert _on_disk(coordinator) == (set(), {})
+            assert all(_settled(store, digest) for digest in initial)
+            if POISON in initial:
+                kind, poison = _settled(store, POISON)
+                assert kind == "poison"
+                assert poison.attempts == RETRIES + 1
+                assert len(poison.errors) == RETRIES + 1
 
     @pytest.mark.parametrize("retries", [0, 1, 3])
-    def test_always_failing_task_poisoned_after_retries_plus_one(self, retries):
-        table = LeaseTable()
-        table.enqueue(_records([POISON]), retries, BACKOFF, 0.0)
-        now, fails = 0.0, 0
-        while POISON not in table.settled:
-            now += 5.0
-            claimed, _ = table.claim("w0", LEASE_SECONDS, None, now)
-            state, _ = table.fail(POISON, claimed["attempts"], "boom", now)
-            fails += 1
-        assert state == "quarantined"
-        assert fails == table.settled[POISON]["attempts"] == retries + 1
+    def test_always_failing_task_poisoned_after_retries_plus_one(self, tmp_path, retries):
+        with synthetic_time() as clock:
+            store, _, queues = _queue(tmp_path, [POISON], retries)
+            fails = 0
+            while _settled(store, POISON) is None:
+                clock.now += 5.0
+                _, claimed = queues["w0"].claim()
+                queues["w0"].fail(claimed, "boom")
+                fails += 1
+            kind, poison = _settled(store, POISON)
+            assert kind == "poison"
+            assert fails == poison.attempts == retries + 1
 
-    def test_expired_leases_count_as_attempts(self):
-        table = LeaseTable()
-        table.enqueue(_records(["d0"]), 1, BACKOFF, 0.0)
-        table.claim("w0", LEASE_SECONDS, None, 0.0)
-        entries = table.reap(LEASE_SECONDS + 0.5)
-        assert [e["entry"] for e in entries] == ["task"]
-        assert entries[0]["record"]["attempts"] == 1
-        assert "worker w0 died or hung" in entries[0]["record"]["errors"][-1]
-        table.claim("w1", LEASE_SECONDS, None, 10.0)
-        assert table.reap(20.0)[0]["entry"] == "poison"
+    def test_expired_leases_count_as_attempts(self, tmp_path):
+        with synthetic_time() as clock:
+            store, coordinator, queues = _queue(tmp_path, ["d0"], retries=1)
+            queues["w0"].claim()
+            clock.now += LEASE_SECONDS + 0.5
+            assert coordinator.reclaim() == 1
+            record = _read_record(coordinator.tasks_dir / "d0.pkl")
+            assert record["attempts"] == 1
+            assert "worker w0 died or hung" in record["errors"][-1]
+            clock.now += 10.0
+            queues["w1"].claim()
+            clock.now += LEASE_SECONDS + 0.5
+            coordinator.reclaim()
+            assert _settled(store, "d0")[0] == "poison"
 
-    def test_hard_deadline_survives_renewal_and_replay(self):
-        table = LeaseTable()
-        _, _, journal = table.enqueue(_records(["d0"]), 2, BACKOFF, 0.0)
-        journal += table.claim("w0", LEASE_SECONDS, 2.0, 0.0)[1]
-        assert table.renew("d0", "w0", 100.0, 0.5)
-        replayed = _replay(journal, 1.0)
-        assert replayed.leases["d0"]["hard_deadline"] == 2.0
-        assert table.reap(2.5) and replayed.reap(2.5)
+    def test_hard_deadline_survives_renewal(self, tmp_path):
+        with synthetic_time() as clock:
+            _, coordinator, queues = _queue(tmp_path, ["d0"], task_timeout=2.0)
+            _, record = queues["w0"].claim()
+            clock.now += 0.9
+            assert queues["w0"].renew(record)
+            clock.now += 0.9
+            assert queues["w0"].renew(record)
+            assert coordinator.reclaim() == 0
+            clock.now += 0.5  # past the hard deadline, inside the renewed lease
+            assert coordinator.reclaim() == 1
 
-    def test_shutdown_stops_claims_until_next_enqueue(self):
-        table = LeaseTable()
-        table.enqueue(_records(["d0"]), 2, BACKOFF, 0.0)
-        assert table.close(0.0) == [{"entry": "shutdown"}]
-        assert table.close(0.0) == []
-        assert table.claim("w0", LEASE_SECONDS, None, 0.0) == (None, [])
-        table.enqueue([], 2, BACKOFF, 0.0)
-        assert table.claim("w0", LEASE_SECONDS, None, 0.0)[0]["digest"] == "d0"
-
-    def test_enqueue_rejects_records_without_digest(self):
-        table = LeaseTable()
-        with pytest.raises(ValueError, match="without digest"):
-            table.enqueue([*_records(["d0"]), {"task": "x"}], 2, BACKOFF, 0.0)
-        assert table.tasks == {}  # all or nothing
-
-
-# --------------------------------------------------------- worker + heartbeat
+    def test_shutdown_stops_claims_until_next_enqueue(self, tmp_path):
+        _, coordinator, queues = _queue(tmp_path, ["d0"])
+        coordinator.shutdown()
+        assert queues["w0"].claim() == ("shutdown", None)
+        coordinator.enqueue({})
+        assert queues["w0"].claim()[1]["digest"] == "d0"
 
 
-class _TableLink:
-    """A worker channel straight onto an in-memory LeaseTable."""
+class TestStaleFailure:
+    """w0 hangs past its lease, the coordinator requeues d0, w1 claims it."""
 
-    def __init__(self, table, now):
-        self.table, self.now, self.log = table, now, []
+    def _stolen(self, tmp_path, clock):
+        store, coordinator, queues = _queue(tmp_path, ["d0"])
+        _, stale = queues["w0"].claim()
+        clock.now += LEASE_SECONDS + 0.5
+        assert coordinator.reclaim() == 1
+        clock.now += 1.0  # past the requeue's backoff
+        _, record = queues["w1"].claim()
+        assert record["attempts"] == 1
+        return store, coordinator, queues, stale, record
 
-    def connect(self, worker):
-        self.worker = worker
-        return self
+    def test_running_holder_keeps_its_lease(self, tmp_path):
+        with synthetic_time() as clock:
+            _, coordinator, queues, stale, _ = self._stolen(tmp_path, clock)
+            queues["w0"].fail(stale, "boom")
+            assert _on_disk(coordinator)[1] == {"d0": "w1"}
+            assert _read_record(coordinator.tasks_dir / "d0.pkl")["attempts"] == 1
+            clock.now += 0.5  # past any backoff the stale failure could set
+            assert queues["w2"].claim() == ("idle", None)
 
-    def claim(self):
-        record, _ = self.table.claim(self.worker.owner, LEASE_SECONDS, None, self.now())
-        if record is None:
-            return ("drained" if not self.table.tasks else "idle"), None
-        return "claimed", record
-
-    def renew(self, record):
-        return self.table.renew(record["digest"], self.worker.owner, LEASE_SECONDS, self.now())
-
-    def settled(self, record, kind, value):
-        self.log.append(("settled", record["digest"], kind))
-        self.table.complete(record["digest"], value, record["attempts"] + 1, self.now())
-        return True
-
-    def complete(self, record, result):
-        self.log.append(("complete", record["digest"], result))
-        self.table.complete(record["digest"], result, record["attempts"] + 1, self.now())
-
-    def fail(self, record, error):
-        self.log.append(("fail", record["digest"], error))
-        self.table.fail(record["digest"], record["attempts"], error, self.now())
-
-    def close(self):
-        pass
-
-
-def _double_or_raise(shared, task):
-    if task.voltage == shared["bad"]:
-        raise RuntimeError("bad voltage")
-    return task.voltage * 2
+    def test_settled_task_stays_settled(self, tmp_path):
+        with synthetic_time() as clock:
+            store, coordinator, queues, stale, record = self._stolen(tmp_path, clock)
+            _publish(store, "d0")
+            queues["w1"].complete(record)
+            queues["w0"].fail(stale, "boom")
+            assert _on_disk(coordinator) == (set(), {})
+            assert queues["w2"].claim() == ("drained", None)
 
 
 class TestLeaseWorker:
-    def test_execute_path_over_an_in_memory_table(self, tmp_path):
+    def test_execute_path_over_a_queue_directory(self, tmp_path):
         store = ArtifactCache(root=tmp_path / "cache")
         tasks = expand_grid(voltages=(0.4, 0.5, 0.6), seed=1)
-        table = LeaseTable()
-        table.enqueue(
-            [{"digest": f"t{i}", "task": task, "attempts": 0} for i, task in enumerate(tasks)],
-            1,
-            0.0,
-            0.0,
-        )
-        clock = iter(float(i) for i in range(1000))
-        link = _TableLink(table, lambda: next(clock))
-        spec = WorkerSpec(
-            store=store,
-            label="leases-test",
-            worker_name="double",
-            fn=_double_or_raise,
-            shared={"bad": 0.5},
-            retries=1,
-            backoff=0.0,
-            lease_seconds=60.0,
-            task_timeout=None,
-            poll_seconds=0.0,
-            link=link,
-        )
-        assert LeaseWorker(spec).run() == 0
-        assert table.settled["t0"]["result"] == 0.8
-        assert table.settled["t1"]["status"] == "poison"
-        assert table.settled["t1"]["attempts"] == 2
-        assert recall_settled(store, "leases-test", "double", "t2") == ("result", 1.2)
-        # a re-claimed task already published to the store is not re-executed
-        del table.settled["t2"]
-        table.enqueue([{"digest": "t2", "task": tasks[2], "attempts": 0}], 1, 0.0, 0.0)
+        shared = {"bad": 0.5, "calls": []}
+        spec = _spec(tmp_path, store, retries=1)
+        spec.shared = shared
+        coordinator = _QueueDir(spec)
+        coordinator.enqueue({f"t{i}": task for i, task in enumerate(tasks)})
         LeaseWorker(spec).run()
-        assert link.log[-1] == ("settled", "t2", "result")
+        assert _settled(store, "t0") == ("result", 0.8)
+        kind, poison = _settled(store, "t1")
+        assert kind == "poison" and poison.attempts == 2
+        assert _settled(store, "t2") == ("result", 1.2)
+        assert sorted(shared["calls"]) == [0.4, 0.5, 0.5, 0.6]
+        assert _on_disk(coordinator) == (set(), {})
+        # a requeued task already published to the store is not re-executed
+        shared["calls"].clear()
+        coordinator.enqueue({"t2": tasks[2]})
+        LeaseWorker(spec).run()
+        assert shared["calls"] == []
+        assert _on_disk(coordinator) == (set(), {})
 
 
 class TestHeartbeat:
@@ -305,11 +319,7 @@ class TestHeartbeat:
 
     def test_stolen_lease_stops_renewal(self):
         heartbeat, calls = self._beat(lambda n: n < 3)
-        assert len(calls) == 3 and heartbeat.lost is False
-
-    def test_unreachable_past_horizon_is_lost(self):
-        heartbeat, calls = self._beat(lambda n: None)
-        assert heartbeat.lost is True and len(calls) >= 2
+        assert len(calls) == 3
 
     def test_stop_joins_the_thread(self):
         heartbeat = Heartbeat(lambda: True, lease_seconds=0.04)

@@ -11,7 +11,9 @@ instead of deadlocking the sweep.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
+import threading
 import time
 
 import numpy as np
@@ -30,7 +32,9 @@ from repro.experiments.faults import (
     DelayTask,
     FaultPlan,
     KillWorker,
+    PoisonTask,
     SuppressHeartbeat,
+    rule_grammar,
 )
 from repro.experiments.leases import (
     acquire_lease,
@@ -203,8 +207,14 @@ class TestFaultPlan:
                 KillWorker(worker=0, after_tasks=1, phase="publish"),
                 DelayTask(worker=1, seconds=0.25, every=2),
                 SuppressHeartbeat(worker=2, after_tasks=1),
+                PoisonTask(match="voltage=0.44"),
             )
         )
+
+    def test_plan_holds_every_rule_kind(self):
+        kinds = {rule.kind for rule in self._plan().rules}
+        assert kinds == {"delay", "kill", "no-heartbeat", "poison"}
+        assert [line.split('"')[3] for line in rule_grammar().splitlines()] == sorted(kinds)
 
     def test_json_round_trip(self):
         plan = self._plan()
@@ -217,6 +227,16 @@ class TestFaultPlan:
         monkeypatch.setenv(ENV_FAULT_PLAN, env[ENV_FAULT_PLAN])
         assert FaultPlan.from_env() == plan
 
+    def test_env_json_round_trip(self, monkeypatch):
+        # the variable holds the plan's JSON verbatim, so a hand-written
+        # $REPRO_FAULT_PLAN parses exactly as one written by to_env
+        plan = FaultPlan(rules=(PoisonTask(match="voltage=0.44"),))
+        env: dict[str, str] = {}
+        plan.to_env(env)
+        assert env[ENV_FAULT_PLAN] == plan.to_json()
+        monkeypatch.setenv(ENV_FAULT_PLAN, env[ENV_FAULT_PLAN])
+        assert FaultPlan.from_env() == plan
+
     def test_from_env_absent(self, monkeypatch):
         monkeypatch.delenv(ENV_FAULT_PLAN, raising=False)
         assert FaultPlan.from_env() is None
@@ -225,9 +245,49 @@ class TestFaultPlan:
         with pytest.raises(ValueError, match="unknown fault kind"):
             FaultPlan.from_json('[{"kind": "meteor", "worker": 0}]')
 
+    def test_unknown_kind_lists_accepted(self):
+        with pytest.raises(ValueError) as excinfo:
+            FaultPlan.from_json('[{"kind": "meteor"}]')
+        message = str(excinfo.value)
+        assert "unknown fault kind 'meteor'" in message
+        assert rule_grammar() in message  # every accepted rule is listed
+
+    def test_entry_must_be_object(self):
+        with pytest.raises(ValueError, match=r"rule #1 must be a JSON object"):
+            FaultPlan.from_json('[{"kind": "kill", "worker": 0, "after_tasks": 1}, "oops"]')
+
+    def test_entry_needs_kind(self):
+        with pytest.raises(ValueError, match=r'has no "kind"'):
+            FaultPlan.from_json('[{"worker": 0}]')
+
+    def test_unknown_field_named(self):
+        with pytest.raises(ValueError) as excinfo:
+            FaultPlan.from_json('[{"kind": "no-heartbeat", "worker": 0, "aftr_tasks": 3}]')
+        message = str(excinfo.value)
+        assert "unknown field(s) ['aftr_tasks']" in message
+        assert "'after_tasks'" in message and "'worker'" in message
+
+    def test_missing_required_field(self):
+        # KillWorker.after_tasks is required: a kill point is always explicit
+        with pytest.raises(ValueError, match=r"rule #0 \('kill'\).*invalid"):
+            FaultPlan.from_json('[{"kind": "kill", "worker": 0}]')
+
+    def test_plan_must_be_list(self):
+        with pytest.raises(ValueError, match="must be a list"):
+            FaultPlan.from_json('{"kind": "kill", "worker": 0, "after_tasks": 1}')
+
+    def test_invalid_json(self):
+        with pytest.raises(ValueError, match="not valid JSON"):
+            FaultPlan.from_json("[{kind: kill}]")
+
+    def test_env_errors_name_the_variable(self, monkeypatch):
+        monkeypatch.setenv(ENV_FAULT_PLAN, '[{"kind": "meteor"}]')
+        with pytest.raises(ValueError, match=rf"\${ENV_FAULT_PLAN}"):
+            FaultPlan.from_env()
+
     def test_kill_phase_validated(self):
         with pytest.raises(ValueError, match="phase"):
-            KillWorker(worker=0, phase="mid-air")
+            KillWorker(worker=0, after_tasks=0, phase="mid-air")
 
     def test_rules_dispatch_by_worker_index(self):
         plan = self._plan()
@@ -235,13 +295,6 @@ class TestFaultPlan:
         assert plan.for_worker(2).heartbeat_allowed(0) is True
         assert plan.for_worker(2).heartbeat_allowed(1) is False
         assert plan.for_worker(0).heartbeat_allowed(100) is True
-
-    def test_seeded_kill_point_is_deterministic(self):
-        rule = KillWorker(worker=0, after_tasks=None)
-        first = FaultPlan(rules=(rule,), seed=7).for_worker(0)._kill
-        second = FaultPlan(rules=(rule,), seed=7).for_worker(0)._kill
-        assert first == second
-        assert 1 <= first[0] <= 3
 
     def test_delay_fires_every_nth_claim(self, monkeypatch):
         naps: list[float] = []
@@ -318,6 +371,49 @@ class TestQueueBackend:
         assert backend.last_stats["worker_deaths"] == 2
         assert backend.last_stats["quarantined"] == 0
         assert backend.quarantined == []
+
+    def test_dead_fleet_drains_inline_with_retry_semantics(self, store):
+        """Every worker dies on its first claim and none is respawned: the
+        coordinator drains the sweep itself and quarantines the poison after
+        exactly ``retries + 1`` attempts."""
+        plan = FaultPlan(rules=(KillWorker(worker=-1, after_tasks=0),))
+        backend = _queue_backend(
+            store, lease_seconds=0.3, respawn=False, backoff=0.01, fault_plan=plan
+        )
+        tasks = _grid(4)
+        shared = {"offset": 0, "log": os.devnull, "bad": tasks[1].voltage}
+        results = _runner(backend, store, retries=1).map(
+            _poison_worker, tasks, shared=shared
+        )
+        poison = results[1]
+        assert isinstance(poison, QuarantinedTask)
+        assert poison.attempts == len(poison.errors) == 2
+        healthy = [r for i, r in enumerate(results) if i != 1]
+        assert healthy == [t.voltage * 2.0 for t in tasks if t is not tasks[1]]
+        assert backend.last_stats["worker_deaths"] == 2
+        assert backend.last_stats["respawns"] == 0
+        assert backend.last_stats["inline_drained"] > 0
+
+    def test_no_leaked_threads_or_processes(self, store):
+        """Every sweep — healthy or degraded — must stop what it started."""
+
+        def leaked():
+            threads = [t for t in threading.enumerate() if t.name.startswith("repro-")]
+            return threads + multiprocessing.active_children()
+
+        assert leaked() == []
+        _runner(_queue_backend(store), store).map(
+            _draw_worker, _grid(3), shared={"offset": 0}
+        )
+        assert leaked() == []
+        # a dead fleet drains inline: a worker (and its heartbeat) in-process
+        plan = FaultPlan(rules=(KillWorker(worker=-1, after_tasks=0),))
+        degraded = _queue_backend(
+            store, lease_seconds=0.3, respawn=False, backoff=0.01, fault_plan=plan
+        )
+        _runner(degraded, store).map(_draw_worker, _grid(3), shared={"offset": 5})
+        assert degraded.last_stats["inline_drained"] > 0
+        assert leaked() == []
 
     def test_restart_recomputes_nothing(self, store, tmp_path):
         tasks = _grid(8)
