@@ -1,12 +1,11 @@
-"""Shared JSON session-record appender for the benchmark harness.
+"""Shared JSON session-record appender for the standalone benchmark scripts.
 
-Every benchmark surface (the pytest suite via ``conftest.py``, the
-standalone ``bench_*.py`` scripts) tracks its performance trajectory in a
+Each speedup-gate script (``bench_adaptive.py``, ``bench_faultmap.py``,
+``bench_inference.py``) tracks its performance trajectory in a
 ``BENCH_*.json`` record at the repository root: a rolling window of session
 dicts plus a few headline fields for at-a-glance comparison.  The
 read-validate-append-truncate-replace dance lives here once, so a policy
-change (window size, locking, atomicity) lands in every record at the same
-time.
+change (window size, atomicity) lands in every record at the same time.
 """
 
 from __future__ import annotations
@@ -28,61 +27,38 @@ def append_record(
     suite: str,
     headline: dict[str, Any] | None = None,
     limit: int = RECORD_LIMIT,
-    lock_path: Path | None = None,
 ) -> None:
     """Append ``session`` to the rolling JSON record at ``path``.
 
     ``headline`` entries are copied to the record's top level (latest
     wall-clock, speedup floor, ...) so dashboards need not dig through the
-    session list.  With ``lock_path`` set, the read-modify-write runs under
-    an advisory ``flock``, so concurrent sessions that agree on the lock
-    location cannot drop each other's records; the temp-file +
-    ``os.replace`` write keeps readers from ever seeing a torn file.  The
-    perf record must never fail the benchmark run itself, so every step
-    degrades silently.
+    session list.  The temp-file + ``os.replace`` write keeps readers from
+    ever seeing a torn file.  The perf record must never fail the benchmark
+    run itself, so every step degrades silently.
     """
-    lock_handle = None
-    if lock_path is not None:
-        try:
-            lock_handle = open(lock_path, "w")
-        except OSError:
-            lock_handle = None
     try:
-        if lock_handle is not None:
-            try:
-                import fcntl
-
-                fcntl.flock(lock_handle, fcntl.LOCK_EX)
-            except (ImportError, OSError):
-                pass
-        try:
-            record = json.loads(path.read_text())
-            if not isinstance(record, dict) or not isinstance(
-                record.get("sessions"), list
-            ):
-                record = {"sessions": []}
-        except (OSError, ValueError):
+        record = json.loads(path.read_text())
+        if not isinstance(record, dict) or not isinstance(record.get("sessions"), list):
             record = {"sessions": []}
-        record["suite"] = suite
-        record["sessions"].append(session)
-        record["sessions"] = record["sessions"][-limit:]
-        for key, value in (headline or {}).items():
-            record[key] = value
-        temp_name = None
-        try:
-            handle = tempfile.NamedTemporaryFile(
-                "w", dir=path.parent, suffix=".tmp", delete=False
-            )
-            temp_name = handle.name
-            with handle as temp_file:
-                temp_file.write(json.dumps(record, indent=2) + "\n")
-            os.replace(temp_name, path)
-        except OSError:
-            if temp_name is not None:
-                try:
-                    os.unlink(temp_name)
-                except OSError:
-                    pass
-    finally:
-        if lock_handle is not None:
-            lock_handle.close()
+    except (OSError, ValueError):
+        record = {"sessions": []}
+    record["suite"] = suite
+    record["sessions"].append(session)
+    record["sessions"] = record["sessions"][-limit:]
+    for key, value in (headline or {}).items():
+        record[key] = value
+    temp_name = None
+    try:
+        handle = tempfile.NamedTemporaryFile(
+            "w", dir=path.parent, suffix=".tmp", delete=False
+        )
+        temp_name = handle.name
+        with handle as temp_file:
+            temp_file.write(json.dumps(record, indent=2) + "\n")
+        os.replace(temp_name, path)
+    except OSError:
+        if temp_name is not None:
+            try:
+                os.unlink(temp_name)
+            except OSError:
+                pass

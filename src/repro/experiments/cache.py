@@ -1,8 +1,8 @@
 """Content-addressed artifact cache for the experiment suite.
 
-The nine experiment drivers repeat a lot of identical heavyweight work:
+The experiment drivers repeat a lot of identical heavyweight work:
 training the float baseline of a benchmark, fine-tuning a model around a
-profiled fault mask, quantizing a trained model to an SRAM word image.  All
+profiled fault mask, profiling a chip's banks at an operating point.  All
 of those computations are deterministic functions of their inputs, so the
 suite memoizes them on disk.
 
@@ -14,9 +14,17 @@ Artifacts live under a root directory (``$REPRO_CACHE_DIR``, default
     <root>/
         prepared-benchmark/<digest>.pkl   pickled PreparedBenchmark
         trained-weights/<digest>.pkl      list[(weights, bias)] per layer
-        quantized-image/<digest>.pkl      QuantizedWeights
-        sweep-result/<digest>.pkl         arbitrary driver artifacts
-        sweep-shard/<digest>.pkl          per-task results of sharded sweeps
+        fault-map/<digest>.pkl            one bank's (stuck_mask, stuck_values)
+        fault-map-chip/<digest>.pkl       every bank's maps of one chip
+        fault-map-sweep/<digest>.pkl      one bank's maps along a voltage axis
+        sweep-shard/<digest>.pkl          per-task results of sharded and
+                                          queue sweeps
+        sweep-poison/<digest>.pkl         quarantined (poison) tasks
+
+The ``fault-map*`` kinds are written by
+:meth:`repro.matic.flow.MaticFlow.profile_chip` and
+:meth:`~repro.matic.flow.MaticFlow.profile_chip_sweep`.  The queue backend
+keeps its pending-task directory under ``<root>/queue/`` by default.
 
 ``<digest>`` is a SHA-256 over a canonical encoding of the key: a flat
 mapping of strings to scalars, strings, tuples, nested mappings, or numpy
@@ -56,7 +64,7 @@ the budget again.  The same operations are exposed on the command line::
 
 Sweep results
 -------------
-Sharded sweeps and the lease backends (:mod:`repro.experiments.leases`)
+Sharded sweeps and the queue backend (:mod:`repro.experiments.queue`)
 publish per-task results as ordinary content-addressed artifacts under the
 ``sweep-shard`` kind (:data:`SHARD_RESULT_KIND`/:func:`shard_result_key`)
 and quarantined (poison) tasks under ``sweep-poison``

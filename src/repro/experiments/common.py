@@ -49,6 +49,7 @@ and shares one execution vocabulary, wired through
 from __future__ import annotations
 
 import argparse
+import math
 from dataclasses import dataclass, field, replace
 from importlib import import_module
 from importlib.machinery import ModuleSpec
@@ -396,18 +397,41 @@ _EXECUTION_ARGS = frozenset(
 )
 
 
+def _checked(
+    convert: Callable[[str], Any], accept: Callable[[Any], bool], requirement: str
+) -> Callable[[str], Any]:
+    """An argparse ``type=`` that converts a flag value, then range-checks it.
+
+    A rejected value makes argparse exit with status 2 and an error naming
+    the flag, before any sweep starts.
+    """
+
+    def parse(text: str) -> Any:
+        try:
+            value = convert(text)
+            if accept(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+
+    return parse
+
+
 def experiment_parser(prog: str, description: str) -> argparse.ArgumentParser:
     """An argument parser pre-loaded with the shared sweep-execution flags.
 
     Drivers add their own grid arguments on top; every experiment CLI
     therefore accepts the same ``--workers/--backend/--shard/--stream``
-    vocabulary.
+    vocabulary.  ``--workers`` must be at least 1, ``--retries`` at least 0,
+    ``--backoff`` finite and at least 0, and ``--task-timeout`` finite and
+    above 0.
     """
     parser = argparse.ArgumentParser(prog=prog, description=description)
     group = parser.add_argument_group("sweep execution")
     group.add_argument(
         "--workers",
-        type=int,
+        type=_checked(int, lambda n: n >= 1, "an integer >= 1"),
         default=None,
         help="worker processes (default: $REPRO_SWEEP_WORKERS or CPU count)",
     )
@@ -438,7 +462,7 @@ def experiment_parser(prog: str, description: str) -> argparse.ArgumentParser:
     )
     group.add_argument(
         "--retries",
-        type=int,
+        type=_checked(int, lambda n: n >= 0, "an integer >= 0"),
         default=None,
         metavar="N",
         help="failed-task retry budget: attempt each task at most N+1 times. "
@@ -448,7 +472,7 @@ def experiment_parser(prog: str, description: str) -> argparse.ArgumentParser:
     )
     group.add_argument(
         "--task-timeout",
-        type=float,
+        type=_checked(float, lambda s: math.isfinite(s) and s > 0, "finite and > 0"),
         default=None,
         metavar="SECONDS",
         help="per-task hang bound. queue backend: hard lease deadline after "
@@ -458,7 +482,7 @@ def experiment_parser(prog: str, description: str) -> argparse.ArgumentParser:
     )
     group.add_argument(
         "--backoff",
-        type=float,
+        type=_checked(float, lambda s: math.isfinite(s) and s >= 0, "finite and >= 0"),
         default=None,
         metavar="SECONDS",
         help="base delay between retry attempts; doubles per attempt with "

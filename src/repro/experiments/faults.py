@@ -31,8 +31,10 @@ Fault rules
 
 CLI injection
 -------------
-``$REPRO_FAULT_PLAN`` carries a JSON-encoded plan into driver CLIs (the CI
-lease-smoke job kills a ``fig09_sram --backend queue`` worker this way)::
+``$REPRO_FAULT_PLAN`` carries a JSON-encoded plan into driver CLIs
+(``tests/test_engine.py::TestCliTableDiffs`` kills a ``fig09_sram --backend
+queue`` worker this way, and ``TestQuarantineRendering`` poisons one task of
+every driver)::
 
     REPRO_FAULT_PLAN='[{"kind": "kill", "worker": 0, "after_tasks": 1}]' \\
         python -m repro.experiments.fig09_sram --figure a --backend queue

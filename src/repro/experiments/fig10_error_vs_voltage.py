@@ -210,7 +210,6 @@ def _fig10_point_worker(shared: dict, task: SweepTask) -> dict:
             target_voltage=voltages[0],
             loss=prepared.spec.loss,
             initial_network=prepared.baseline,
-            profile=False,
         )
         outputs = deployment.run_sweep(prepared.test.inputs, voltages)
         return {

@@ -25,8 +25,9 @@ requests at one operating point decodes each corrupted image once.
 
 A die is one engine task, so the fleet shards by die index: all backends,
 ``--shard i/n``, ``--stream``; the sharded merge is bit-identical to an
-unsharded run (``benchmarks/bench_population.py`` proves it, along with
-warm-cache re-runs recomputing zero per-die profiles).  See
+unsharded run, and a warm-cache re-run profiles no die again
+(``test_two_shards_and_warm_rerun_match_unsharded`` in
+``tests/test_population.py`` checks both).  See
 ``docs/population.md``.
 """
 

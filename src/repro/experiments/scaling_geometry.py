@@ -25,8 +25,9 @@ capacity wall itself.
 
 Like every driver, the grid expands into independent seeded tasks and runs
 through the sweep engine — all backends, ``--shard i/n``, ``--stream``; the
-sharded merge is bit-identical to an unsharded run (``benchmarks/
-bench_scaling.py`` proves it).
+sharded merge is bit-identical to an unsharded run
+(``test_two_way_shard_merge_is_bit_identical`` in
+``tests/test_scaling_geometry.py`` checks it).
 """
 
 from __future__ import annotations
@@ -206,7 +207,6 @@ def _scaling_point_worker(shared: dict, task: SweepTask) -> GeometryPoint:
         target_voltage=voltage,
         loss=prepared.spec.loss,
         initial_network=prepared.baseline,
-        profile=False,
     )
     # single-point batched sweep: refreshes the deployed weights, then runs
     # at the target rail voltage through the plan-compiled read path

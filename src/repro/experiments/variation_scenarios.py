@@ -21,7 +21,8 @@ marginal transform, correlation strengths redistribute variance without
 changing any cell's marginal law — so Vmin/yield *shifts* between i.i.d. and
 correlated rows are a pure clustering effect, measured at equal marginal
 variance.  With ``shape=iid`` the sampled populations are bit-identical to
-the legacy models (``benchmarks/bench_variation.py`` proves it).
+the legacy models (``tests/test_variation_scenarios.py``: the
+``TestCorrelatedVminModel`` and ``TestScenario`` cases check it).
 
 Like every driver, the grid expands into independent seeded tasks and runs
 through the sweep engine — all backends, ``--shard i/n``, ``--stream``; the
@@ -297,7 +298,6 @@ def _variation_point_worker(shared: dict, task: SweepTask) -> VariationPoint:
             target_voltage=voltage,
             loss=prepared.spec.loss,
             initial_network=prepared.baseline,
-            profile=False,
         )
         outputs = naive.run_at(prepared.test.inputs)
         naive_error = float(prepared.spec.error(outputs, prepared.test))

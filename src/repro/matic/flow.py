@@ -73,9 +73,9 @@ class ProfileCacheCounters:
     (``fault-map-chip``), per-bank records (``fault-map``), and per-bank
     voltage-axis records (``fault-map-sweep``).  Counters are per-process —
     parallel sweep workers each count their own flow copy — and exist so the
-    fleet/population and adaptive benchmarks can assert *how* a warm run was
-    served (one chip-level round trip, zero bank re-profiles) instead of
-    inferring it from wall time.
+    tests and the adaptive benchmark can assert *how* a warm run was served
+    (one chip-level round trip, zero bank re-profiles) instead of inferring
+    it from wall time.
     """
 
     chip_hits: int = 0
@@ -853,14 +853,11 @@ class MaticFlow:
         hidden_activation: str = "sigmoid",
         output_activation: str = "sigmoid",
         initial_network: Network | None = None,
-        profile: bool = True,
     ) -> MaticDeployment:
         """Deploy the naive baseline: same topology, no fault awareness.
 
-        ``profile=False`` skips the fault-map profiling pass — the naive
-        deployment never *uses* the maps (that is the point of the baseline),
-        so sweep drivers that only measure naive error avoid the full
-        read-after-write profiling of every bank.
+        The chip is never profiled — the naive deployment does not use fault
+        maps (that is the point of the baseline) — so ``fault_maps`` is empty.
         """
         if initial_network is not None:
             network = initial_network.copy()
@@ -879,7 +876,6 @@ class MaticFlow:
             history = self.train_baseline(network, train, validation)
         quantizer = self.quantizer_for(network)
         program = chip.deploy(network, quantizer)
-        fault_maps = self.profile_chip(chip, target_voltage) if profile else []
         mask_set = FaultMaskSet.identity(network, quantizer)
         chip.sram_regulator.set_voltage(target_voltage)
         return MaticDeployment(
@@ -887,7 +883,7 @@ class MaticFlow:
             network=network,
             program=program,
             quantizer=quantizer,
-            fault_maps=fault_maps,
+            fault_maps=[],
             mask_set=mask_set,
             target_voltage=float(target_voltage),
             history=history,

@@ -24,7 +24,8 @@ existing memoization layers rather than adding its own:
 Sharding composes for free: a die is one unit of work, so a driver that
 expands ``{"die": i}`` tasks through the sweep engine gets ``--shard i/n``
 fleet splits whose merge is bit-identical to an unsharded run
-(``benchmarks/bench_population.py`` proves it).
+(``test_two_shards_and_warm_rerun_match_unsharded`` in
+``tests/test_population.py`` checks it).
 
 The module is deliberately below the ``repro.experiments`` layer: it knows
 chips, flows, and canaries, but nothing about argument parsing, caches-by-
@@ -239,7 +240,6 @@ def simulate_die(
         target_voltage=target_voltage,
         loss=loss,
         initial_network=baseline,
-        profile=False,
     )
 
     vmin = np.concatenate(

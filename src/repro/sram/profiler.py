@@ -81,16 +81,6 @@ class SramProfiler:
         configuration the defaults are all-zeros and all-ones, which together
         expose every stuck cell regardless of its preferred state.
         """
-        return self._patterns_for(bank)
-
-    def _patterns_for(self, bank: SramBank) -> dict[str, int]:
-        """Deprecated pre-public spelling of :meth:`patterns_for`.
-
-        Holds the default derivation so legacy subclasses that override it
-        (including ones that call ``super()._patterns_for``) keep driving
-        both profiling and cache keys through the public method's
-        delegation.  New code should override :meth:`patterns_for`.
-        """
         if self.test_patterns:
             return {
                 name: value & bank.word_mask for name, value in self.test_patterns.items()

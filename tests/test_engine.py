@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import json
 import os
 import signal
 import time
@@ -191,8 +192,13 @@ class TestBackends:
         for task, result in pairs:
             assert result["index"] == task.index
             assert result["value"] == task.param("value") ** 2
-        # all tasks land exactly once, in some completion order
-        assert sorted(task.index for task, _ in pairs) == [t.index for t in tasks]
+        # all tasks land exactly once, in some completion order, and put back
+        # in grid order they are the serial backend's results
+        pairs.sort(key=lambda pair: pair[0].index)
+        assert [task.index for task, _ in pairs] == [t.index for t in tasks]
+        assert [result for _, result in pairs] == SweepRunner(workers=1).map(
+            _square_worker, tasks, shared={"offset": 0}
+        )
 
     def test_serial_streaming_is_lazy(self):
         executed = []
@@ -465,6 +471,31 @@ class TestDriverEquivalence:
                 b.adaptive_error,
             )
 
+    def test_fig10_cold_and_warm_cache_identical(self, tmp_path):
+        kwargs = dict(
+            benchmarks=("inversek2j",),
+            voltages=(0.90, 0.50, 0.48),
+            num_samples=400,
+            adaptive_epochs=10,
+            seed=3,
+            runner=SweepRunner(workers=1),
+        )
+        cache = ArtifactCache(root=tmp_path)
+        cold = run_fig10(cache=cache, **kwargs)
+        stores_after_cold = cache.stats.stores
+        assert stores_after_cold > 0
+        warm = run_fig10(cache=cache, **kwargs)
+        assert cache.stats.stores == stores_after_cold  # nothing retrained
+        assert cache.stats.hits > 0
+
+        def points(result):
+            return [
+                (p.voltage, p.bit_fault_rate, p.naive_error, p.adaptive_error)
+                for p in result.sweep_for("inversek2j").points
+            ]
+
+        assert points(warm) == points(cold)
+
     def test_fig5_cache_disabled_matches_cached(self, tmp_path):
         kwargs = dict(
             fault_rates=(0.02,), num_samples=400, adaptive_epochs=3, seed=4
@@ -569,7 +600,32 @@ class TestDriverCLIs:
                 "--voltages", "0.42", "0.46", "0.50", "0.54"]
         fig09_sram.main(grid)
         fig09_sram.main([*grid, "--backend", "queue", "--workers", "2"])
-        assert labels == ["fig9a:753e1b9647859de2"] * 2
+        # the smallest accepted value of every range-checked flag parses
+        fig09_sram.main([*grid, "--workers", "1", "--retries", "0",
+                         "--backoff", "0", "--task-timeout", "0.5"])
+        assert labels == ["fig9a:753e1b9647859de2"] * 3
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--workers", "0"),
+        ("--workers", "-2"),
+        ("--workers", "nan"),
+        ("--retries", "-3"),
+        ("--retries", "nan"),
+        ("--backoff", "-1"),
+        ("--backoff", "nan"),
+        ("--backoff", "inf"),
+        ("--task-timeout", "0"),
+        ("--task-timeout", "-1"),
+        ("--task-timeout", "nan"),
+        ("--task-timeout", "inf"),
+    ])
+    def test_out_of_range_execution_flags_rejected(self, flag, value, capsys):
+        from repro.experiments import fig09_sram
+
+        with pytest.raises(SystemExit) as info:
+            fig09_sram.main(["--figure", "a", flag, value])
+        assert info.value.code == 2
+        assert f"argument {flag}: must be" in capsys.readouterr().err
 
     def test_queue_and_fault_modules_load_lazily(self):
         """A serial driver run never imports the queue machinery, yet the
@@ -702,7 +758,10 @@ class TestQuarantineRendering:
         )
         out = capsys.readouterr().out
         assert code == 1, f"{module_name} must exit nonzero when degraded"
-        assert "QUARANTINED" in out
+        rows = [
+            line for line in out.splitlines() if line.lstrip().startswith("QUARANTINED")
+        ]
+        assert len(rows) == 1, "one poisoned task renders exactly one row"
         assert match in out, "the quarantined row must describe the lost task"
         assert "quarantined task(s); exiting nonzero" in out
         # the table itself still rendered (headers plus separator rule)
@@ -771,3 +830,127 @@ class TestQuarantineRendering:
         text = result.to_experiment_result().to_text()
         assert "QUARANTINED" in text
         assert "temperature=85.0" in text
+
+
+def _table(out: str) -> list[str]:
+    """A CLI's printed lines minus the ``--stream`` ``[i/n]`` progress lines."""
+    return [line for line in out.splitlines() if not line.startswith("[")]
+
+
+def _blank_column(lines: list[str], header: str) -> list[str]:
+    """``lines`` with the cells of one fixed-width table column blanked."""
+    rule = next(i for i, line in enumerate(lines) if line.startswith("---"))
+    start = lines[rule - 1].index(header)
+    end = lines[rule].find(" ", start)
+    end = len(lines[rule]) if end < 0 else end
+    table_end = lines.index("", rule)
+    return [
+        line[:start] + " " * (end - start) + line[end:]
+        if rule - 1 <= i < table_end
+        else line
+        for i, line in enumerate(lines)
+    ]
+
+
+#: Small grids the CLI table diffs below split into two shards.
+_SHARD_CLI_CASES = [
+    (
+        "fig09_sram",
+        ["--figure", "a", "--num-words", "256",
+         "--voltages", "0.42", "0.46", "0.50", "0.54"],
+    ),
+    (
+        "fleet_population",
+        ["--dies", "4", "--requests", "12", "--voltages", "0.9", "0.5",
+         "--num-pes", "4", "--words-per-bank", "128", "--num-samples", "300"],
+    ),
+]
+
+
+class TestCliTableDiffs:
+    """A driver CLI's table must not depend on how its sweep executed.
+
+    Each case runs ``main(argv)`` of one driver under different execution
+    flags (shards, backends, a fault plan, the warm-start toggle) and
+    compares the printed tables line for line, with the ``--stream``
+    progress lines dropped.
+    """
+
+    @pytest.mark.parametrize(
+        "module_name, args",
+        _SHARD_CLI_CASES,
+        ids=[case[0] for case in _SHARD_CLI_CASES],
+    )
+    def test_two_shards_match_unsharded(self, module_name, args, tmp_path, capsys):
+        """Shard 0 runs as ``python -m`` in a subprocess and shard 1 in this
+        process; shard 1 merges the whole grid out of the shared cache.
+
+        The subprocess pins ``common.dispatch_canonical_main``: without it,
+        shard 0's workers live in ``__main__`` and publish under a name
+        shard 1 cannot merge."""
+        import subprocess
+        import sys
+
+        args = [*args, "--cache-dir", str(tmp_path)]
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        first = subprocess.run(
+            [sys.executable, "-m", f"repro.experiments.{module_name}",
+             *args, "--shard", "0/2", "--stream"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert first.returncode == 0, first.stderr
+        assert "slice is published" in first.stdout  # shard 0 alone cannot merge
+        module = importlib.import_module(f"repro.experiments.{module_name}")
+        assert module.main([*args, "--shard", "1/2", "--stream"]) == 0
+        merged = _table(capsys.readouterr().out)
+        assert module.main(args) == 0
+        assert merged == _table(capsys.readouterr().out)
+
+    def test_queue_kill_and_resume_match_default_backend(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """fig9a on the queue backend while a fault plan SIGKILLs worker 0
+        after its first publish, then a fresh resume: the resumed table is
+        the default backend's, and the store the chaos run published
+        through verifies clean."""
+        from repro.experiments import cache as cache_cli
+        from repro.experiments import fig09_sram
+        from repro.experiments.faults import ENV_FAULT_PLAN
+
+        args = ["--figure", "a", "--num-words", "256",
+                "--voltages", "0.42", "0.46", "0.50", "0.54",
+                "--cache-dir", str(tmp_path)]
+        queue = [*args, "--backend", "queue", "--workers", "2", "--stream"]
+        monkeypatch.setenv(
+            ENV_FAULT_PLAN,
+            '[{"kind": "kill", "worker": 0, "after_tasks": 1, "phase": "publish"}]',
+        )
+        assert fig09_sram.main(queue) == 0
+        monkeypatch.delenv(ENV_FAULT_PLAN)
+        capsys.readouterr()
+        assert fig09_sram.main(queue) == 0
+        resumed = _table(capsys.readouterr().out)
+        assert fig09_sram.main(args) == 0
+        assert resumed == _table(capsys.readouterr().out)
+        assert cache_cli.main(["--root", str(tmp_path), "verify", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["count"] == 0, report["corrupt"]
+
+    def test_fig10_cold_path_differs_only_in_adaptive_cells(self, tmp_path, capsys):
+        """``--no-warm-start`` retrains each voltage from the baseline, so
+        only the adaptive error column may differ from the warm-start table."""
+        from repro.experiments import fig10_error_vs_voltage
+
+        args = ["--benchmarks", "inversek2j", "--voltages", "0.9", "0.5", "0.48",
+                "--num-samples", "400", "--adaptive-epochs", "10",
+                "--cache-dir", str(tmp_path)]
+        tables = []
+        for flag in ("--no-warm-start", "--warm-start"):
+            assert fig10_error_vs_voltage.main([*args, flag]) == 0
+            tables.append(capsys.readouterr().out.splitlines())
+        for table in tables:
+            assert not any("QUARANTINED" in line for line in table)
+        cold, warm = (_blank_column(table, "adaptive") for table in tables)
+        assert cold == warm

@@ -35,6 +35,7 @@ class TestNaiveDeployment:
             chip, spec.topology, train, target_voltage=0.9,
             loss=spec.loss, initial_network=baseline,
         )
+        assert deployment.fault_maps == []  # the baseline is never profiled
         hardware_error = spec.error(deployment.run_at(test.inputs, 0.9), test)
         software_error = spec.error(baseline.predict(test.inputs), test)
         assert abs(hardware_error - software_error) < 0.05

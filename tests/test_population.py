@@ -14,7 +14,7 @@ import pytest
 
 from repro.experiments.cache import ArtifactCache
 from repro.experiments.common import default_flow, prepare_benchmark
-from repro.experiments.engine import SweepRunner
+from repro.experiments.engine import ShardIncompleteError, ShardSpec, SweepRunner
 from repro.experiments.fleet_population import (
     DEFAULT_OPERATING_VOLTAGES,
     run_fleet_population,
@@ -222,6 +222,48 @@ class TestFleetPopulationDriver:
         assert fleet.errors_by_voltage == direct.errors_by_voltage
         assert fleet.requests_by_voltage == direct.requests_by_voltage
         assert fleet.seed == direct.seed
+
+    def test_two_shards_and_warm_rerun_match_unsharded(self, tmp_path):
+        """A fleet split two ways merges to the unsharded reports, and a warm
+        re-run over the same store matches without profiling any die again."""
+        kwargs = dict(
+            benchmark="inversek2j",
+            dies=4,
+            num_requests=12,
+            voltages=(0.90, 0.50),
+            num_samples=300,
+            seed=SEED,
+            chip_seed=11,
+            **GEOMETRY,
+        )
+        store = ArtifactCache(root=tmp_path)
+        reference = run_fleet_population(
+            runner=SweepRunner(workers=1), cache=store, **kwargs
+        )
+
+        def profile_artifacts():
+            return sorted(tmp_path.glob("fault-map*/*.pkl"))
+
+        profiled = profile_artifacts()
+        assert profiled
+        warm = run_fleet_population(
+            runner=SweepRunner(workers=1), cache=ArtifactCache(root=tmp_path), **kwargs
+        )
+        assert warm.reports == reference.reports
+        assert profile_artifacts() == profiled  # every die profile recalled
+
+        def shard_runner(index):
+            return SweepRunner(
+                workers=1,
+                shard=ShardSpec(index, 2),
+                shard_store=store,
+                sweep_label="fleet-shard-test",
+            )
+
+        with pytest.raises(ShardIncompleteError):
+            run_fleet_population(runner=shard_runner(0), cache=store, **kwargs)
+        merged = run_fleet_population(runner=shard_runner(1), cache=store, **kwargs)
+        assert merged.reports == reference.reports
 
     def test_fleet_run_and_rendering(self, cache, flow):
         result = run_fleet_population(

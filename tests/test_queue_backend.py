@@ -372,6 +372,48 @@ class TestQueueBackend:
         assert backend.last_stats["quarantined"] == 0
         assert backend.quarantined == []
 
+    def test_kill_two_workers_on_a_fig10_grid(self, store):
+        """The same two-kill plan on a real driver grid: three benchmarks,
+        every voltage overscaled, so each benchmark contributes one batched
+        naive task and one chained adaptive-sweep task.  A fresh coordinator
+        over the same store then resumes without recomputing anything."""
+        from repro.experiments.fig10_error_vs_voltage import run_fig10
+
+        def rows(runner):
+            result = run_fig10(
+                benchmarks=("inversek2j", "bscholes", "facedet"),
+                voltages=(0.46, 0.48, 0.50, 0.52, 0.54, 0.56),
+                num_samples=240,
+                adaptive_epochs=4,
+                runner=runner,
+                cache=store,
+            )
+            return [
+                (s.benchmark, s.nominal_error, p.voltage, p.bit_fault_rate,
+                 p.naive_error, p.adaptive_error)
+                for s in result.sweeps
+                for p in s.points
+            ]
+
+        serial = rows(SweepRunner(workers=1))
+        plan = FaultPlan(
+            rules=(
+                KillWorker(worker=0, after_tasks=1, phase="claim"),
+                KillWorker(worker=1, after_tasks=1, phase="publish"),
+            )
+        )
+        backend = _queue_backend(
+            store, lease_seconds=1.0, poll_seconds=0.02, backoff=0.05,
+            respawn=False, fault_plan=plan,
+        )
+        assert rows(_runner(backend, store, workers=4)) == serial
+        assert backend.last_stats["tasks"] == 6
+        assert backend.last_stats["worker_deaths"] == 2
+        assert backend.last_stats["quarantined"] == 0
+        resumed = _queue_backend(store, poll_seconds=0.02)
+        assert rows(_runner(resumed, store)) == serial
+        assert resumed.last_stats["enqueued"] == 0
+
     def test_dead_fleet_drains_inline_with_retry_semantics(self, store):
         """Every worker dies on its first claim and none is respawned: the
         coordinator drains the sweep itself and quarantines the poison after

@@ -20,11 +20,17 @@ def cache(tmp_path_factory):
 
 
 KWARGS = dict(
-    workloads=("inversek2j", "synth/ae-i16-b4"),
-    num_pes_values=(2, 8),
-    words_per_bank_values=(16, 128),
-    num_samples=160,
-    epochs=2,
+    workloads=(
+        "inversek2j",
+        "synth/ae-i16-b4",
+        "synth/mlp-d3-w16",
+        "synth/wide-f96-h8",
+        "synth/ae-i32-b4",
+    ),
+    num_pes_values=(2, 8, 16),
+    words_per_bank_values=(16, 64, 128, 512),
+    num_samples=300,
+    epochs=5,
     seed=3,
 )
 
@@ -36,7 +42,7 @@ def result(cache):
 
 class TestScalingGeometry:
     def test_grid_shape_and_order(self, result):
-        assert len(result.points) == 2 * 2 * 2
+        assert len(result.points) == 5 * 3 * 4
         assert [
             (p.workload, p.num_pes, p.words_per_bank) for p in result.points
         ] == [
@@ -48,7 +54,7 @@ class TestScalingGeometry:
 
     def test_capacity_wall_reported_not_raised(self, result):
         walls = [p for p in result.points if not p.fits]
-        assert walls  # (2 PEs, 16 words) cannot hold either workload
+        assert walls  # (2 PEs, 16 words) cannot hold any workload
         for point in walls:
             assert point.utilization > 1
             assert point.error is None
@@ -59,7 +65,8 @@ class TestScalingGeometry:
             assert len(errors) == 1
 
     def test_cycles_drop_with_more_pes(self, result):
-        for name in KWARGS["workloads"]:
+        # the two workloads small enough to fit a 2-PE, 128-word ring
+        for name in ("inversek2j", "synth/ae-i16-b4"):
             fitting = [p for p in result.points_for(name) if p.fits]
             by_geometry = {(p.num_pes, p.words_per_bank): p for p in fitting}
             few = by_geometry.get((2, 128))

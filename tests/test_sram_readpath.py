@@ -101,6 +101,25 @@ class TestEquivalenceOracle:
         bank = SramBank(num_words, word_bits, seed=seed)
         _drive_pair(ReferenceBitBank(bank), np.random.default_rng(drive_seed), 12)
 
+    def test_fig10_voltage_grid_on_a_full_bank(self):
+        """Every fig10 grid voltage on a 512x16 bank rewritten before each
+        full-bank read: words and persistence match the reference exactly."""
+        from repro.experiments.fig10_error_vs_voltage import DEFAULT_VOLTAGES
+
+        bank = SramBank(512, 16, seed=11)
+        reference = ReferenceBitBank(bank)
+        addresses = np.arange(bank.num_words)
+        contents = np.random.default_rng(0).integers(
+            0, 1 << 16, size=bank.num_words, dtype=np.uint64
+        )
+        for voltage in DEFAULT_VOLTAGES:
+            bank.write_all(contents)
+            reference.write(addresses, contents)
+            np.testing.assert_array_equal(
+                bank.read_all(voltage=voltage), reference.read(addresses, voltage)
+            )
+            np.testing.assert_array_equal(bank.stored_words(), reference.stored_words())
+
     def test_single_address_and_scalar_forms(self):
         bank = SramBank(16, 16, seed=3)
         reference = ReferenceBitBank(bank)

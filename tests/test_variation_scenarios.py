@@ -36,10 +36,11 @@ class TestCorrelatedVminModel:
     def test_zero_correlation_is_bit_identical_to_base(self, base_cls):
         base = base_cls()
         wrapped = CorrelatedVminModel(base=base)
-        a = base.sample(64, 16, np.random.default_rng(5))
-        b = wrapped.sample(64, 16, np.random.default_rng(5))
-        np.testing.assert_array_equal(a.vmin_read, b.vmin_read)
-        np.testing.assert_array_equal(a.preferred_state, b.preferred_state)
+        for seed in (5, 7):
+            a = base.sample(128, 16, np.random.default_rng(seed))
+            b = wrapped.sample(128, 16, np.random.default_rng(seed))
+            np.testing.assert_array_equal(a.vmin_read, b.vmin_read)
+            np.testing.assert_array_equal(a.preferred_state, b.preferred_state)
 
     def test_sampling_is_reproducible(self):
         model = CorrelatedVminModel(row=0.3, region=0.2)
@@ -62,11 +63,14 @@ class TestCorrelatedVminModel:
 
     def test_failure_probability_delegates_to_base(self):
         base = EmpiricalVminModel()
-        model = CorrelatedVminModel(base=base, row=0.4)
-        voltages = np.linspace(0.40, 0.55, 5)
-        np.testing.assert_array_equal(
-            model.failure_probability(voltages), base.failure_probability(voltages)
-        )
+        voltages = np.linspace(0.40, 0.55, 7)
+        for spec in (CorrelationSpec(row=0.4), CorrelationSpec.from_shape("mixed", 0.6)):
+            model = CorrelatedVminModel(
+                base=base, row=spec.row, column_group=spec.column_group, region=spec.region
+            )
+            np.testing.assert_array_equal(
+                model.failure_probability(voltages), base.failure_probability(voltages)
+            )
 
     def test_row_correlation_clusters_row_means(self):
         """Shared per-row components inflate the variance of row means far
@@ -115,6 +119,27 @@ class TestCorrelatedVminModel:
         )
         assert cells.mean() == pytest.approx(base.mean, abs=4e-3)
         assert cells.std() == pytest.approx(base.sigma, rel=0.12)
+
+
+    def test_mixed_shape_preserves_empirical_marginals(self):
+        """The mixed shape (row + column-group + region components) keeps the
+        empirical base's per-cell marginal: pooled over 30 populations, the
+        mean moves by under 2 mV and the spread by under 10%."""
+        base = EmpiricalVminModel()
+        spec = CorrelationSpec.from_shape("mixed", 0.6)
+        correlated = CorrelatedVminModel(
+            base=base, row=spec.row, column_group=spec.column_group, region=spec.region
+        )
+
+        def pooled(model):
+            return np.concatenate([
+                model.sample(64, 16, np.random.default_rng(s)).vmin_read.ravel()
+                for s in range(30)
+            ])
+
+        iid_cells, corr_cells = pooled(base), pooled(correlated)
+        assert abs(float(iid_cells.mean()) - float(corr_cells.mean())) < 0.002
+        assert 0.9 < float(corr_cells.std() / iid_cells.std()) < 1.1
 
 
 class TestCorrelationSpec:
@@ -348,38 +373,48 @@ class TestCacheKeySeparation:
         assert len(builds) == 2  # second bank was a miss, not a stale hit
 
 
+#: The driver grid: one zero-correlation reference plus two correlated shapes
+#: at equal marginal variance, each measured on six sampled dies.
+DRIVER_KWARGS = dict(
+    benchmarks=("inversek2j",),
+    shapes=("iid", "region", "mixed"),
+    strengths=(0.5,),
+    num_dies=6,
+    num_pes=4,
+    words_per_bank=256,
+    num_samples=300,
+    adaptive_epochs=8,
+    seed=3,
+)
+
+
 class TestVariationScenariosDriver:
     @pytest.fixture(scope="class")
-    def result(self, tmp_path_factory):
+    def cache(self, tmp_path_factory):
+        return ArtifactCache(root=tmp_path_factory.mktemp("variation-cache"))
+
+    @pytest.fixture(scope="class")
+    def result(self, cache):
         from repro.experiments.engine import SweepRunner
         from repro.experiments.variation_scenarios import run_variation_scenarios
 
-        cache = ArtifactCache(root=tmp_path_factory.mktemp("variation-cache"))
         return run_variation_scenarios(
-            benchmarks=("inversek2j",),
-            shapes=("iid", "region"),
-            strengths=(0.5,),
-            num_dies=4,
-            num_pes=4,
-            words_per_bank=256,
-            num_samples=300,
-            adaptive_epochs=8,
-            seed=3,
-            runner=SweepRunner(workers=1),
-            cache=cache,
+            runner=SweepRunner(workers=1), cache=cache, **DRIVER_KWARGS
         )
 
     def test_grid_shape(self, result):
         assert [(p.shape, p.strength) for p in result.points] == [
             ("iid", 0.0),
             ("region", 0.5),
+            ("mixed", 0.5),
         ]
-        assert len({p.scenario_digest for p in result.points}) == 2
+        assert len({p.scenario_digest for p in result.points}) == 3
 
     def test_correlation_shifts_measurables(self, result):
-        iid, region = result.points
-        assert region.row_autocorrelation > iid.row_autocorrelation
-        assert region.vmin_std > iid.vmin_std
+        iid, *correlated = result.points
+        for point in correlated:
+            assert point.row_autocorrelation > iid.row_autocorrelation
+            assert point.vmin_std > iid.vmin_std
 
     def test_deployment_measured(self, result):
         for point in result.points:
@@ -390,48 +425,29 @@ class TestVariationScenariosDriver:
 
     def test_rendering(self, result):
         text = result.to_experiment_result().to_text()
-        assert "iid" in text and "region" in text
+        assert "iid" in text and "region" in text and "mixed" in text
 
-    def test_shard_merge_bit_identical(self, tmp_path):
+    def test_shard_merge_bit_identical(self, cache, result):
         from repro.experiments.engine import ShardIncompleteError, ShardSpec, SweepRunner
         from repro.experiments.variation_scenarios import run_variation_scenarios
 
-        store = ArtifactCache(root=tmp_path)
-        kwargs = dict(
-            benchmarks=("inversek2j",),
-            shapes=("iid", "region", "mixed"),
-            strengths=(0.4,),
-            num_dies=3,
-            num_pes=2,
-            words_per_bank=64,
-            measure_error=False,
-            seed=5,
-            cache=store,
-        )
-        reference = run_variation_scenarios(
-            runner=SweepRunner(workers=1), **kwargs
-        )
+        def shard_runner(index):
+            return SweepRunner(
+                workers=1,
+                shard=ShardSpec(index, 2),
+                shard_store=cache,
+                sweep_label="variation-shard-test",
+            )
+
         with pytest.raises(ShardIncompleteError):
             run_variation_scenarios(
-                runner=SweepRunner(
-                    workers=1,
-                    shard=ShardSpec(0, 2),
-                    shard_store=store,
-                    sweep_label="variation-shard-test",
-                ),
-                **kwargs,
+                runner=shard_runner(0), cache=cache, **DRIVER_KWARGS
             )
         merged = run_variation_scenarios(
-            runner=SweepRunner(
-                workers=1,
-                shard=ShardSpec(1, 2),
-                shard_store=store,
-                sweep_label="variation-shard-test",
-            ),
-            **kwargs,
+            runner=shard_runner(1), cache=cache, **DRIVER_KWARGS
         )
         assert [vars(p) for p in merged.points] == [
-            vars(p) for p in reference.points
+            vars(p) for p in result.points
         ]
 
     def test_skip_error_leaves_fields_none(self, tmp_path):

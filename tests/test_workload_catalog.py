@@ -243,7 +243,6 @@ class TestMaticFlowOnProceduralWorkloads:
             target_voltage=0.9,
             loss=spec.loss,
             initial_network=network,
-            profile=False,
         )
         outputs = deployment.run_at(dataset.inputs)
         assert outputs.shape == (8, 8)
