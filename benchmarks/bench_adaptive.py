@@ -12,7 +12,8 @@ Times fig10's adaptive column for one benchmark both ways:
 
 Both arms run against their own fresh artifact cache (no cross-arm recall)
 and measure each point's on-chip error on the same held-out test split.
-The session asserts, and the CI ``adaptive-smoke`` job enforces:
+The session asserts, and the "Adaptive-column benchmark" step of the CI job
+enforces:
 
 - end-to-end speedup >= the 3x floor,
 - every warm-started adaptive error within ``ERROR_TOLERANCE`` of its cold

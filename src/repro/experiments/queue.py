@@ -48,12 +48,16 @@ Coordinator
 -----------
 :meth:`QueueBackend.submit` recalls what the store already settled, enqueues
 the remainder, spawns the worker fleet, then runs settle / reclaim / respawn
-/ inline-drain rounds until every task has settled, and tears down.
+/ inline-drain rounds until every task has settled, and tears down.  A round
+that made no progress waits at most ``poll_seconds`` before the next, and
+wakes as soon as a worker exits, so a fleet that drains the queue ends the
+sweep without waiting out a poll.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import os
 import pickle
 import shutil
@@ -617,10 +621,25 @@ class QueueBackend:
                         stats["inline_drained"] += 1
                         progressed = True
                 if not progressed:
-                    time.sleep(spec.poll_seconds)
+                    if processes:
+                        # wait at most one poll, but wake as soon as a worker
+                        # exits: a drained fleet ends the sweep right away
+                        multiprocessing.connection.wait(
+                            [process.sentinel for process in processes],
+                            timeout=spec.poll_seconds,
+                        )
+                    else:
+                        time.sleep(spec.poll_seconds)
         finally:
             queue.shutdown()
-            _stop_fleet(processes, grace=10.0)
+            terminated = _stop_fleet(processes, grace=10.0)
+            # a worker that died after the last settle never reached the
+            # death check above; the stragglers terminated here did not die
+            stats["worker_deaths"] += sum(
+                process.exitcode not in (0, None)
+                for process in processes
+                if process not in terminated
+            )
             # a fully settled sweep retires its queue directory (everything
             # worth keeping lives in the store); an abandoned sweep keeps it
             # so a resume picks the queue back up
@@ -628,12 +647,16 @@ class QueueBackend:
                 shutil.rmtree(queue.sweep_dir, ignore_errors=True)
 
 
-def _stop_fleet(processes: list[Any], grace: float) -> None:
-    """Join worker processes within ``grace`` seconds, then terminate stragglers."""
+def _stop_fleet(processes: list[Any], grace: float) -> list[Any]:
+    """Join worker processes within ``grace`` seconds, then terminate stragglers.
+
+    Returns the stragglers it terminated.
+    """
     deadline = time.time() + grace
     for process in processes:
         process.join(timeout=max(0.1, deadline - time.time()))
-    for process in processes:
-        if process.is_alive():
-            process.terminate()
-            process.join(timeout=1.0)
+    stragglers = [process for process in processes if process.is_alive()]
+    for process in stragglers:
+        process.terminate()
+        process.join(timeout=1.0)
+    return stragglers

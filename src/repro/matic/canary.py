@@ -129,28 +129,35 @@ class CanarySelector:
             else:
                 ordered = self._select_profiled(bank, target_voltage, temperature, limit)
             if self.placement == "stratified":
-                cells = self._stratify(ordered, bank, limit)
-            else:
-                cells = ordered[: self.canaries_per_bank]
-            for address, bit in cells:
-                expected = int((int(bank.stored_words()[address]) >> bit) & 1)
+                ordered = self._stratify(ordered, bank, limit)
+            words = bank.stored_words()
+            for address, bit in ordered[: self.canaries_per_bank].tolist():
+                expected = (int(words[address]) >> bit) & 1
                 canaries.append(CanaryBit(bank_index, address, bit, expected))
         return canaries
 
     def _select_oracle(
         self, bank: SramBank, target_voltage: float, temperature: float, limit: int
-    ) -> list[tuple[int, int]]:
-        """All usable candidate cells in order of increasing margin."""
-        marginal = bank.marginal_cells(
-            target_voltage, temperature=temperature, count=bank.size_bits
-        )
-        return [
-            (fault.address, fault.bit) for fault in marginal if fault.address < limit
-        ]
+    ) -> np.ndarray:
+        """Usable candidate cells as ``(address, bit)`` rows, most marginal first.
+
+        Margin placement can only pick the first ``canaries_per_bank`` cells,
+        so only those are ordered; stratified placement ranks every usable
+        cell inside its stratum, so it takes the whole order.
+        """
+        if self.placement == "margin":
+            marginal = bank.marginal_cells(
+                target_voltage,
+                temperature=temperature,
+                count=self.canaries_per_bank,
+                limit=limit,
+            )
+            return _rows([(fault.address, fault.bit) for fault in marginal])
+        return bank.marginal_order(target_voltage, temperature, limit=limit)
 
     def _select_profiled(
         self, bank: SramBank, target_voltage: float, temperature: float, limit: int
-    ) -> list[tuple[int, int]]:
+    ) -> np.ndarray:
         """Find the cells that fail at the highest voltage below the target.
 
         The profiler is run at ``target − k·step`` for increasing ``k``; cells
@@ -186,21 +193,20 @@ class CanarySelector:
                 seen.add(key)
                 selected.append(key)
                 if len(selected) >= enough:
-                    return selected
-        return selected
+                    return _rows(selected)
+        return _rows(selected)
 
-    def _stratify(
-        self, ordered: list[tuple[int, int]], bank: SramBank, limit: int
-    ) -> list[tuple[int, int]]:
+    def _stratify(self, ordered: np.ndarray, bank: SramBank, limit: int) -> np.ndarray:
         """Round-robin the most marginal cell of each spatial stratum.
 
-        Strata are (die region, column group) buckets; candidates arrive
-        most-marginal-first, so taking the head of each bucket round-robin
-        yields the most marginal representative of every covered stratum
-        before any stratum contributes a second canary.
+        Strata are (die region, column group) buckets of the candidates,
+        which arrive most-marginal-first.  Taking the head of each bucket in
+        turn, buckets ordered by their most marginal candidate, picks every
+        covered stratum's most marginal cell before any stratum contributes
+        a second.  That round-robin order is the candidates sorted by (rank
+        inside their stratum, position of their stratum's head), and only
+        ranks below ``canaries_per_bank`` can ever be picked.
         """
-        if not ordered:
-            return []
         scenario = getattr(bank, "scenario", None)
         if scenario is not None:
             num_regions = scenario.correlation.num_regions
@@ -210,20 +216,23 @@ class CanarySelector:
             group_size = self.column_group_size
         span = max(int(limit), 1)
         regions = max(min(num_regions, span), 1)
-        buckets: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for address, bit in ordered:
-            region = min(address * regions // span, regions - 1)
-            stratum = (region, bit // group_size)
-            buckets.setdefault(stratum, []).append((address, bit))
-        # bucket order follows each stratum's most marginal candidate, so the
-        # first round of picks is itself margin-ordered across strata
-        queues = list(buckets.values())
-        selected: list[tuple[int, int]] = []
-        while len(selected) < self.canaries_per_bank and any(queues):
-            for queue in queues:
-                if queue and len(selected) < self.canaries_per_bank:
-                    selected.append(queue.pop(0))
-        return selected
+        addresses, bits = ordered[:, 0], ordered[:, 1]
+        region = np.minimum(addresses * regions // span, regions - 1)
+        stratum = region * bank.word_bits + bits // group_size
+        # group by stratum, margin order kept inside each group; `first` is
+        # the grouped position of each candidate's stratum head
+        grouped = np.argsort(stratum, kind="stable")
+        heads = np.diff(stratum[grouped], prepend=-1) != 0
+        first = np.maximum.accumulate(np.where(heads, np.arange(heads.size), 0))
+        rank = np.arange(heads.size) - first
+        pickable = rank < self.canaries_per_bank
+        turns = np.lexsort((grouped[first][pickable], rank[pickable]))
+        return ordered[grouped[pickable][turns]]
+
+
+def _rows(cells: list[tuple[int, int]]) -> np.ndarray:
+    """``(address, bit)`` pairs as an ``(n, 2)`` integer array."""
+    return np.array(cells, dtype=np.int64).reshape(-1, 2)
 
 
 @dataclass

@@ -400,40 +400,61 @@ class SramBank:
         stuck = vmin > float(voltage)
         return FaultMap.from_arrays(stuck, self.cells.preferred_state)
 
+    def marginal_order(
+        self,
+        voltage: float,
+        temperature: float = calibration.NOMINAL_TEMPERATURE,
+        count: int | None = None,
+        limit: int | None = None,
+    ) -> np.ndarray:
+        """Safe cells in order of increasing margin, as ``(address, bit)`` rows.
+
+        A safe cell still reads correctly at ``voltage``; its margin is how
+        far the rail may drop before it fails.  Ties resolve by address, then
+        bit, so the order never depends on the platform's sort internals.
+        Only addresses below ``limit`` take part, and only the first
+        ``count`` rows are returned (every safe cell when ``None``).
+
+        Only what can be returned is sorted: ``np.partition`` finds the
+        ``count``-th smallest margin, and the lexsort sees just the cells at
+        or below it — ties at that margin included, so the rows equal the
+        head of the full order.
+        """
+        if count is not None and count <= 0:
+            raise ValueError("count must be positive")
+        margin = self.effective_vmin(temperature) - float(voltage)
+        if limit is not None:
+            margin = margin[: max(int(limit), 0)]
+        # row-major flat indices: their order is (address, bit) order
+        cells = np.flatnonzero(margin <= 0.0)
+        slack = -margin.ravel()[cells]  # positive margins, smaller = more marginal
+        if count is not None and count < cells.size:
+            keep = slack <= np.partition(slack, count - 1)[count - 1]
+            cells, slack = cells[keep], slack[keep]
+        selected = cells[np.lexsort((cells, slack))[:count]]
+        return np.column_stack(np.divmod(selected, self.word_bits))
+
     def marginal_cells(
         self,
         voltage: float,
         temperature: float = calibration.NOMINAL_TEMPERATURE,
         count: int = 8,
+        limit: int | None = None,
     ) -> list[BitFault]:
         """The ``count`` cells closest to failure *above* the operating voltage.
 
         These are the candidates for in-situ canaries: they still read
         correctly at ``voltage`` but will be the first to fail if the voltage
-        drops further.  Returned in order of increasing margin, encoded as
-        :class:`BitFault` records whose ``stuck_value`` is the preferred state
-        the cell would flip to.
+        drops further.  Returned in :meth:`marginal_order` (increasing
+        margin, then address, then bit; addresses below ``limit`` only),
+        encoded as :class:`BitFault` records whose ``stuck_value`` is the
+        preferred state the cell would flip to.
         """
-        if count <= 0:
-            raise ValueError("count must be positive")
-        vmin = self.effective_vmin(temperature)
-        margin = vmin - float(voltage)
-        safe = margin <= 0.0  # cells that still read correctly at `voltage`
-        candidates = np.argwhere(safe)
-        if candidates.size == 0:
-            return []
-        flat_margin = -margin[safe.nonzero()]  # positive margins, smaller = more marginal
-        # deterministic selection under ties: sort by (margin, address, bit)
-        # so canary choice does not depend on the platform's argsort internals
-        order = np.lexsort((candidates[:, 1], candidates[:, 0], flat_margin))
-        selected = candidates[order[:count]]
+        cells = self.marginal_order(voltage, temperature, count=count, limit=limit)
+        states = self.cells.preferred_state[cells[:, 0], cells[:, 1]]
         return [
-            BitFault(
-                int(address),
-                int(bit),
-                int(self.cells.preferred_state[address, bit]),
-            )
-            for address, bit in selected
+            BitFault(address, bit, state)
+            for (address, bit), state in zip(cells.tolist(), states.tolist())
         ]
 
     def bit_error_count(self, reference_words: np.ndarray) -> int:

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.accelerator import Snnac, SnnacConfig
 from repro.matic import CanaryBit, CanaryController, CanarySelector
 from repro.nn import Network
 from repro.quant import WeightQuantizer
-from repro.sram import EnvironmentalConditions
+from repro.sram import EnvironmentalConditions, WeightMemorySystem
+from repro.sram.variation import SLOW_CORNER, CorrelationSpec, VariationScenario
 
 
 @pytest.fixture()
@@ -221,8 +224,6 @@ class TestStratifiedPlacement:
         """With one artificially weak die region, pure-margin ordering piles
         every canary into that region; stratified placement still covers the
         other regions."""
-        from repro.sram.variation import CorrelationSpec, VariationScenario
-
         scenario = VariationScenario(
             name="region-heavy", correlation=CorrelationSpec(region=0.5)
         )
@@ -273,3 +274,179 @@ class TestStratifiedPlacement:
         for canary in canaries:
             vmin = chip.memory[canary.bank].cells.vmin_read[canary.address, canary.bit]
             assert 0.50 - 0.005 * 21 <= vmin <= 0.50
+
+
+# --------------------------------------------------------------------------
+# Differential oracle: the partial-order selection against the full sort.
+
+
+def _reference_marginal_cells(bank, voltage, temperature, count):
+    """Oracle copy of the full-bank ``marginal_cells``: lexsort every safe cell."""
+    margin = bank.effective_vmin(temperature) - float(voltage)
+    safe = margin <= 0.0
+    candidates = np.argwhere(safe)
+    if candidates.size == 0:
+        return []
+    flat_margin = -margin[safe.nonzero()]
+    order = np.lexsort((candidates[:, 1], candidates[:, 0], flat_margin))
+    return [
+        (int(address), int(bit), int(bank.cells.preferred_state[address, bit]))
+        for address, bit in candidates[order[:count]]
+    ]
+
+
+def _reference_stratify(selector, ordered, bank, limit):
+    """Oracle copy of the bucket round-robin stratification."""
+    if not ordered:
+        return []
+    scenario = bank.scenario
+    if scenario is not None:
+        num_regions = scenario.correlation.num_regions
+        group_size = scenario.correlation.column_group_size
+    else:
+        num_regions = selector.num_regions
+        group_size = selector.column_group_size
+    span = max(int(limit), 1)
+    regions = max(min(num_regions, span), 1)
+    buckets = {}
+    for address, bit in ordered:
+        region = min(address * regions // span, regions - 1)
+        buckets.setdefault((region, bit // group_size), []).append((address, bit))
+    queues = list(buckets.values())
+    selected = []
+    while len(selected) < selector.canaries_per_bank and any(queues):
+        for queue in queues:
+            if queue and len(selected) < selector.canaries_per_bank:
+                selected.append(queue.pop(0))
+    return selected
+
+
+def _reference_select(selector, memory, voltage, temperature, used_words_per_bank):
+    """Oracle copy of the oracle-strategy ``CanarySelector.select``."""
+    canaries = []
+    for bank_index, bank in enumerate(memory):
+        limit = (
+            bank.num_words
+            if used_words_per_bank is None
+            else min(int(used_words_per_bank[bank_index]), bank.num_words)
+        )
+        marginal = _reference_marginal_cells(bank, voltage, temperature, bank.size_bits)
+        ordered = [(address, bit) for address, bit, _ in marginal if address < limit]
+        if selector.placement == "stratified":
+            cells = _reference_stratify(selector, ordered, bank, limit)
+        else:
+            cells = ordered[: selector.canaries_per_bank]
+        for address, bit in cells:
+            expected = int((int(bank.stored_words()[address]) >> bit) & 1)
+            canaries.append(CanaryBit(bank_index, address, bit, expected))
+    return canaries
+
+
+def _random_memory(data, num_banks, scenario, ties):
+    num_words = data.draw(st.integers(1, 48), label="num_words")
+    word_bits = data.draw(st.integers(1, 16), label="word_bits")
+    memory = WeightMemorySystem.build(
+        num_banks,
+        num_words,
+        word_bits,
+        seed=data.draw(st.integers(0, 2**16), label="seed"),
+        scenario=scenario,
+    )
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="words"))
+    for bank in memory:
+        bank.write_all(rng.integers(0, 1 << word_bits, num_words, dtype=np.uint64))
+        if ties:
+            # coarse V_min grid: many cells share one margin exactly
+            bank.cells.vmin_read[:] = np.round(bank.cells.vmin_read, 2)
+            bank.invalidate_operating_point_cache()
+    return memory
+
+
+_SCENARIOS = st.sampled_from(
+    [
+        None,
+        VariationScenario(name="iid-ss", corner=SLOW_CORNER),
+        VariationScenario(
+            name="region",
+            correlation=CorrelationSpec(region=0.6, num_regions=3, column_group_size=2),
+        ),
+        VariationScenario(
+            name="mixed",
+            correlation=CorrelationSpec(
+                row=0.3, column_group=0.2, region=0.2, column_group_size=5
+            ),
+        ),
+    ]
+)
+
+
+class TestSelectionMatchesFullSort:
+    """The partial-order selection picks exactly the canaries the full-bank
+    sort and bucket round-robin did, in the same order."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        data=st.data(),
+        scenario=_SCENARIOS,
+        ties=st.booleans(),
+        placement=st.sampled_from(["margin", "stratified"]),
+        canaries_per_bank=st.integers(1, 40),
+        # where the rail sits in the memory's V_min spread: below 0 every
+        # cell fails, above 1 every cell is safe, at 0 and 1 a cell sits
+        # exactly on the rail
+        position=st.sampled_from([-0.1, 0.0, 1.0, 1.1]) | st.floats(0.0, 1.0),
+        temperature=st.sampled_from([25.0, -15.0, 90.0]),
+    )
+    def test_canary_lists_identical(
+        self, data, scenario, ties, placement, canaries_per_bank, position, temperature
+    ):
+        num_banks = data.draw(st.integers(1, 3), label="num_banks")
+        memory = _random_memory(data, num_banks, scenario, ties)
+        vmin = np.concatenate([bank.effective_vmin(temperature).ravel() for bank in memory])
+        low, high = float(vmin.min()), float(vmin.max())
+        voltage = {0.0: low, 1.0: high}.get(position, low + position * (high - low))
+        num_words = memory[0].num_words
+        limits = st.sampled_from([0, num_words, num_words + 8]) | st.integers(0, num_words)
+        used = data.draw(
+            st.none() | st.lists(limits, min_size=num_banks, max_size=num_banks),
+            label="used_words_per_bank",
+        )
+        selector = CanarySelector(
+            canaries_per_bank=canaries_per_bank,
+            strategy="oracle",
+            placement=placement,
+            num_regions=data.draw(st.integers(1, 6), label="num_regions"),
+            column_group_size=data.draw(st.integers(1, 6), label="column_group_size"),
+        )
+        expected = _reference_select(selector, memory, voltage, temperature, used)
+        assert selector.select(memory, voltage, temperature, used) == expected
+        # and the bank-level order itself, at every count and limit
+        bank = memory[0]
+        count = data.draw(st.integers(1, bank.size_bits + 4), label="count")
+        limit = data.draw(st.none() | limits, label="limit")
+        reference = [
+            cell
+            for cell in _reference_marginal_cells(bank, voltage, temperature, bank.size_bits)
+            if limit is None or cell[0] < limit
+        ][:count]
+        marginal = bank.marginal_cells(voltage, temperature, count=count, limit=limit)
+        assert [(f.address, f.bit, f.stuck_value) for f in marginal] == reference
+
+    def test_profiled_stratification_matches_round_robin(self, deployed_chip):
+        chip, program = deployed_chip
+        used = program.placement.words_used_per_pe
+        selector = CanarySelector(
+            canaries_per_bank=6, strategy="profiled", placement="stratified"
+        )
+        canaries = selector.select(chip.memory, 0.50, used_words_per_bank=used)
+        expected = []
+        for bank_index, bank in enumerate(chip.memory):
+            ordered = selector._select_profiled(bank, 0.50, 25.0, used[bank_index])
+            words = bank.stored_words()
+            for address, bit in _reference_stratify(
+                selector, [tuple(cell) for cell in ordered.tolist()], bank, used[bank_index]
+            ):
+                expected.append(
+                    CanaryBit(bank_index, address, bit, (int(words[address]) >> bit) & 1)
+                )
+        assert canaries == expected

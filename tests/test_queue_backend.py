@@ -436,6 +436,30 @@ class TestQueueBackend:
         assert backend.last_stats["respawns"] == 0
         assert backend.last_stats["inline_drained"] > 0
 
+    def test_coordinator_wakes_when_the_fleet_exits(self, store):
+        """The sweep ends when its one worker drains the queue and exits,
+        not at the coordinator's next poll."""
+        backend = _queue_backend(store, poll_seconds=3.0)
+        start = time.monotonic()
+        results = _runner(backend, store, workers=1).map(
+            _draw_worker, _grid(1), shared={"offset": 0}
+        )
+        elapsed = time.monotonic() - start
+        assert len(results) == 1 and backend.last_stats["enqueued"] == 1
+        assert elapsed < backend.poll_seconds / 2
+
+    def test_death_after_the_last_settle_is_counted(self, store):
+        """A worker killed right after publishing the sweep's last result
+        dies after the coordinator's last settle; teardown still counts it."""
+        plan = FaultPlan(rules=(KillWorker(worker=0, after_tasks=1, phase="publish"),))
+        backend = _queue_backend(store, respawn=False, fault_plan=plan)
+        results = _runner(backend, store, workers=1).map(
+            _draw_worker, _grid(1), shared={"offset": 0}
+        )
+        assert len(results) == 1
+        assert backend.last_stats["worker_deaths"] == 1
+        assert backend.last_stats["respawns"] == 0
+
     def test_no_leaked_threads_or_processes(self, store):
         """Every sweep — healthy or degraded — must stop what it started."""
 

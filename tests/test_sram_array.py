@@ -229,6 +229,35 @@ class TestMarginalCellTieBreak:
         assert sel_a == sel_b
 
 
+class TestMarginalCellLimit:
+    """``marginal_cells(limit=...)`` keeps addresses below the limit only."""
+
+    def test_zero_limit_is_empty(self, bank):
+        assert bank.marginal_cells(0.50, count=8, limit=0) == []
+
+    @pytest.mark.parametrize("limit", [64, 65, 1000])
+    def test_limit_at_or_above_num_words_is_no_limit(self, bank, limit):
+        assert bank.marginal_cells(0.50, count=40, limit=limit) == bank.marginal_cells(
+            0.50, count=40
+        )
+
+    def test_count_above_candidates_returns_every_candidate_in_order(self):
+        bank = SramBank(8, 4, seed=0)
+        bank.cells.vmin_read[:] = 0.60  # fails at 0.50 V
+        bank.cells.vmin_read[1, 2] = 0.45
+        bank.cells.vmin_read[3, 0] = 0.48
+        bank.cells.vmin_read[5, 1] = 0.48
+        bank.cells.vmin_read[6, 3] = 0.49
+        marginal = bank.marginal_cells(0.50, count=100, limit=6)
+        assert [(f.address, f.bit) for f in marginal] == [(3, 0), (5, 1), (1, 2)]
+
+    def test_every_cell_failing_is_empty(self, bank):
+        # the bank's weakest-to-strongest spread sits well above 0.20 V
+        assert (bank.effective_vmin(25.0) > 0.20).all()
+        assert bank.marginal_cells(0.20, count=8) == []
+        assert bank.marginal_cells(0.20, count=8, limit=10) == []
+
+
 class TestWeightMemorySystem:
     def test_build(self):
         memory = WeightMemorySystem.build(8, 128, 16, seed=0)
