@@ -22,7 +22,7 @@ margin-vs-stratified canary placement.
 :func:`repro.experiments.fleet_population.run_fleet_population` scales from
 one die to a seeded chip population (:mod:`repro.population`): die
 Vmin/yield distributions, per-die canary margins, and error percentiles
-serving a mixed-operating-point request stream, sharded by die index.
+serving a mixed-operating-point request stream, one die per task.
 
 All drivers execute through the sweep engine
 (:mod:`repro.experiments.engine`): grids expand into independent seeded
@@ -31,8 +31,9 @@ and heavyweight artifacts (float baselines, memory-adaptive fine-tuning,
 topology-sweep fits) are memoized by the content-addressed artifact cache
 (:mod:`repro.experiments.cache`).  For sweeps that must survive worker
 death, the elastic queue backend (:mod:`repro.experiments.queue`) adds
-lease-based claiming, retries with quarantine, and zero-recompute resume,
-and :mod:`repro.experiments.faults` is its deterministic chaos harness
+lease-based claiming, retries with quarantine, and zero-recompute resume;
+it is also how several hosts sharing one cache directory split a grid.
+:mod:`repro.experiments.faults` is its deterministic chaos harness
 (kill/delay/no-heartbeat/poison rules).
 
 The engine/cache/common core is imported eagerly; the driver modules, the
@@ -46,14 +47,7 @@ fault harness it spares every serial or process run their import cost.
 
 from importlib import import_module
 
-from .cache import (
-    ArtifactCache,
-    cache_digest,
-    collect_shard_results,
-    default_cache,
-    set_default_cache,
-    shard_result_key,
-)
+from .cache import ArtifactCache, cache_digest, default_cache, set_default_cache
 from .common import (
     ExperimentResult,
     PreparedBenchmark,
@@ -73,8 +67,6 @@ from .engine import (
     QuarantinedTask,
     RetryingWorker,
     SerialBackend,
-    ShardIncompleteError,
-    ShardSpec,
     SweepBackend,
     SweepExecution,
     SweepRunner,
@@ -149,8 +141,6 @@ __all__ = [
     "QueueBackend",
     "RetryingWorker",
     "SerialBackend",
-    "ShardIncompleteError",
-    "ShardSpec",
     "SuppressHeartbeat",
     "SweepBackend",
     "SweepExecution",
@@ -159,10 +149,8 @@ __all__ = [
     "TaskTimeoutError",
     "WorkerCrashedError",
     "cache_digest",
-    "collect_shard_results",
     "default_cache",
     "set_default_cache",
-    "shard_result_key",
     "expand_grid",
     "resolve_backend",
     "retry_delay",

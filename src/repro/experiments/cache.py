@@ -17,14 +17,17 @@ Artifacts live under a root directory (``$REPRO_CACHE_DIR``, default
         fault-map/<digest>.pkl            one bank's (stuck_mask, stuck_values)
         fault-map-chip/<digest>.pkl       every bank's maps of one chip
         fault-map-sweep/<digest>.pkl      one bank's maps along a voltage axis
-        sweep-shard/<digest>.pkl          per-task results of sharded and
-                                          queue sweeps
-        sweep-poison/<digest>.pkl         quarantined (poison) tasks
+        sweep-*/<digest>.pkl              queue-sweep task results and
+                                          quarantined tasks
 
 The ``fault-map*`` kinds are written by
 :meth:`repro.matic.flow.MaticFlow.profile_chip` and
 :meth:`~repro.matic.flow.MaticFlow.profile_chip_sweep`.  The queue backend
-keeps its pending-task directory under ``<root>/queue/`` by default.
+(:mod:`repro.experiments.queue`) publishes per-task results and quarantines
+as ordinary artifacts under the two ``sweep-*`` kinds that
+:mod:`repro.experiments.leases` keys, so resume, dedup, ``stats``, and
+``prune`` treat them like any other artifact; it keeps its pending-task
+directory under ``<root>/queue/`` by default.
 
 ``<digest>`` is a SHA-256 over a canonical encoding of the key: a flat
 mapping of strings to scalars, strings, tuples, nested mappings, or numpy
@@ -61,15 +64,6 @@ the budget again.  The same operations are exposed on the command line::
     python -m repro.experiments.cache prune --older-than 7d [--corrupt]
     python -m repro.experiments.cache evict --budget 512M
     python -m repro.experiments.cache verify [--remove]
-
-Sweep results
--------------
-Sharded sweeps and the queue backend (:mod:`repro.experiments.queue`)
-publish per-task results as ordinary content-addressed artifacts under the
-``sweep-shard`` kind (:data:`SHARD_RESULT_KIND`/:func:`shard_result_key`)
-and quarantined (poison) tasks under ``sweep-poison``
-(:data:`POISON_KIND`/:func:`poison_key`), so resume, dedup, ``stats``, and
-``prune`` all treat them like any other artifact.
 """
 
 from __future__ import annotations
@@ -93,14 +87,9 @@ import numpy as np
 __all__ = [
     "ArtifactCache",
     "CacheStats",
-    "POISON_KIND",
-    "SHARD_RESULT_KIND",
     "cache_digest",
-    "collect_shard_results",
     "default_cache",
-    "poison_key",
     "set_default_cache",
-    "shard_result_key",
     "parse_age",
     "parse_size",
     "main",
@@ -277,7 +266,7 @@ class ArtifactCache:
         degrade silently to ``False`` — for memoization that is the right
         policy (an unpicklable artifact or a full disk must not crash the
         driver after the computation already succeeded), but callers for
-        whom storage is correctness-critical (the sharded-sweep publish
+        whom storage is correctness-critical (the queue backend's publish
         channel) must check the return value and escalate themselves.
         """
         if not self.enabled:
@@ -583,65 +572,6 @@ class ArtifactCache:
         self.__dict__.update(state)
         self._memory_lock = threading.Lock()
         self._stores_since_sweep = 0
-
-
-# ------------------------------------------------------------- shard merges
-
-#: Artifact kind under which sharded sweeps publish per-task results.  Each
-#: shard of a grid stores its slice here as tasks complete; any shard can
-#: then merge the full grid back out (see ``SweepRunner._map_sharded``).
-SHARD_RESULT_KIND = "sweep-shard"
-
-
-def shard_result_key(sweep: str, worker: str, task_digest: str) -> dict[str, str]:
-    """Store key of one task's published result within a sharded sweep.
-
-    ``sweep`` namespaces independent sweep configurations (shards that should
-    merge with each other must agree on it), ``worker`` is the worker
-    function's qualified name (two sweeps over the same grid through
-    different workers must not collide), and ``task_digest`` is the task's
-    content hash (:func:`repro.experiments.engine.task_digest`).
-    """
-    return {"sweep": str(sweep), "worker": str(worker), "task": str(task_digest)}
-
-
-#: Artifact kind for tasks the queue backend quarantined after exhausting
-#: their retry budget.  A poison entry is the task's terminal state: resumes
-#: and concurrent sweeps recall it instead of re-executing a task that is
-#: known to fail, and the coordinator reports it in the merged result rather
-#: than deadlocking the sweep waiting for a result that will never publish.
-POISON_KIND = "sweep-poison"
-
-
-def poison_key(sweep: str, worker: str, task_digest: str) -> dict[str, str]:
-    """Store key of one quarantined task (same namespace axes as results).
-
-    Mirrors :func:`shard_result_key` exactly — a task digest resolves to at
-    most one of (published result, poison entry) per ``(sweep, worker)``.
-    """
-    return {"sweep": str(sweep), "worker": str(worker), "task": str(task_digest)}
-
-
-def collect_shard_results(
-    cache: ArtifactCache, sweep: str, worker: str, task_digests: list[str]
-) -> tuple[dict[str, Any], list[str]]:
-    """Shard-aware merge: gather published task results for a grid.
-
-    Returns ``(found, missing)`` — ``found`` maps each task digest to the
-    payload some shard published, ``missing`` lists digests no shard has
-    published yet (their shards are still running, or have not run).
-    """
-    found: dict[str, Any] = {}
-    missing: list[str] = []
-    for digest in task_digests:
-        if digest in found:
-            continue
-        payload = cache.get(SHARD_RESULT_KIND, shard_result_key(sweep, worker, digest))
-        if payload is None:
-            missing.append(digest)
-        else:
-            found[digest] = payload
-    return found, missing
 
 
 #: Last invalid $REPRO_CACHE_BUDGET value warned about (warn once per value).

@@ -26,7 +26,7 @@ Grid-shaped drivers expand their operating points with
 :class:`~repro.experiments.engine.SweepRunner` (pluggable serial /
 process-pool / queue backends; see the engine module docstring for
 the worker model).  Drivers accept a ``runner`` argument so callers can share
-one pool — and one shard configuration — across experiments.
+one pool — and one backend configuration — across experiments.
 
 Command line
 ------------
@@ -36,9 +36,9 @@ and shares one execution vocabulary, wired through
 
 * ``--workers N`` / ``--backend {serial,process,queue}`` pick the
   execution backend (defaults honour ``$REPRO_SWEEP_WORKERS`` /
-  ``$REPRO_SWEEP_BACKEND``);
-* ``--shard I/N`` runs one deterministic slice of the grid and merges the
-  full table through the artifact cache once every shard has published;
+  ``$REPRO_SWEEP_BACKEND``); hosts that run the same CLI with
+  ``--backend queue`` and one shared ``--cache-dir`` split its grid between
+  them, and each prints the full table;
 * ``--stream`` prints each grid point as it completes (the engine's
   ``as_completed`` channel) instead of only the final table;
 * ``--retries/--task-timeout/--backoff`` configure the failure policy
@@ -65,7 +65,7 @@ from ..nn.network import Network
 from ..nn.trainer import Trainer, TrainingHistory
 from ..sram.variation import VariationScenario
 from .cache import ArtifactCache, cache_digest, default_cache
-from .engine import BACKEND_NAMES, ShardIncompleteError, ShardSpec, SweepRunner, SweepTask
+from .engine import BACKEND_NAMES, SweepRunner, SweepTask
 
 __all__ = [
     "PreparedBenchmark",
@@ -309,8 +309,8 @@ def partition_quarantined(values: Iterable[Any]) -> tuple[list[Any], list[Any]]:
 
     Merged sweeps may contain :class:`~repro.experiments.engine.QuarantinedTask`
     sentinels in place of results — the queue backend emits them once a
-    task's retry budget is spent, and sharded merges recall them from the
-    poison store.  Every driver's assembly path runs its ``runner.map``
+    task's retry budget is spent, or recalls them from the poison store.
+    Every driver's assembly path runs its ``runner.map``
     output through this helper so a poisoned task degrades to a marked
     ``QUARANTINED`` table row instead of an ``AttributeError`` mid-render.
     """
@@ -380,14 +380,14 @@ class ExperimentResult:
 
 
 #: argparse destinations that select *how* a sweep executes rather than what
-#: it computes.  They are excluded from the shard-store namespace so any mix
-#: of shards, backends, worker counts, and failure policies over one
-#: configuration merges (a retried result is still the same result).
+#: it computes.  They are excluded from the result-store namespace so any mix
+#: of hosts, backends, worker counts, and failure policies over one
+#: configuration recalls the same results (a retried result is still the
+#: same result).
 _EXECUTION_ARGS = frozenset(
     {
         "workers",
         "backend",
-        "shard",
         "stream",
         "cache_dir",
         "retries",
@@ -422,7 +422,7 @@ def experiment_parser(prog: str, description: str) -> argparse.ArgumentParser:
     """An argument parser pre-loaded with the shared sweep-execution flags.
 
     Drivers add their own grid arguments on top; every experiment CLI
-    therefore accepts the same ``--workers/--backend/--shard/--stream``
+    therefore accepts the same ``--workers/--backend/--stream``
     vocabulary.  ``--workers`` must be at least 1, ``--retries`` at least 0,
     ``--backoff`` finite and at least 0, and ``--task-timeout`` finite and
     above 0.
@@ -440,14 +440,6 @@ def experiment_parser(prog: str, description: str) -> argparse.ArgumentParser:
         choices=BACKEND_NAMES,
         default=None,
         help="execution backend (default: $REPRO_SWEEP_BACKEND or 'process')",
-    )
-    group.add_argument(
-        "--shard",
-        type=ShardSpec.parse,
-        default=None,
-        metavar="I/N",
-        help="run slice I of N of the grid and merge results through the "
-        "artifact cache (e.g. --shard 0/2 on one host, --shard 1/2 on another)",
     )
     group.add_argument(
         "--stream",
@@ -500,10 +492,10 @@ def runner_from_args(
 ) -> tuple[SweepRunner, ArtifactCache]:
     """Build the (runner, cache) pair an experiment CLI hands to its driver.
 
-    The shard-store label combines the sweep name with a digest of every
-    non-execution argument, so shards only merge with runs of the *same*
-    configuration — change a grid axis or a seed and the label changes with
-    it, keeping stale slices out of the merge.
+    The result-store label combines the sweep name with a digest of every
+    non-execution argument, so a run recalls only the results of runs of
+    the *same* configuration — change a grid axis or a seed and the label
+    changes with it, keeping stale results out.
     """
     cache = (
         ArtifactCache(root=args.cache_dir)
@@ -519,8 +511,7 @@ def runner_from_args(
     runner = SweepRunner(
         workers=args.workers,
         backend=args.backend,
-        shard=args.shard,
-        shard_store=cache,
+        store=cache,
         sweep_label=label,
         progress=_stream_progress if args.stream else None,
         retries=getattr(args, "retries", None),
@@ -539,10 +530,7 @@ def run_experiment_cli(
 
     ``invoke(runner, cache)`` returns the driver's result object; rendering
     (``.to_experiment_result().to_text()``) happens here, once, so output
-    policy changes land in every driver CLI simultaneously.  A
-    :class:`~repro.experiments.engine.ShardIncompleteError` is an expected
-    outcome for every shard but the last one to publish, so it reports
-    progress and exits cleanly instead of failing.
+    policy changes land in every driver CLI simultaneously.
 
     A merged result that carries quarantined tasks still prints the full
     table — every healthy row plus one marked ``QUARANTINED`` row per
@@ -550,15 +538,7 @@ def run_experiment_cli(
     was degraded.
     """
     runner, cache = runner_from_args(args, sweep)
-    try:
-        result = invoke(runner, cache)
-    except ShardIncompleteError as error:
-        print(error)
-        print(
-            "this shard's slice is published to the artifact cache; re-run any "
-            "shard after the others finish to print the merged table"
-        )
-        return 0
+    result = invoke(runner, cache)
     rendered = result.to_experiment_result()
     print(rendered.to_text())
     if rendered.quarantined:
@@ -575,8 +555,8 @@ def dispatch_canonical_main(spec: ModuleSpec) -> int:
 
     ``runpy`` executes ``python -m repro.experiments.<driver>`` as a module
     named ``__main__``, so workers defined in that copy would carry
-    ``__module__ == '__main__'`` and publish shard results under a namespace
-    that can never merge with programmatic runs of the same sweep.
+    ``__module__ == '__main__'`` and publish results under a namespace that
+    no other coordinator or programmatic run of the same sweep recalls.
     Re-importing the canonical module (``__spec__.name`` survives runpy) and
     running *its* ``main()`` keeps every worker on the canonical import path.
     """

@@ -1,4 +1,4 @@
-"""Unified sweep engine: grid expansion, pluggable backends, sharding.
+"""Unified sweep engine: grid expansion and pluggable backends.
 
 Every experiment driver regenerates its table/figure by evaluating a grid of
 operating points — benchmark × voltage × temperature × correction mode (or a
@@ -28,7 +28,9 @@ Execution is delegated to a :class:`SweepBackend`:
 * ``QueueBackend`` (:mod:`repro.experiments.queue`) — the fault-tolerant
   elastic backend: a shared-directory task queue with lease-based claims,
   heartbeat renewal, work-stealing re-execution of dead workers' tasks, and
-  poison quarantine.  See :doc:`docs/robustness`.
+  poison quarantine.  It is also how several hosts split one grid: each
+  runs the same sweep against one shared store, and their fleets claim
+  from one queue directory.  See :doc:`docs/robustness`.
 
 ``SweepRunner(backend=...)`` accepts a backend name or instance; ``None``
 falls back to ``$REPRO_SWEEP_BACKEND`` and finally to ``"process"``.  A
@@ -62,18 +64,6 @@ Streaming
 land, so long sweeps stream partial results and drivers can render tables
 incrementally.  :meth:`SweepRunner.map` is the ordered convenience built on
 top of it (collect everything, return in task order).
-
-Sharding
---------
-A :class:`ShardSpec` deterministically partitions a task list so N hosts can
-split one grid: each task is assigned by a stable content hash of its
-parameters (:func:`task_digest` — independent of list order and of the
-task's position in the grid).  A sharded :meth:`SweepRunner.map` runs only
-the shard-local slice, publishes every task result into the content-addressed
-artifact cache, then merges the full grid back out of the cache; until the
-other shards have published their slices it raises
-:class:`ShardIncompleteError`.  The last shard to finish therefore returns
-the complete, ordered result list — bit-identical to an unsharded run.
 """
 
 from __future__ import annotations
@@ -90,16 +80,7 @@ from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
-from .cache import (
-    ArtifactCache,
-    POISON_KIND,
-    SHARD_RESULT_KIND,
-    cache_digest,
-    collect_shard_results,
-    default_cache,
-    poison_key,
-    shard_result_key,
-)
+from .cache import ArtifactCache, cache_digest
 
 __all__ = [
     "SweepTask",
@@ -108,8 +89,6 @@ __all__ = [
     "SweepBackend",
     "SerialBackend",
     "ProcessBackend",
-    "ShardSpec",
-    "ShardIncompleteError",
     "QuarantinedTask",
     "RetryingWorker",
     "TaskTimeoutError",
@@ -222,7 +201,7 @@ def expand_grid(
     return tasks
 
 
-# ------------------------------------------------------------------ sharding
+# -------------------------------------------------------------- task digests
 
 
 def _digest_safe(value: Any) -> Any:
@@ -231,7 +210,7 @@ def _digest_safe(value: Any) -> Any:
     Unordered containers are sorted into a deterministic order and anything
     without a canonical encoding is rejected outright: a ``repr`` fallback
     would hash hash-randomized set ordering or memory addresses, silently
-    breaking the cross-host stability that shard assignment depends on.
+    breaking the cross-host stability that queue task names depend on.
     """
     if value is None or isinstance(
         value, (bool, np.bool_, int, np.integer, float, np.floating, str)
@@ -263,8 +242,8 @@ def task_digest(task: SweepTask) -> str:
     """Stable content hash of a task's payload (independent of grid position).
 
     Hashes the axes, driver params, and the per-task seed — never ``index``
-    — so a task keeps its digest (and therefore its shard assignment and its
-    slot in the shard result store) when the task list is reordered.  The
+    — so a task keeps its digest (and therefore its queue task file and its
+    slot in the result store) when the task list is reordered.  The
     seed keeps otherwise-identical grid points distinct, because they draw
     different randomness and may legitimately produce different results.
     """
@@ -278,73 +257,6 @@ def task_digest(task: SweepTask) -> str:
             "seed": int(task.seed),
         }
     )
-
-
-@dataclass(frozen=True)
-class ShardSpec:
-    """Deterministic ``index``-of-``count`` partition of a sweep grid.
-
-    Assignment hashes each task's content (:func:`task_digest`), not its list
-    position, so for any fixed ``count`` the shards are disjoint, cover the
-    grid, and are stable under task-list reordering — N hosts can expand the
-    same grid independently and agree on who owns what.
-    """
-
-    index: int
-    count: int
-
-    def __post_init__(self) -> None:
-        if self.count < 1:
-            raise ValueError("shard count must be >= 1")
-        if not 0 <= self.index < self.count:
-            raise ValueError(
-                f"shard index {self.index} out of range for count {self.count}"
-            )
-
-    @classmethod
-    def parse(cls, text: str) -> "ShardSpec":
-        """Parse a CLI-style ``"i/n"`` spec (e.g. ``"0/2"``)."""
-        parts = str(text).strip().split("/")
-        if len(parts) != 2:
-            raise ValueError(f"shard spec must look like 'i/n', got {text!r}")
-        try:
-            index, count = int(parts[0]), int(parts[1])
-        except ValueError as error:
-            raise ValueError(f"shard spec must look like 'i/n', got {text!r}") from error
-        return cls(index=index, count=count)
-
-    def __str__(self) -> str:
-        return f"{self.index}/{self.count}"
-
-    def owns_digest(self, digest: str) -> bool:
-        return int(digest[:16], 16) % self.count == self.index
-
-    def owns(self, task: SweepTask) -> bool:
-        """Whether this shard is responsible for executing ``task``."""
-        return self.owns_digest(task_digest(task))
-
-    def partition(self, tasks: Sequence[SweepTask]) -> list[SweepTask]:
-        """The sub-list of ``tasks`` owned by this shard (original order)."""
-        return [task for task in tasks if self.owns(task)]
-
-
-class ShardIncompleteError(RuntimeError):
-    """A sharded sweep merged, but other shards have not published yet.
-
-    The shard-local slice *did* run and its results are in the artifact
-    cache; re-running any shard after the missing ones have published
-    returns the complete merged result list.
-    """
-
-    def __init__(self, shard: ShardSpec, completed: int, missing: list[SweepTask]):
-        self.shard = shard
-        self.completed = completed
-        self.missing = missing
-        super().__init__(
-            f"shard {shard}: ran {completed} local task(s), but {len(missing)} of the "
-            f"grid's tasks are not in the shard store yet — run the remaining shards, "
-            f"then re-run any shard to merge the full grid"
-        )
 
 
 # ---------------------------------------------------------------- robustness
@@ -424,7 +336,7 @@ class RetryingWorker:
 def worker_identity(fn: Callable[..., Any]) -> str:
     """Qualified name of the user's worker function, unwrapping retry wrappers.
 
-    Shard-store and poison-store keys must name the *logical* worker: a run
+    Result-store and poison-store keys must name the *logical* worker: a run
     with ``retries=2`` and a run with ``retries=0`` execute the same
     function and must recall each other's published results.
     """
@@ -450,7 +362,7 @@ def store_label(sweep_label: str, shared: Any) -> str:
     if shared_digest is None and not sweep_label:
         raise ValueError(
             "this sweep's shared payload has no canonical digest, so the "
-            "shard store cannot distinguish configurations by content; pass "
+            "result store cannot distinguish configurations by content; pass "
             "a sweep_label= that uniquely identifies this configuration"
         )
     if shared_digest is None:
@@ -535,8 +447,8 @@ class SweepBackend(Protocol):
     """Executes a task list, yielding ``(position, result)`` as tasks finish.
 
     ``position`` indexes into the submitted task list (not ``task.index``,
-    which is grid-global and survives sharding); completion order is
-    backend-dependent and callers must not rely on it.
+    which is grid-global); completion order is backend-dependent and
+    callers must not rely on it.
     """
 
     name: str
@@ -724,20 +636,10 @@ class SweepExecution:
             self.close()
             raise
 
-    def completions(self) -> Iterator[tuple[int, SweepTask, Any]]:
-        """Yield ``(position, task, result)`` triples in completion order.
-
-        ``position`` indexes the submitted task list — it disambiguates
-        duplicate tasks for callers (like the shard publisher) that key
-        results by list slot.
-        """
-        for position, value in self._advance():
-            yield position, self.tasks[position], value
-
     def as_completed(self) -> Iterator[tuple[SweepTask, Any]]:
         """Yield ``(task, result)`` pairs in completion order."""
-        for position, task, value in self.completions():
-            yield task, value
+        for position, value in self._advance():
+            yield self.tasks[position], value
 
     def results(self) -> list[Any]:
         """Block until every task finished; return results in task order."""
@@ -781,21 +683,18 @@ class SweepRunner:
         on Linux keeps worker start cheap; ``"spawn"`` works everywhere).
     chunksize:
         Tasks handed to a pool worker per dispatch (process backend).
-    shard:
-        When set, :meth:`map` runs only this shard's slice of the grid and
-        merges the full grid through ``shard_store`` (see the module
-        docstring); streaming :meth:`submit` is shard-agnostic.
-    shard_store:
-        Artifact cache for sharded merges (``None`` → the default cache).
+    store:
+        Artifact cache the queue backend publishes task results through
+        (``None`` → the default cache).
     sweep_label:
-        Namespace for shard-store entries.  Runs that should merge with each
-        other must use the same label; runs with different configurations
-        (different grids, worker functions aside) must not share one.
+        Namespace for published results.  Runs that should recall each
+        other's results must use the same label; runs with different
+        configurations (different grids, worker functions aside) must not
+        share one.
     progress:
         Optional ``(task, result, done, total)`` callback invoked as each
-        task completes — lets CLIs render tables incrementally.  Under
-        sharding, ``done``/``total`` count the shard's slice (cache-recalled
-        results included), not just the tasks executed by this run.
+        task completes — lets CLIs render tables incrementally.  On the
+        queue backend, results recalled from the store count too.
     retries:
         Failed-task retry budget: a task is attempted at most ``retries+1``
         times.  Honored by every backend — the queue backend requeues (and
@@ -818,8 +717,7 @@ class SweepRunner:
     backend: str | SweepBackend | None = None
     mp_context: str | None = None
     chunksize: int = 1
-    shard: ShardSpec | None = None
-    shard_store: ArtifactCache | None = None
+    store: ArtifactCache | None = None
     sweep_label: str = ""
     progress: Callable[[SweepTask, Any, int, int], None] | None = None
     retries: int | None = None
@@ -858,13 +756,8 @@ class SweepRunner:
         fn: Callable[[Any, SweepTask], Any],
         tasks: Sequence[SweepTask],
         shared: Any = None,
-        progress: Callable[[SweepTask, Any, int, int], None] | None = None,
     ) -> SweepExecution:
-        """Start ``fn(shared, task)`` for every task; return a streaming handle.
-
-        ``progress`` overrides the runner-level callback for this submission
-        (``None`` falls back to :attr:`progress`).
-        """
+        """Start ``fn(shared, task)`` for every task; return a streaming handle."""
         tasks = list(tasks)
         backend, workers = self._resolve(len(tasks))
         run_fn = fn
@@ -882,12 +775,7 @@ class SweepRunner:
             # are lazy, so an abandoned execution must not inflate tasks_run
             self.tasks_run += 1
 
-        return SweepExecution(
-            tasks,
-            stream,
-            progress=progress if progress is not None else self.progress,
-            on_result=count,
-        )
+        return SweepExecution(tasks, stream, progress=self.progress, on_result=count)
 
     def as_completed(
         self,
@@ -904,135 +792,5 @@ class SweepRunner:
         tasks: Sequence[SweepTask],
         shared: Any = None,
     ) -> list[Any]:
-        """Run ``fn(shared, task)`` for every task; results in task order.
-
-        With a :class:`ShardSpec` configured, only the shard-local slice is
-        executed; see :meth:`_map_sharded` for the merge contract.
-        """
-        tasks = list(tasks)
-        if self.shard is not None and len(tasks) > 0:
-            return self._map_sharded(fn, tasks, shared)
+        """Run ``fn(shared, task)`` for every task; results in task order."""
         return self.submit(fn, tasks, shared=shared).results()
-
-    def _map_sharded(
-        self,
-        fn: Callable[[Any, SweepTask], Any],
-        tasks: list[SweepTask],
-        shared: Any,
-    ) -> list[Any]:
-        """Run this shard's slice, publish it, and merge the full grid.
-
-        Every completed task result is stored in the artifact cache under
-        ``(sweep_label, worker, task_digest)`` as it lands (so a crashed
-        shard resumes where it left off), then the full grid is assembled
-        from local results plus the other shards' published entries.  Raises
-        :class:`ShardIncompleteError` while any task is still unpublished.
-        """
-        assert self.shard is not None
-        store = self.shard_store if self.shard_store is not None else default_cache()
-        if not store.enabled and self.shard.count > 1:
-            raise ValueError(
-                "sharded sweeps merge through the artifact cache; the shard store "
-                "must be enabled (unset $REPRO_CACHE_DISABLE or pass an enabled cache)"
-            )
-        worker_name = worker_identity(fn)
-        label = store_label(self.sweep_label, shared)
-        digests = [task_digest(task) for task in tasks]
-        mine = [
-            (position, task)
-            for position, task in enumerate(tasks)
-            if self.shard.owns_digest(digests[position])
-        ]
-        # recall shard-local results a previous (possibly killed) run already
-        # published, then execute only what is still pending
-        recalled, _ = collect_shard_results(
-            store,
-            label,
-            worker_name,
-            [digests[position] for position, _ in mine],
-        )
-        local: dict[str, Any] = {
-            digest: payload["result"] for digest, payload in recalled.items()
-        }
-        pending = [
-            (position, task)
-            for position, task in mine
-            if digests[position] not in local
-        ]
-        # stream progress counts the whole shard slice, recalled tasks
-        # included, so a resumed run reports e.g. [4/4] rather than [1/1]
-        progress = None
-        if self.progress is not None:
-            recalled_count = len(mine) - len(pending)
-            done = 0
-            for position, task in mine:
-                if digests[position] in local:
-                    done += 1
-                    self.progress(task, local[digests[position]], done, len(mine))
-            outer, slice_total = self.progress, len(mine)
-
-            def progress(task, value, done, _total):
-                outer(task, value, recalled_count + done, slice_total)
-
-        execution = self.submit(
-            fn, [task for _, task in pending], shared=shared, progress=progress
-        )
-        for local_position, _, value in execution.completions():
-            digest = digests[pending[local_position][0]]
-            local[digest] = value
-            if getattr(value, "is_quarantined", False):
-                # the queue backend already recorded the poison entry under
-                # its own kind; a quarantine sentinel must never be stored
-                # as a task *result* (other shards would recall it as one)
-                continue
-            # publish as results land, not after the slice finishes: a shard
-            # killed mid-run keeps its completed work and resumes from there
-            stored = store.put(
-                SHARD_RESULT_KIND,
-                shard_result_key(label, worker_name, digest),
-                {"result": value},
-            )
-            if not stored and self.shard.count > 1:
-                # the publish is this shard's only channel to the merge; a
-                # silently dropped entry would deadlock the fleet on
-                # ShardIncompleteError with no error surfaced anywhere
-                raise RuntimeError(
-                    f"shard {self.shard}: failed to publish a task result to the "
-                    f"shard store at {store.root} (unpicklable result or "
-                    f"unwritable cache); the other shards can never merge "
-                    f"without it"
-                )
-        published, unpublished = collect_shard_results(
-            store,
-            label,
-            worker_name,
-            [digest for digest in digests if digest not in local],
-        )
-        # a task another shard quarantined has a poison entry instead of a
-        # result; merging it as a QuarantinedTask (exactly what the local
-        # queue coordinator would yield) keeps poisoned sweeps mergeable
-        # rather than deadlocked on ShardIncompleteError
-        poisoned: dict[str, QuarantinedTask] = {}
-        for digest in unpublished:
-            payload = store.get(POISON_KIND, poison_key(label, worker_name, digest))
-            if payload is not None:
-                poisoned[digest] = QuarantinedTask(
-                    task=payload.get("task"),
-                    digest=digest,
-                    attempts=int(payload.get("attempts", 0)),
-                    errors=tuple(payload.get("errors", ())),
-                )
-        results: list[Any] = []
-        missing: list[SweepTask] = []
-        for task, digest in zip(tasks, digests):
-            if digest in local:
-                results.append(local[digest])
-            elif digest in published:
-                results.append(published[digest]["result"])
-            elif digest in poisoned:
-                results.append(poisoned[digest])
-            else:
-                missing.append(task)
-        if missing:
-            raise ShardIncompleteError(self.shard, completed=len(mine), missing=missing)
-        return results

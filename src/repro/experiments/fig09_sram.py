@@ -267,8 +267,8 @@ def main(argv: list[str] | None = None) -> int:
     group_b.add_argument("--epochs", type=int, default=40)
     args = parser.parse_args(argv)
     # resolve CLI-knowable defaults onto args BEFORE run_experiment_cli
-    # digests them into the shard label: a default-seed run and an explicit
-    # `--seed 3` run are the same configuration and must merge
+    # digests them into the result-store label: a default-seed run and an
+    # explicit `--seed 3` run are the same configuration and must share results
     if args.seed is None:
         args.seed = 3 if args.figure == "a" else 1
     if args.figure == "a" and args.voltages is None:

@@ -33,7 +33,7 @@ default) each operating point's memory-adaptive fine-tuning warm-started
 from the neighboring voltage's converged weights.  ``--no-warm-start``
 retrains every point from the pristine baseline — bit-identical to the
 historical one-task-per-overscaled-grid-point flow.  Both columns stay
-shardable by benchmark and quarantine-safe (a poisoned task blanks its
+one task per benchmark and quarantine-safe (a poisoned task blanks its
 benchmark's column, never the table).
 """
 

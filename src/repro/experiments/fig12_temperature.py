@@ -133,16 +133,6 @@ def _fig12_step_worker(shared: dict, task: SweepTask) -> TemperatureStep:
     )
 
 
-#: Why Fig. 12 refuses ``--shard``: the walk is one physical experiment, not
-#: a grid of independent points.
-_SHARD_REJECTION = (
-    "the Fig. 12 trajectory walk is stateful and cannot be sharded: each step "
-    "inherits the previous step's regulator setting and persistent storage "
-    "corruption, so splitting the walk across shards would change the physics. "
-    "Run it unsharded (e.g. --workers 1) instead."
-)
-
-
 def run_fig12(
     benchmark: str = "inversek2j",
     target_voltage: float = 0.50,
@@ -169,11 +159,9 @@ def run_fig12(
 
     The walk is *stateful* (regulator state and storage corruption carry
     from step to step), so any provided ``runner`` is forced onto the
-    engine's in-process serial path and sharding is rejected — splitting
-    the walk across hosts would change the physics.
+    engine's in-process serial path — splitting the walk across workers or
+    hosts would change the physics.
     """
-    if runner is not None and runner.shard is not None:
-        raise ValueError(_SHARD_REJECTION)
     cache = cache if cache is not None else default_cache()
     prepared = prepare_benchmark(
         benchmark, num_samples=num_samples, seed=seed, cache=cache
@@ -213,7 +201,7 @@ def run_fig12(
     runner = (
         SweepRunner(parallel=False)
         if runner is None
-        else replace(runner, parallel=False, shard=None)
+        else replace(runner, parallel=False)
     )
     tasks = expand_grid(
         params=[{"temperature": c.temperature} for c in conditions], seed=seed
@@ -224,8 +212,8 @@ def run_fig12(
         "conditions": conditions,
         "safe_voltage": safe_voltage,
     }
-    # the forced serial path cannot normally quarantine, but a shard-merged
-    # store may still recall poison sentinels — render, don't crash
+    # the forced serial path cannot normally quarantine, but a custom runner
+    # may still hand back poison sentinels — render, don't crash
     steps, quarantined = partition_quarantined(
         runner.map(_fig12_step_worker, tasks, shared=shared)
     )
@@ -262,8 +250,6 @@ def main(argv: list[str] | None = None) -> int:
         help="aging V_min drift in volts per hour, accumulated over the walk",
     )
     args = parser.parse_args(argv)
-    if args.shard is not None:
-        parser.error(_SHARD_REJECTION)
     return run_experiment_cli(
         args,
         "fig12",

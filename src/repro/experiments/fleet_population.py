@@ -23,10 +23,10 @@ and each die's batch leans on :meth:`~repro.accelerator.npu.Npu.run_sweep`
 grouping plus exact-duplicate-voltage aliasing, so a stream with many
 requests at one operating point decodes each corrupted image once.
 
-A die is one engine task, so the fleet shards by die index: all backends,
-``--shard i/n``, ``--stream``; the sharded merge is bit-identical to an
-unsharded run, and a warm-cache re-run profiles no die again
-(``test_two_shards_and_warm_rerun_match_unsharded`` in
+A die is one engine task, so the fleet splits by die index: all backends,
+``--stream``; a queue run is bit-identical to a serial one, and a
+warm-cache re-run profiles no die again
+(``test_queue_and_warm_rerun_match_serial`` in
 ``tests/test_population.py`` checks both).  See
 ``docs/population.md``.
 """
@@ -208,7 +208,7 @@ def run_fleet_population(
     ``shape``/``strength`` select an optional correlated-variation scenario
     for the whole population (``"iid"`` keeps the legacy i.i.d. sampling).
     The request stream is generated once, up front, from the population's
-    own seed tree — every shard of a ``--shard i/n`` fleet run sees the
+    own seed tree — every host of a ``--backend queue`` fleet run sees the
     identical stream and each die worker serves exactly its slice.
     """
     cache = cache if cache is not None else default_cache()

@@ -8,7 +8,9 @@ coordinator from the pieces defined here:
   queue atomic claim, renew, steal, and release on a shared filesystem;
 * **retry decision** — :func:`fail_transition` turns a failed attempt into
   a requeue with backoff or a quarantine, and :func:`recall_settled` is the
-  single source of truth for "is this task done?" (the artifact store);
+  single source of truth for "is this task done?" (the artifact store,
+  under the :func:`settled_key` of :data:`RESULT_KIND` or
+  :data:`POISON_KIND`);
 * **heartbeat** — :class:`Heartbeat` renews one lease from a daemon thread
   while its task executes.
 
@@ -27,18 +29,14 @@ from collections.abc import Callable, Mapping
 from pathlib import Path
 from typing import Any
 
-from .cache import (
-    ArtifactCache,
-    POISON_KIND,
-    SHARD_RESULT_KIND,
-    poison_key,
-    shard_result_key,
-)
+from .cache import ArtifactCache
 from .engine import QuarantinedTask, retry_delay
 
 __all__ = [
     "DEFAULT_QUEUE_RETRIES",
     "Heartbeat",
+    "POISON_KIND",
+    "RESULT_KIND",
     "acquire_lease",
     "atomic_write",
     "discard",
@@ -49,6 +47,7 @@ __all__ = [
     "recall_settled",
     "release_lease",
     "renew_lease",
+    "settled_key",
     "steal_lease",
 ]
 
@@ -250,6 +249,24 @@ def fail_transition(
     }
 
 
+#: Artifact kind of a task's published result.  The name predates the queue
+#: and is kept so that results published by earlier versions are recalled.
+RESULT_KIND = "sweep-shard"
+
+#: Artifact kind of a task quarantined after exhausting its retry budget.
+POISON_KIND = "sweep-poison"
+
+
+def settled_key(label: str, worker_name: str, digest: str) -> dict[str, str]:
+    """Store key of one task's terminal state, under either kind.
+
+    ``label`` namespaces the sweep configuration (``engine.store_label``),
+    ``worker_name`` the worker function (``engine.worker_identity``) and
+    ``digest`` the task (``engine.task_digest``).
+    """
+    return {"sweep": str(label), "worker": str(worker_name), "task": str(digest)}
+
+
 def recall_settled(
     store: ArtifactCache, label: str, worker_name: str, digest: str
 ) -> tuple[str, Any] | None:
@@ -261,16 +278,13 @@ def recall_settled(
     done?" — workers use it to skip re-execution, and the coordinator uses
     it to recall prior work at zero recomputation.
     """
-    for kind, store_kind, key in (
-        ("result", SHARD_RESULT_KIND, shard_result_key),
-        ("poison", POISON_KIND, poison_key),
-    ):
-        payload = store.get(store_kind, key(label, worker_name, digest))
-        if payload is None:
-            continue
-        if kind == "result":
-            return kind, payload["result"]
-        return kind, QuarantinedTask(
+    key = settled_key(label, worker_name, digest)
+    payload = store.get(RESULT_KIND, key)
+    if payload is not None:
+        return "result", payload["result"]
+    payload = store.get(POISON_KIND, key)
+    if payload is not None:
+        return "poison", QuarantinedTask(
             task=payload.get("task"),
             digest=digest,
             attempts=int(payload.get("attempts", 0)),

@@ -21,13 +21,15 @@ overlapping grids share task state exactly when they would share results::
                                     {task, digest, attempts, not_before, errors}
         leases/<task_digest>.lease  JSON: {owner, acquired,
                                     heartbeat_deadline, hard_deadline}
-        shutdown                    sentinel: coordinator told workers to exit
+        shutdown-<run>              sentinel: coordinator run <run> told its
+                                    own workers to exit
 
-Completed results never live in the queue directory: they publish through
-the existing ``shard_result_key`` artifact-cache path (kind ``sweep-shard``),
-and quarantined tasks through ``poison_key`` (kind ``sweep-poison``).  The
-queue directory holds only *pending* state, which is why a coordinator
-restart resumes with zero recomputation — everything done is in the store.
+Completed results never live in the queue directory: they publish to the
+artifact store under :data:`~repro.experiments.leases.RESULT_KIND`, and
+quarantined tasks under :data:`~repro.experiments.leases.POISON_KIND`, both
+keyed by :func:`~repro.experiments.leases.settled_key`.  The queue directory
+holds only *pending* state, which is why a coordinator restart resumes with
+zero recomputation — everything done is in the store.
 
 Claim protocol
 --------------
@@ -52,6 +54,15 @@ the remainder, spawns the worker fleet, then runs settle / reclaim / respawn
 that made no progress waits at most ``poll_seconds`` before the next, and
 wakes as soon as a worker exits, so a fleet that drains the queue ends the
 sweep without waiting out a poll.
+
+Several coordinators may share one queue directory — hosts splitting one
+grid, or overlapping sweeps — so each stops and retires only what is its
+own.  Every submission gets a fresh run id (:attr:`WorkerSpec.run`), and
+its workers obey only the shutdown sentinel carrying that id.  At teardown
+a coordinator withdraws its sentinel and, once its own tasks have settled,
+removes only the directories left empty, never a peer's queued tasks; and
+since a peer may retire the directory first, a coordinator left without a
+fleet puts its unsettled tasks back before it drains the queue itself.
 """
 
 from __future__ import annotations
@@ -60,7 +71,6 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import pickle
-import shutil
 import sys
 import time
 from collections.abc import Callable, Iterator, Sequence
@@ -68,15 +78,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
-from .cache import (
-    ArtifactCache,
-    POISON_KIND,
-    SHARD_RESULT_KIND,
-    cache_digest,
-    default_cache,
-    poison_key,
-    shard_result_key,
-)
+from .cache import ArtifactCache, cache_digest, default_cache
 from .engine import (
     DEFAULT_BACKOFF,
     QuarantinedTask,
@@ -88,6 +90,8 @@ from .engine import (
 from .faults import NULL_INJECTOR, FaultPlan
 from .leases import (
     DEFAULT_QUEUE_RETRIES,
+    POISON_KIND,
+    RESULT_KIND,
     Heartbeat,
     acquire_lease,
     atomic_write,
@@ -98,6 +102,7 @@ from .leases import (
     recall_settled,
     release_lease,
     renew_lease,
+    settled_key,
     steal_lease,
 )
 
@@ -107,8 +112,6 @@ __all__ = [
     "QueueBackend",
     "WorkerSpec",
 ]
-
-_SHUTDOWN_SENTINEL = "shutdown"
 
 
 def _write_record(path: Path, record: dict[str, Any]) -> bool:
@@ -144,14 +147,17 @@ class WorkerSpec:
     sweep_dir: Path
     worker_index: int = 0
     fault_plan: FaultPlan | None = None
+    #: id of the coordinator run that spawned the worker: the one whose
+    #: shutdown sentinel it obeys
+    run: str = ""
 
 
 class _QueueDir:
     """One sweep's queue directory, as one worker or the coordinator sees it.
 
     Workers claim, renew, complete, and fail through it; the coordinator
-    (owner-less) enqueues, steals expired leases every round, signals
-    shutdown, and retires the directory once the sweep settles.
+    (owner-less) enqueues, steals expired leases every round, signals its
+    own workers to shut down, and retires what the sweep left empty.
     """
 
     def __init__(self, spec: WorkerSpec, owner: str = ""):
@@ -160,7 +166,7 @@ class _QueueDir:
         self.sweep_dir = Path(spec.sweep_dir)
         self.tasks_dir = self.sweep_dir / "tasks"
         self.leases_dir = self.sweep_dir / "leases"
-        self.shutdown_path = self.sweep_dir / _SHUTDOWN_SENTINEL
+        self.shutdown_path = self.sweep_dir / f"shutdown-{spec.run}"
 
     def _task_path(self, record: dict[str, Any]) -> Path:
         return self.tasks_dir / f"{record['digest']}.pkl"
@@ -250,7 +256,7 @@ class _QueueDir:
         state, payload = fail_transition(record, error, spec.retries, spec.backoff)
         if state == "poison":
             spec.store.put(
-                POISON_KIND, poison_key(spec.label, spec.worker_name, record["digest"]), payload
+                POISON_KIND, settled_key(spec.label, spec.worker_name, record["digest"]), payload
             )
             discard(self._task_path(record))
         else:
@@ -289,7 +295,6 @@ class _QueueDir:
     def enqueue(self, pending: dict[str, SweepTask]) -> None:
         self.tasks_dir.mkdir(parents=True, exist_ok=True)
         self.leases_dir.mkdir(parents=True, exist_ok=True)
-        discard(self.shutdown_path)  # stale sentinel from an earlier coordinator
         for digest, task in pending.items():
             path = self.tasks_dir / f"{digest}.pkl"
             if path.exists():
@@ -304,6 +309,22 @@ class _QueueDir:
             self.shutdown_path.touch()
         except OSError:
             pass
+
+    def retire(self, settled: bool) -> None:
+        """Withdraw this run's sentinel; once settled, remove what is left empty.
+
+        An abandoned run keeps the directory for its resume.  ``rmdir``,
+        never a tree removal: a peer coordinator's queued tasks and leases
+        keep the directory alive.
+        """
+        discard(self.shutdown_path)
+        if not settled:
+            return
+        for path in (self.tasks_dir, self.leases_dir, self.sweep_dir):
+            try:
+                path.rmdir()
+            except OSError:
+                pass
 
 
 class LeaseWorker:
@@ -352,8 +373,8 @@ class LeaseWorker:
             self.injector.before_execute(record["task"])  # may raise (poison rule)
             result = spec.fn(spec.shared, record["task"])
             if not spec.store.put(
-                SHARD_RESULT_KIND,
-                shard_result_key(spec.label, spec.worker_name, digest),
+                RESULT_KIND,
+                settled_key(spec.label, spec.worker_name, digest),
                 {"result": result, "attempts": record.get("attempts", 0) + 1},
             ):
                 # the store is the worker's channel to the coordinator; an
@@ -399,9 +420,9 @@ class QueueBackend:
     submissions by design*: results publish through the artifact ``store``
     under ``sweep_label``, so resubmitting the same sweep — after a crash,
     from another process, or concurrently — recomputes nothing that already
-    published.  ``SweepRunner`` fills ``store``/``sweep_label``/policy fields
-    from its own configuration via :meth:`configure_from_runner` (only where
-    unset here).
+    published.  On every submission ``SweepRunner`` fills the
+    ``store``/``sweep_label``/policy fields not given to the constructor
+    from its own configuration (:meth:`configure_from_runner`).
 
     Parameters
     ----------
@@ -448,6 +469,7 @@ class QueueBackend:
 
     quarantined: list[QuarantinedTask] = field(default_factory=list, init=False)
     last_stats: dict[str, int] = field(default_factory=dict, init=False)
+    _given: dict[str, Any] = field(default_factory=dict, init=False, repr=False)
 
     name = "queue"
     #: SweepRunner must not downgrade this backend to the in-process serial
@@ -457,20 +479,21 @@ class QueueBackend:
     #: not additionally wrap the worker in RetryingWorker
     handles_retries = True
 
+    def __post_init__(self) -> None:
+        self._given = {
+            name: getattr(self, name)
+            for name in _RUNNER_FIELDS
+            if getattr(self, name) not in (None, "")
+        }
+
     def configure_from_runner(self, runner: Any) -> None:
-        """Adopt runner-level configuration for fields not set explicitly."""
-        if self.store is None:
-            self.store = runner.shard_store
-        if not self.sweep_label and runner.sweep_label:
-            self.sweep_label = runner.sweep_label
-        if self.retries is None:
-            self.retries = runner.retries
-        if self.task_timeout is None:
-            self.task_timeout = runner.task_timeout
-        if self.backoff is None:
-            self.backoff = runner.backoff
-        if self.mp_context is None:
-            self.mp_context = runner.mp_context
+        """Take the current runner's configuration for every field not given here.
+
+        Re-done on each submission, so a backend reused across runners never
+        keeps a previous runner's store or label (and with them, its results).
+        """
+        for name in _RUNNER_FIELDS:
+            setattr(self, name, self._given.get(name, getattr(runner, name)))
 
     def submit(
         self,
@@ -514,6 +537,7 @@ class QueueBackend:
             fault_plan=(
                 self.fault_plan if self.fault_plan is not None else FaultPlan.from_env()
             ),
+            run=os.urandom(8).hex(),
         )
 
     def _coordinate(
@@ -567,6 +591,9 @@ class QueueBackend:
         spawn_budget = workers + 4 * workers + 4  # the fleet plus its respawns
         inline: LeaseWorker | None = None
 
+        def pending_tasks() -> dict[str, SweepTask]:
+            return {digest: tasks[slots[0]] for digest, slots in positions.items()}
+
         def spawn() -> None:
             nonlocal next_index
             process = context.Process(
@@ -580,7 +607,7 @@ class QueueBackend:
 
         try:
             # enqueue only the unsettled remainder, then spawn the fleet
-            queue.enqueue({digest: tasks[slots[0]] for digest, slots in positions.items()})
+            queue.enqueue(pending_tasks())
             for _ in range(min(workers, len(positions))):
                 spawn()
             while positions:
@@ -613,10 +640,12 @@ class QueueBackend:
                         stats["respawns"] += 1
                 # inline drain: with no fleet left the coordinator claims
                 # from the queue itself — a sweep must terminate even with
-                # zero surviving workers
+                # zero surviving workers.  A peer coordinator may have
+                # retired the directory, so what is unsettled goes back first
                 if not processes:
                     if inline is None:
                         inline = LeaseWorker(replace(spec, worker_index=-1, fault_plan=None))
+                    queue.enqueue(pending_tasks())
                     if inline.step() == "worked":
                         stats["inline_drained"] += 1
                         progressed = True
@@ -640,11 +669,11 @@ class QueueBackend:
                 for process in processes
                 if process not in terminated
             )
-            # a fully settled sweep retires its queue directory (everything
-            # worth keeping lives in the store); an abandoned sweep keeps it
-            # so a resume picks the queue back up
-            if not positions:
-                shutil.rmtree(queue.sweep_dir, ignore_errors=True)
+            queue.retire(settled=not positions)
+
+
+#: QueueBackend fields a runner configures unless the constructor was given them.
+_RUNNER_FIELDS = ("store", "sweep_label", "retries", "task_timeout", "backoff", "mp_context")
 
 
 def _stop_fleet(processes: list[Any], grace: float) -> list[Any]:

@@ -24,9 +24,8 @@ reported as ``fits=no`` rows rather than errors, so a sweep can chart the
 capacity wall itself.
 
 Like every driver, the grid expands into independent seeded tasks and runs
-through the sweep engine — all backends, ``--shard i/n``, ``--stream``; the
-sharded merge is bit-identical to an unsharded run
-(``test_two_way_shard_merge_is_bit_identical`` in
+through the sweep engine — all backends, ``--stream``; a queue run is
+bit-identical to a serial one (``test_queue_run_is_bit_identical`` in
 ``tests/test_scaling_geometry.py`` checks it).
 """
 
@@ -83,9 +82,9 @@ class GeometryPoint:
     """Measurements for one (workload, num_pes, words_per_bank) grid point.
 
     Unmeasured fields (a workload that does not fit the geometry) are
-    ``None`` rather than NaN: points round-trip through the shard store's
+    ``None`` rather than NaN: points round-trip through the result store's
     pickle channel, and NaN's self-inequality would make bit-identical
-    merge comparisons spuriously fail.
+    comparisons spuriously fail.
     """
 
     workload: str
@@ -193,8 +192,8 @@ def _scaling_point_worker(shared: dict, task: SweepTask) -> GeometryPoint:
             utilization=report.utilization,
         )
 
-    # chip seed derives from the task's content-stable seed, so sharded and
-    # reordered grids sample identical per-point chip instances
+    # chip seed derives from the task's content-stable seed, so every
+    # backend, and a reordered grid, samples identical per-point chips
     chip = make_chip(
         seed=shared["chip_seed"] + int(task.seed) % 1_000_003,
         words_per_bank=words_per_bank,

@@ -25,8 +25,8 @@ the legacy models (``tests/test_variation_scenarios.py``: the
 ``TestCorrelatedVminModel`` and ``TestScenario`` cases check it).
 
 Like every driver, the grid expands into independent seeded tasks and runs
-through the sweep engine — all backends, ``--shard i/n``, ``--stream``; the
-sharded merge is bit-identical to an unsharded run.
+through the sweep engine — all backends, ``--stream``; a queue run is
+bit-identical to a serial one.
 """
 
 from __future__ import annotations
@@ -87,8 +87,8 @@ class VariationPoint:
     """Measurements for one (benchmark, shape, strength) grid point.
 
     Unmeasured fields are ``None`` rather than NaN: points round-trip
-    through the shard store's pickle channel, and NaN's self-inequality
-    would make bit-identical merge comparisons spuriously fail.
+    through the result store's pickle channel, and NaN's self-inequality
+    would make bit-identical comparisons spuriously fail.
     """
 
     benchmark: str
@@ -246,8 +246,8 @@ def _variation_point_worker(shared: dict, task: SweepTask) -> VariationPoint:
     scenario = VariationScenario(
         name=f"{shape}-{strength:.2f}-tt", correlation=spec
     )
-    # chip seed derives from the task's content-stable seed, so sharded and
-    # reordered grids sample identical per-point dies
+    # chip seed derives from the task's content-stable seed, so every
+    # backend, and a reordered grid, samples identical per-point dies
     base_seed = shared["chip_seed"] + int(task.seed) % 1_000_003
 
     die_vmins = []

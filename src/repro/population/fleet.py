@@ -21,11 +21,11 @@ existing memoization layers rather than adding its own:
   that routes many requests to the same operating point decodes each
   corrupted weight image once.
 
-Sharding composes for free: a die is one unit of work, so a driver that
-expands ``{"die": i}`` tasks through the sweep engine gets ``--shard i/n``
-fleet splits whose merge is bit-identical to an unsharded run
-(``test_two_shards_and_warm_rerun_match_unsharded`` in
-``tests/test_population.py`` checks it).
+Splitting a fleet composes for free: a die is one unit of work, so a driver
+that expands ``{"die": i}`` tasks through the sweep engine runs on every
+backend, and its queue runs (on one host or several sharing a cache) are
+bit-identical to a serial run (``test_queue_and_warm_rerun_match_serial``
+in ``tests/test_population.py`` checks it).
 
 The module is deliberately below the ``repro.experiments`` layer: it knows
 chips, flows, and canaries, but nothing about argument parsing, caches-by-
@@ -77,9 +77,9 @@ class ChipPopulation:
 
     Each die's variation sample comes from the spawn child
     ``SeedSequence(entropy, spawn_key=(die,))`` — the documented identity
-    for ``SeedSequence(entropy).spawn(die + 1)[die]`` — so a sharded fleet
-    materializes only its own dies, in O(1) per die, and still samples the
-    exact population an unsharded run would.  ``scenario`` threads a
+    for ``SeedSequence(entropy).spawn(die + 1)[die]`` — so a worker
+    materializes only the dies it runs, in O(1) per die, and still samples
+    the exact population a serial run would.  ``scenario`` threads a
     :class:`~repro.sram.variation.VariationScenario` (correlated sampling,
     process corner) into every die.
     """
@@ -125,7 +125,7 @@ class ChipPopulation:
         balancing) and an SRAM operating voltage (uniform over ``voltages``
         — the mixed-operating-point serving mix).  The stream derives from
         its own branch of the population's seed tree, so it is identical
-        for every shard of a fleet sweep and never perturbs die sampling.
+        for every host of a fleet sweep and never perturbs die sampling.
         """
         if num_requests < 0:
             raise ValueError("num_requests must be non-negative")
@@ -147,8 +147,8 @@ class DieReport:
     """Everything one die contributes to the fleet picture.
 
     Unmeasured fields are ``None`` rather than NaN: reports round-trip
-    through the shard store's pickle channel, and NaN's self-inequality
-    would make bit-identical merge comparisons spuriously fail.
+    through the result store's pickle channel, and NaN's self-inequality
+    would make bit-identical comparisons spuriously fail.
     """
 
     die: int

@@ -9,7 +9,7 @@ Three layers of soundness guarantees for the batched MATIC path:
    procedure it models was customized.
 2. **Cold-path identity**: `deploy_adaptive_sweep(warm_start=False)` must be
    bit-identical to the historical one-`deploy_adaptive`-per-voltage flow,
-   and shard-merged chained adaptive tasks bit-identical to unsharded runs.
+   and chained adaptive tasks run on the queue bit-identical to serial runs.
 3. **Warm-start soundness**: warm points converge within tolerance of cold
    ones, under the reduced budget, and warm/cold artifacts never collide in
    the trained-weights cache (the initial-weights content keys the lineage).
@@ -335,15 +335,12 @@ class TestWarmStartSoundness:
             )
 
 
-class TestShardedAdaptiveMerge:
-    def test_shard_merged_chained_tasks_bit_identical_to_unsharded(self, tmp_path):
-        """The chained adaptive task shards by benchmark like the naive one;
-        a two-shard split must merge bit-identical to the unsharded run."""
-        from repro.experiments.engine import (
-            ShardIncompleteError,
-            ShardSpec,
-            SweepRunner,
-        )
+class TestQueuedAdaptiveSweep:
+    def test_queued_chained_tasks_bit_identical_to_serial(self, tmp_path):
+        """The chained adaptive task is one task per benchmark like the naive
+        one; run on the queue, through its result store, it must match the
+        serial run bit for bit."""
+        from repro.experiments.engine import SweepRunner
         from repro.experiments.fig10_error_vs_voltage import run_fig10
 
         cache = ArtifactCache(root=tmp_path / "cache")
@@ -356,26 +353,12 @@ class TestShardedAdaptiveMerge:
         )
         reference = run_fig10(runner=SweepRunner(workers=1), **kwargs)
 
-        store = ArtifactCache(root=tmp_path / "shards")
-        for index in range(2):
-            try:
-                run_fig10(
-                    runner=SweepRunner(
-                        workers=1,
-                        shard=ShardSpec(index, 2),
-                        shard_store=store,
-                        sweep_label="fig10-adaptive-shard-test",
-                    ),
-                    **kwargs,
-                )
-            except ShardIncompleteError:
-                pass
         merged = run_fig10(
             runner=SweepRunner(
                 workers=1,
-                shard=ShardSpec(0, 2),
-                shard_store=store,
-                sweep_label="fig10-adaptive-shard-test",
+                backend="queue",
+                store=ArtifactCache(root=tmp_path / "results"),
+                sweep_label="fig10-adaptive-queue-test",
             ),
             **kwargs,
         )

@@ -24,6 +24,7 @@ from repro.experiments.engine import (
     expand_grid,
     resolve_backend,
     store_label,
+    task_digest,
     worker_identity,
 )
 
@@ -101,6 +102,57 @@ class TestExpandGrid:
         merged = task.with_params(y=2)
         assert merged.param("x") == 1 and merged.param("y") == 2
         assert task.param("y", "missing") == "missing"
+
+
+class TestTaskDigest:
+    """Queue task files are named by the digest, so every host must agree on it."""
+
+    def test_digest_ignores_index_but_not_seed(self):
+        from dataclasses import replace
+
+        task = expand_grid(params=[{"value": 1}], seed=9)[0]
+        assert task_digest(replace(task, index=99)) == task_digest(task)
+        assert task_digest(replace(task, seed=task.seed + 1)) != task_digest(task)
+
+    def test_digest_canonicalizes_sets_and_rejects_opaque_objects(self):
+        # set iteration order is hash-randomized, so the digest must sort it;
+        # objects with address-bearing reprs have no stable encoding at all
+        # and must fail loudly rather than silently name tasks differently
+        a = expand_grid(params=[{"tags": {"x", "y", "z"}}], seed=2)[0]
+        b = expand_grid(params=[{"tags": frozenset(["z", "y", "x"])}], seed=2)[0]
+        assert task_digest(a) == task_digest(b)
+        opaque = expand_grid(params=[{"obj": object()}], seed=2)[0]
+        with pytest.raises(TypeError, match="canonical digest"):
+            task_digest(opaque)
+        # object-dtype arrays hash element addresses — equally unstable
+        boxed = expand_grid(
+            params=[{"arr": np.array([{"a": 1}, {"b": 2}], dtype=object)}], seed=2
+        )[0]
+        with pytest.raises(TypeError, match="canonical digest"):
+            task_digest(boxed)
+
+    def test_digest_equal_across_processes(self):
+        # content-addressed (sha256), not Python-hash based: another process
+        # with another PYTHONHASHSEED names every task the same
+        import subprocess
+        import sys
+
+        grid = "expand_grid(voltages=(0.5, 0.46, 0.44), params=None, seed=3) + " \
+            "expand_grid(params=[{'tags': {'x', 'y', 'z'}}], seed=3)"
+        script = (
+            "from repro.experiments.engine import expand_grid, task_digest\n"
+            f"print(' '.join(task_digest(task) for task in {grid}))\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": "12345"},
+            check=True,
+        )
+        tasks = eval(grid, {"expand_grid": expand_grid})
+        assert result.stdout.split() == [task_digest(task) for task in tasks]
 
 
 class TestSweepRunner:
@@ -437,7 +489,7 @@ class TestDriverEquivalence:
                 runner=SweepRunner(
                     workers=workers,
                     backend=backend,
-                    shard_store=ArtifactCache(root=tmp_path / backend),
+                    store=ArtifactCache(root=tmp_path / backend),
                 ),
             )
             rows.append(
@@ -572,19 +624,35 @@ class TestDriverCLIs:
         assert info.value.code == 0
         out = capsys.readouterr().out
         for flag in (
-            "--workers", "--backend", "--shard", "--stream",
+            "--workers", "--backend", "--stream",
             "--retries", "--task-timeout", "--backoff",
         ):
             assert flag in out, f"{module_name} --help is missing {flag}"
+        assert "--shard" not in out, "the queue backend is the one way to split a grid"
         if module_name in ("fig10_error_vs_voltage", "table1_application_error"):
             # the adaptive column's warm-start toggle (and its cold-path
             # spelling) must be advertised by both drivers that run it
             for flag in ("--warm-start", "--no-warm-start"):
                 assert flag in out, f"{module_name} --help is missing {flag}"
 
+    def test_queue_backend_refuses_a_disabled_cache(self, monkeypatch, tmp_path):
+        """``$REPRO_CACHE_DISABLE`` turns off the store a CLI builds; the
+        queue publishes through that store, so it refuses to run rather than
+        run a sweep whose results nobody could recall."""
+        from repro.experiments import cache, fig09_sram
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_CACHE_DISABLE", "1")
+        monkeypatch.setattr(cache, "_DEFAULT_CACHE", None)
+        with pytest.raises(ValueError, match="REPRO_CACHE_DISABLE"):
+            fig09_sram.main(["--figure", "a", "--num-words", "256", "--voltages", "0.42",
+                             "0.46", "--backend", "queue", "--workers", "1"])
+        assert not any(tmp_path.iterdir())  # nothing queued, nothing published
+
     def test_shard_label_is_pinned_across_execution_flags(self, monkeypatch, tmp_path):
-        """The shard-store label digests only what a sweep computes, so
-        execution flags never move it."""
+        """The result-store label digests only what a sweep computes, so
+        execution flags never move it, and results published by earlier
+        versions are still recalled."""
         from repro.experiments import fig09_sram
         from repro.experiments.common import runner_from_args
 
@@ -816,8 +884,8 @@ class TestQuarantineRendering:
 
     def test_serial_walk_driver_renders_recalled_sentinels(self):
         """Fig. 12's forced-serial walk cannot be poisoned through the queue,
-        but a shard-merged store can still recall sentinels into its result —
-        rendering must tolerate them like every grid driver."""
+        but a result may still carry recalled sentinels — rendering must
+        tolerate them like every grid driver."""
         from repro.experiments.fig12_temperature import Fig12Result
 
         result = Fig12Result(
@@ -852,8 +920,8 @@ def _blank_column(lines: list[str], header: str) -> list[str]:
     ]
 
 
-#: Small grids the CLI table diffs below split into two shards.
-_SHARD_CLI_CASES = [
+#: Small grids the CLI table diffs below run on two queue coordinators.
+_TWO_COORDINATOR_CASES = [
     (
         "fig09_sram",
         ["--figure", "a", "--num-words", "256",
@@ -871,42 +939,62 @@ class TestCliTableDiffs:
     """A driver CLI's table must not depend on how its sweep executed.
 
     Each case runs ``main(argv)`` of one driver under different execution
-    flags (shards, backends, a fault plan, the warm-start toggle) and
+    flags (two coordinators, backends, a fault plan, the warm-start toggle) and
     compares the printed tables line for line, with the ``--stream``
     progress lines dropped.
     """
 
     @pytest.mark.parametrize(
         "module_name, args",
-        _SHARD_CLI_CASES,
-        ids=[case[0] for case in _SHARD_CLI_CASES],
+        _TWO_COORDINATOR_CASES,
+        ids=[case[0] for case in _TWO_COORDINATOR_CASES],
     )
-    def test_two_shards_match_unsharded(self, module_name, args, tmp_path, capsys):
-        """Shard 0 runs as ``python -m`` in a subprocess and shard 1 in this
-        process; shard 1 merges the whole grid out of the shared cache.
+    def test_two_coordinators_match_default_backend(
+        self, module_name, args, tmp_path, monkeypatch, capsys
+    ):
+        """Two queue coordinators share one ``--cache-dir``: one runs as
+        ``python -m`` in a subprocess, the other in this process with a
+        delay rule slowing its worker, so the two overlap.  Both print the
+        default backend's table, and each task is published once.
 
         The subprocess pins ``common.dispatch_canonical_main``: without it,
-        shard 0's workers live in ``__main__`` and publish under a name
-        shard 1 cannot merge."""
+        its workers live in ``__main__`` and publish where this process's
+        coordinator cannot recall them — every task would publish twice."""
         import subprocess
         import sys
 
+        from repro.experiments.faults import ENV_FAULT_PLAN
+
         args = [*args, "--cache-dir", str(tmp_path)]
+        queue = [*args, "--backend", "queue", "--workers", "1", "--stream"]
         src = os.path.join(os.path.dirname(__file__), "..", "src")
-        first = subprocess.run(
-            [sys.executable, "-m", f"repro.experiments.{module_name}",
-             *args, "--shard", "0/2", "--stream"],
-            capture_output=True,
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop(ENV_FAULT_PLAN, None)
+        other = subprocess.Popen(
+            [sys.executable, "-m", f"repro.experiments.{module_name}", *queue],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
             text=True,
-            env={**os.environ, "PYTHONPATH": src},
+            env=env,
         )
-        assert first.returncode == 0, first.stderr
-        assert "slice is published" in first.stdout  # shard 0 alone cannot merge
-        module = importlib.import_module(f"repro.experiments.{module_name}")
-        assert module.main([*args, "--shard", "1/2", "--stream"]) == 0
-        merged = _table(capsys.readouterr().out)
+        try:
+            monkeypatch.setenv(ENV_FAULT_PLAN, '[{"kind": "delay", "worker": 0, "seconds": 0.1}]')
+            module = importlib.import_module(f"repro.experiments.{module_name}")
+            assert module.main(queue) == 0
+            out = capsys.readouterr().out
+            other_out, other_err = other.communicate(timeout=60)
+        finally:
+            if other.poll() is None:
+                other.kill()
+                other.wait()
+        assert other.returncode == 0, other_err
+        monkeypatch.delenv(ENV_FAULT_PLAN)
         assert module.main(args) == 0
-        assert merged == _table(capsys.readouterr().out)
+        default = _table(capsys.readouterr().out)
+        assert _table(out) == default
+        assert _table(other_out) == default
+        total = int(out.splitlines()[0].split("/")[1].split("]")[0])  # "[i/N] ..."
+        assert len(list((tmp_path / "sweep-shard").glob("*.pkl"))) == total
 
     def test_queue_kill_and_resume_match_default_backend(
         self, tmp_path, monkeypatch, capsys

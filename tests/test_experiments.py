@@ -136,26 +136,6 @@ class TestTrainingDrivers:
             assert 0.40 <= step.sram_voltage <= 0.62
             assert step.vmin_shift == 0.0  # no aging by default
 
-    def test_fig12_rejects_sharding_with_clear_error(self):
-        from repro.experiments.engine import ShardSpec, SweepRunner
-
-        with pytest.raises(ValueError, match="stateful and cannot be sharded"):
-            run_fig12(
-                benchmark="inversek2j",
-                num_samples=400,
-                adaptive_epochs=15,
-                seed=4,
-                runner=SweepRunner(workers=1, shard=ShardSpec(0, 2)),
-            )
-
-    def test_fig12_cli_rejects_shard_flag(self, capsys):
-        from repro.experiments.fig12_temperature import main
-
-        with pytest.raises(SystemExit) as info:
-            main(["--shard", "0/2", "--num-samples", "400"])
-        assert info.value.code != 0
-        assert "cannot be sharded" in capsys.readouterr().err
-
     def test_fig12_accepts_workers_1_runner(self):
         from repro.experiments.engine import SweepRunner
 

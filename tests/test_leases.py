@@ -24,9 +24,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments import leases, queue
-from repro.experiments.cache import SHARD_RESULT_KIND, ArtifactCache, shard_result_key
+from repro.experiments.cache import ArtifactCache
 from repro.experiments.engine import expand_grid
-from repro.experiments.leases import Heartbeat, read_lease, recall_settled
+from repro.experiments.leases import (
+    RESULT_KIND,
+    Heartbeat,
+    read_lease,
+    recall_settled,
+    settled_key,
+)
 from repro.experiments.queue import LeaseWorker, WorkerSpec, _QueueDir, _read_record
 
 DIGESTS = ("d0", "d1", "d2", "d3")
@@ -89,8 +95,8 @@ def _queue(root: Path, digests, retries: int = RETRIES, **kw):
 
 def _publish(store: ArtifactCache, digest: str) -> None:
     store.put(
-        SHARD_RESULT_KIND,
-        shard_result_key(LABEL, WORKER, digest),
+        RESULT_KIND,
+        settled_key(LABEL, WORKER, digest),
         {"result": f"result-{digest}", "attempts": 1},
     )
 
@@ -241,12 +247,42 @@ class TestQueueProperties:
             clock.now += 0.5  # past the hard deadline, inside the renewed lease
             assert coordinator.reclaim() == 1
 
-    def test_shutdown_stops_claims_until_next_enqueue(self, tmp_path):
-        _, coordinator, queues = _queue(tmp_path, ["d0"])
+    def test_shutdown_stops_only_its_own_runs_workers(self, tmp_path):
+        """Two coordinator runs share one queue directory: one run's
+        shutdown stops its own workers, not the other run's, and retiring
+        it leaves the other run's queued task in place."""
+        store = ArtifactCache(root=tmp_path / "cache")
+        first = _spec(tmp_path, store, run="first")
+        second = _spec(tmp_path, store, run="second")
+        coordinator = _QueueDir(first)
+        coordinator.enqueue({"d0": "task-d0"})
+        _QueueDir(second).enqueue({"d0": "task-d0"})
         coordinator.shutdown()
-        assert queues["w0"].claim() == ("shutdown", None)
-        coordinator.enqueue({})
-        assert queues["w0"].claim()[1]["digest"] == "d0"
+        assert _QueueDir(first, "w0").claim() == ("shutdown", None)
+        status, record = _QueueDir(second, "w1").claim()
+        assert (status, record["digest"]) == ("claimed", "d0")
+        coordinator.retire(settled=True)
+        assert not coordinator.shutdown_path.exists()
+        assert _on_disk(coordinator) == ({"d0"}, {"d0": "w1"})
+
+
+class TestSettledKey:
+    def test_entries_published_before_are_recalled(self, tmp_path):
+        """A result and a poison entry stored under the kinds and key dicts
+        that earlier versions wrote are both recalled."""
+        store = ArtifactCache(root=tmp_path / "cache")
+        for kind, digest, payload in (
+            ("sweep-shard", "d0", {"result": 0.8, "attempts": 1}),
+            ("sweep-poison", "d1", {"task": None, "digest": "d1", "attempts": 3,
+                                    "errors": ("boom",) * 3}),
+        ):
+            store.put(kind, {"sweep": LABEL, "worker": WORKER, "task": digest}, payload)
+        fresh = ArtifactCache(root=tmp_path / "cache")  # disk, not the memory layer
+        assert recall_settled(fresh, LABEL, WORKER, "d0") == ("result", 0.8)
+        kind, poison = recall_settled(fresh, LABEL, WORKER, "d1")
+        assert kind == "poison"
+        assert (poison.digest, poison.attempts, poison.errors) == ("d1", 3, ("boom",) * 3)
+        assert recall_settled(fresh, LABEL, WORKER, "d2") is None
 
 
 class TestStaleFailure:

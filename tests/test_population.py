@@ -2,7 +2,7 @@
 
 The acceptance bar: per-die ``SeedSequence.spawn`` children match numpy's
 spawn tree exactly (so any die can be re-materialized in isolation), the
-seeded request stream is deterministic and shard-independent, a fleet of
+seeded request stream is deterministic and host-independent, a fleet of
 one die is bit-identical to a direct :func:`simulate_die` call, and the
 driver's duplicate-voltage serving path aliases rather than recomputes.
 """
@@ -14,7 +14,7 @@ import pytest
 
 from repro.experiments.cache import ArtifactCache
 from repro.experiments.common import default_flow, prepare_benchmark
-from repro.experiments.engine import ShardIncompleteError, ShardSpec, SweepRunner
+from repro.experiments.engine import SweepRunner
 from repro.experiments.fleet_population import (
     DEFAULT_OPERATING_VOLTAGES,
     run_fleet_population,
@@ -223,9 +223,10 @@ class TestFleetPopulationDriver:
         assert fleet.requests_by_voltage == direct.requests_by_voltage
         assert fleet.seed == direct.seed
 
-    def test_two_shards_and_warm_rerun_match_unsharded(self, tmp_path):
-        """A fleet split two ways merges to the unsharded reports, and a warm
-        re-run over the same store matches without profiling any die again."""
+    def test_queue_and_warm_rerun_match_serial(self, tmp_path):
+        """A fleet on the queue backend, whose reports round-trip through the
+        result store, matches the serial reports, and a warm re-run over the
+        same store matches without profiling any die again."""
         kwargs = dict(
             benchmark="inversek2j",
             dies=4,
@@ -252,18 +253,14 @@ class TestFleetPopulationDriver:
         assert warm.reports == reference.reports
         assert profile_artifacts() == profiled  # every die profile recalled
 
-        def shard_runner(index):
-            return SweepRunner(
-                workers=1,
-                shard=ShardSpec(index, 2),
-                shard_store=store,
-                sweep_label="fleet-shard-test",
-            )
-
-        with pytest.raises(ShardIncompleteError):
-            run_fleet_population(runner=shard_runner(0), cache=store, **kwargs)
-        merged = run_fleet_population(runner=shard_runner(1), cache=store, **kwargs)
-        assert merged.reports == reference.reports
+        queued = run_fleet_population(
+            runner=SweepRunner(
+                workers=1, backend="queue", store=store, sweep_label="fleet-queue-test"
+            ),
+            cache=store,
+            **kwargs,
+        )
+        assert queued.reports == reference.reports
 
     def test_fleet_run_and_rendering(self, cache, flow):
         result = run_fleet_population(

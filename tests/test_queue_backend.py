@@ -5,7 +5,9 @@ queue and kill them mid-flight: the acceptance bar is that the merged sweep
 stays bit-identical to :class:`SerialBackend` no matter which workers die,
 that a restarted coordinator recomputes nothing already published, and that
 a poisonous task is quarantined after exactly ``retries + 1`` attempts
-instead of deadlocking the sweep.
+instead of deadlocking the sweep.  Coordinators sharing one queue directory
+must each finish their own sweep, whichever of them finishes or is
+abandoned first.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from repro.experiments.engine import (
     expand_grid,
     resolve_backend,
     retry_delay,
+    task_digest,
 )
 from repro.experiments.faults import (
     ENV_FAULT_PLAN,
@@ -78,6 +81,20 @@ def _logged_worker(shared, task):
     return _draw_worker(shared, task)
 
 
+def _slow_worker(shared, task):
+    time.sleep(shared["sleep"])
+    return _draw_worker(shared, task)
+
+
+#: read by ``_scaled_worker`` in whichever process runs it (a forked worker
+#: inherits it), the way CLI arguments reach a worker outside ``shared``
+_SCALE = {"value": 1.0}
+
+
+def _scaled_worker(shared, task):
+    return task.voltage * _SCALE["value"]
+
+
 def _poison_worker(shared, task):
     _log_execution(shared["log"], f"{task.voltage}")
     if task.voltage == shared["bad"]:
@@ -105,7 +122,7 @@ def _queue_backend(store, **kw):
 def _runner(backend, store, **kw):
     kw.setdefault("workers", 2)
     kw.setdefault("sweep_label", "queue-test")
-    return SweepRunner(backend=backend, shard_store=store, **kw)
+    return SweepRunner(backend=backend, store=store, **kw)
 
 
 class TestLeaseFiles:
@@ -315,7 +332,7 @@ class TestQueueBackend:
         monkeypatch.setenv("REPRO_SWEEP_BACKEND", "queue")
         tasks = _grid(4)
         shared = {"offset": 2}
-        runner = SweepRunner(workers=2, shard_store=store, sweep_label="env-queue")
+        runner = SweepRunner(workers=2, store=store, sweep_label="env-queue")
         results = runner.map(_draw_worker, tasks, shared=shared)
         serial = SweepRunner(workers=1).map(_draw_worker, tasks, shared=shared)
         assert results == serial
@@ -542,6 +559,49 @@ class TestQueueBackend:
         counts = _log_counts(shared["log"])
         assert len(counts) == 8 and set(counts.values()) == {1}
 
+    def test_disjoint_slices_merge_without_recompute(self, store, tmp_path):
+        """Two coordinators that each settle one half of a grid leave a
+        third nothing to run: it recalls the whole grid from the store."""
+        tasks = _grid(8)
+        shared = {"offset": 4, "log": str(tmp_path / "executions.log")}
+        for half in (tasks[::2], tasks[1::2]):
+            _runner(_queue_backend(store), store).map(_logged_worker, half, shared=shared)
+        counts = _log_counts(shared["log"])
+        assert len(counts) == 8 and set(counts.values()) == {1}
+        backend = _queue_backend(store)
+        merged = _runner(backend, store).map(_logged_worker, tasks, shared=shared)
+        assert merged == SweepRunner(workers=1).map(_draw_worker, tasks, shared={"offset": 4})
+        assert (backend.last_stats["recalled"], backend.last_stats["enqueued"]) == (8, 0)
+        assert _log_counts(shared["log"]) == counts
+
+    def test_fig9a_interrupted_then_resumed_matches_serial(self, store):
+        """A real driver interrupted mid-sweep, as Ctrl-C does, then run
+        again: the resume prints the serial table from what the interrupted
+        run published plus the rest, and a third run recomputes nothing."""
+        from repro.experiments.fig09_sram import run_fig9a
+
+        kwargs = dict(voltages=np.arange(0.40, 0.561, 0.02), num_words=1024)
+
+        def rows(runner):
+            return [
+                (p.voltage, p.measured_rate, p.predicted_rate, p.word_rate)
+                for p in run_fig9a(runner=runner, **kwargs).points
+            ]
+
+        def interrupt(task, result, done, total):
+            if done == 2:
+                raise KeyboardInterrupt
+
+        serial = rows(SweepRunner(workers=1))
+        with pytest.raises(KeyboardInterrupt):
+            rows(_runner(_queue_backend(store), store, progress=interrupt))
+        resumed = _queue_backend(store)
+        assert rows(_runner(resumed, store)) == serial
+        assert 2 <= resumed.last_stats["recalled"] < len(serial)
+        rerun = _queue_backend(store)
+        assert rows(_runner(rerun, store)) == serial
+        assert (rerun.last_stats["recalled"], rerun.last_stats["enqueued"]) == (len(serial), 0)
+
     def test_poison_quarantined_after_exact_budget(self, store, tmp_path):
         tasks = _grid(5)
         shared = {
@@ -629,24 +689,57 @@ class TestQueueBackend:
         assert max(counts.values()) >= 2  # the stalled task ran twice
 
     def test_disabled_store_rejected(self, tmp_path):
-        backend = QueueBackend(
-            store=ArtifactCache(root=tmp_path / "cache", enabled=False)
-        )
+        disabled = ArtifactCache(root=tmp_path / "cache", enabled=False)
         with pytest.raises(ValueError, match="REPRO_CACHE_DISABLE"):
-            _runner(backend, None).map(_draw_worker, _grid(2), shared={"offset": 0})
+            _runner(QueueBackend(store=disabled), None).map(
+                _draw_worker, _grid(2), shared={"offset": 0}
+            )
+        with pytest.raises(ValueError, match="REPRO_CACHE_DISABLE"):
+            _runner("queue", disabled).map(_draw_worker, _grid(2), shared={"offset": 0})
 
     def test_undigestable_shared_needs_label(self, store):
         backend = _queue_backend(store)
         runner = SweepRunner(backend=backend, workers=1, sweep_label="")
         with pytest.raises(ValueError, match="sweep_label"):
             runner.map(_draw_worker, _grid(2), shared={"offset": object()})
+        # an explicit label restores the contract: the caller vouches that
+        # the label uniquely identifies this configuration
+        labelled = _runner(_queue_backend(store), store, workers=1, sweep_label="opaque")
+        assert len(labelled.map(_draw_worker, _grid(2), shared={"offset": object()})) == 2
+
+    def test_fig11_live_model_needs_a_sweep_label(self, store):
+        """Fig. 11 hands its workers a live energy model, which has no
+        canonical digest: on the queue only a sweep_label names that
+        configuration, and a labelled run renders the serial table."""
+        from repro.experiments.fig11_energy import run_fig11
+
+        unlabelled = SweepRunner(backend=_queue_backend(store), workers=1)
+        with pytest.raises(ValueError, match="sweep_label"):
+            run_fig11(runner=unlabelled)
+        labelled = _runner(_queue_backend(store), store, workers=1, sweep_label="fig11")
+        assert (
+            run_fig11(runner=labelled).to_experiment_result().to_text()
+            == run_fig11().to_experiment_result().to_text()
+        )
+
+    def test_progress_counts_recalled_tasks_on_resume(self, store):
+        """A resumed sweep's progress counts what it recalls: it ends at (N, N)."""
+        tasks = _grid(6)
+        _runner(_queue_backend(store), store).map(_draw_worker, tasks[:4], shared={"offset": 0})
+        events = []
+        backend = _queue_backend(store)
+        _runner(
+            backend, store, progress=lambda task, result, done, total: events.append((done, total))
+        ).map(_draw_worker, tasks, shared={"offset": 0})
+        assert backend.last_stats["recalled"] == 4
+        assert events == [(done, 6) for done in range(1, 7)]
 
     def test_runner_configuration_adopted(self, store):
         backend = QueueBackend()
         runner = SweepRunner(
             backend=backend,
             workers=1,
-            shard_store=store,
+            store=store,
             sweep_label="adopted",
             retries=5,
             task_timeout=33.0,
@@ -658,3 +751,130 @@ class TestQueueBackend:
         assert backend.retries == 5
         assert backend.task_timeout == 33.0
         assert backend.backoff == 0.125
+
+    def test_reused_backend_takes_each_runners_configuration(self, store, monkeypatch):
+        """A backend passed to a second runner must not keep the first
+        runner's label, and with it recall the first configuration's results."""
+        backend = QueueBackend(poll_seconds=0.01)
+        tasks = _grid(2)
+        for scale in (1, 10):
+            monkeypatch.setitem(_SCALE, "value", scale)
+            runner = SweepRunner(
+                backend=backend, workers=1, store=store, sweep_label=f"scale={scale}"
+            )
+            results = runner.map(_scaled_worker, tasks, shared={"offset": 0})
+        assert results == [task.voltage * 10 for task in tasks]
+        assert backend.last_stats["recalled"] == 0
+        assert backend.sweep_label == "scale=10"
+
+    def test_given_configuration_wins_over_the_runner(self, store, tmp_path):
+        backend = QueueBackend(store=store, sweep_label="given", retries=0)
+        runner = SweepRunner(
+            backend=backend,
+            workers=1,
+            store=ArtifactCache(root=tmp_path / "other"),
+            sweep_label="runner",
+            retries=4,
+        )
+        runner.map(_draw_worker, _grid(1), shared={"offset": 0})
+        assert (backend.store, backend.sweep_label, backend.retries) == (store, "given", 0)
+
+
+class TestNamespacing:
+    """Runs with different labels, shared payloads or workers never recall
+    each other's results."""
+
+    def test_labels_keep_results_apart(self, store):
+        tasks = _grid(4)
+        _runner(_queue_backend(store), store, sweep_label="config-a").map(
+            _draw_worker, tasks, shared={"offset": 0}
+        )
+        backend = _queue_backend(store)
+        _runner(backend, store, sweep_label="config-b").map(
+            _draw_worker, tasks, shared={"offset": 0}
+        )
+        assert (backend.last_stats["recalled"], backend.last_stats["enqueued"]) == (0, 4)
+
+    def test_shared_payload_keeps_results_apart(self, store):
+        tasks = _grid(4)
+        first = _runner(_queue_backend(store), store).map(
+            _draw_worker, tasks, shared={"offset": 10}
+        )
+        backend = _queue_backend(store)
+        second = _runner(backend, store).map(_draw_worker, tasks, shared={"offset": 100})
+        assert backend.last_stats["recalled"] == 0
+        assert [r["offset"] for r in first] == [10] * 4
+        assert [r["offset"] for r in second] == [100] * 4
+
+    def test_worker_identity_keeps_sweeps_apart(self, store):
+        tasks = _grid(2)
+        shared = {"offset": 0, "log": os.devnull}
+        _runner(_queue_backend(store), store).map(_draw_worker, tasks, shared=shared)
+        backend = _queue_backend(store)
+        _runner(backend, store).map(_logged_worker, tasks, shared=shared)
+        assert backend.last_stats["recalled"] == 0
+
+
+class TestConcurrentCoordinators:
+    """Two coordinators share one store and one queue directory, each with
+    its own cache instance, as two hosts would.  The surviving coordinator
+    finishes in a thread joined with a timeout, so a hang fails the test.
+    Both start their fleets from the main thread before that thread runs."""
+
+    SHARED = {"offset": 3, "sleep": 0.05}
+
+    def _finish(self, stream, timeout=10.0):
+        """Consume ``stream`` in a daemon thread; None if it hangs."""
+        pairs: list = []
+        thread = threading.Thread(target=lambda: pairs.extend(stream), daemon=True)
+        thread.start()
+        thread.join(timeout)
+        return None if thread.is_alive() else pairs
+
+    def _serial(self, tasks):
+        return dict(zip(tasks, SweepRunner(workers=1).map(_draw_worker, tasks, shared=self.SHARED)))
+
+    def test_finished_peer_leaves_the_other_sweep_running(self, store):
+        """A coordinator whose 2 tasks settle first must neither stop the
+        8-task coordinator's fleet nor delete its queued tasks."""
+        tasks = _grid(8)
+        head = sorted(task_digest(task) for task in tasks)[:2]
+        wide = _runner(_queue_backend(store), store, workers=1).submit(
+            _slow_worker, tasks, shared=self.SHARED
+        )
+        stream = wide.as_completed()
+        first = [next(stream)]
+        peer = ArtifactCache(root=store.root)
+        narrow_tasks = [task for task in tasks if task_digest(task) in head]
+        narrow = _runner(_queue_backend(peer), peer, workers=1).map(
+            _slow_worker, narrow_tasks, shared=self.SHARED
+        )
+        rest = self._finish(stream)
+        assert rest is not None, "the 8-task coordinator hung after its peer finished"
+        reference = self._serial(tasks)
+        assert narrow == [reference[task] for task in narrow_tasks]
+        assert dict(first + rest) == reference
+        assert not any((store.root / "queue").iterdir())  # retired once both settled
+
+    def test_abandoned_peer_leaves_the_other_sweep_running(self, store):
+        """A coordinator abandoned mid-sweep (what Ctrl-C does) must not
+        stop the fleet of another coordinator running the same grid."""
+        tasks = _grid(8)
+        abandoned = _runner(_queue_backend(store), store, workers=1).submit(
+            _slow_worker, tasks, shared=self.SHARED
+        )
+        stream = abandoned.as_completed()  # held: dropping it would close the sweep
+        next(stream)
+        peer = ArtifactCache(root=store.root)
+        backend = _queue_backend(peer)
+        survivor = _runner(backend, peer, workers=1).submit(
+            _slow_worker, tasks, shared=self.SHARED
+        ).as_completed()
+        first = []
+        while not backend.last_stats.get("enqueued"):  # until its fleet is up
+            first.append(next(survivor))
+        abandoned.close()
+        rest = self._finish(survivor)
+        assert rest is not None, "the surviving coordinator hung after its peer was abandoned"
+        assert dict(first + rest) == self._serial(tasks)
+        assert not any((store.root / "queue").iterdir())  # no sentinel left behind

@@ -1,5 +1,5 @@
-"""The scaling_geometry driver: structure, determinism, sharding, and the
-capacity-wall / spill reporting."""
+"""The scaling_geometry driver: structure, determinism, the queue backend,
+and the capacity-wall / spill reporting."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.cache import ArtifactCache
-from repro.experiments.engine import ShardIncompleteError, ShardSpec, SweepRunner
+from repro.experiments.engine import SweepRunner
 from repro.experiments.scaling_geometry import (
     GeometryPoint,
     run_scaling_geometry,
@@ -120,23 +120,17 @@ class TestScalingGeometry:
                 assert a.cycles_per_inference == b.cycles_per_inference
                 assert a.energy_per_inference_pj == b.energy_per_inference_pj
 
-    def test_two_way_shard_merge_is_bit_identical(self, cache, result):
-        def shard_runner(index):
-            return SweepRunner(
-                workers=1,
-                shard=ShardSpec(index, 2),
-                shard_store=cache,
-                sweep_label="test-scaling-shard",
-            )
-
-        try:
-            run_scaling_geometry(runner=shard_runner(0), cache=cache, **KWARGS)
-        except ShardIncompleteError:
-            pass  # expected until the other shard publishes
-        merged = run_scaling_geometry(runner=shard_runner(1), cache=cache, **KWARGS)
-        reference_rows = [vars(p) for p in result.points]
-        merged_rows = [vars(p) for p in merged.points]
-        assert merged_rows == reference_rows
+    def test_queue_run_is_bit_identical(self, cache, result):
+        """Points that round-trip through the queue's result store match
+        the serial run's."""
+        queued = run_scaling_geometry(
+            runner=SweepRunner(
+                workers=1, backend="queue", store=cache, sweep_label="test-scaling-queue"
+            ),
+            cache=cache,
+            **KWARGS,
+        )
+        assert [vars(p) for p in queued.points] == [vars(p) for p in result.points]
 
 
 class TestGeometryPoint:
@@ -146,7 +140,7 @@ class TestGeometryPoint:
         )
         assert point.error is None
         assert point.cycles_per_inference == 0
-        # equality must survive the shard store's pickle round-trip (no NaN)
+        # equality must survive the result store's pickle round-trip (no NaN)
         import pickle
 
         assert pickle.loads(pickle.dumps(point)) == point

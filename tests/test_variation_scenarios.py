@@ -427,26 +427,20 @@ class TestVariationScenariosDriver:
         text = result.to_experiment_result().to_text()
         assert "iid" in text and "region" in text and "mixed" in text
 
-    def test_shard_merge_bit_identical(self, cache, result):
-        from repro.experiments.engine import ShardIncompleteError, ShardSpec, SweepRunner
+    def test_queue_run_bit_identical(self, cache, result):
+        """Points that round-trip through the queue's result store match
+        the serial run's."""
+        from repro.experiments.engine import SweepRunner
         from repro.experiments.variation_scenarios import run_variation_scenarios
 
-        def shard_runner(index):
-            return SweepRunner(
-                workers=1,
-                shard=ShardSpec(index, 2),
-                shard_store=cache,
-                sweep_label="variation-shard-test",
-            )
-
-        with pytest.raises(ShardIncompleteError):
-            run_variation_scenarios(
-                runner=shard_runner(0), cache=cache, **DRIVER_KWARGS
-            )
-        merged = run_variation_scenarios(
-            runner=shard_runner(1), cache=cache, **DRIVER_KWARGS
+        queued = run_variation_scenarios(
+            runner=SweepRunner(
+                workers=1, backend="queue", store=cache, sweep_label="variation-queue-test"
+            ),
+            cache=cache,
+            **DRIVER_KWARGS,
         )
-        assert [vars(p) for p in merged.points] == [
+        assert [vars(p) for p in queued.points] == [
             vars(p) for p in result.points
         ]
 
