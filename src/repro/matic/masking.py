@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..accelerator.microcode import WeightPlacement
-from ..nn.network import Network
+from ..nn.network import Network, flat_layout
 from ..quant.fixed_point import round_to_code
 from ..quant.quantizer import LayerQuantization, WeightQuantizer
 from ..sram.bitops import pack_bits, popcount
@@ -214,9 +214,9 @@ class FaultMaskSet:
 class CompiledMasks:
     """A :class:`FaultMaskSet` laid out flat against one network's parameters.
 
-    Every parameter is one element of a flat vector ordered
-    ``[W0 … Wn−1, b0 … bn−1]`` (each tensor raveled in C order; weights come
-    first so weight decay touches a prefix).  Per element the layout holds
+    Every parameter is one element of a flat vector in
+    :func:`~repro.nn.network.flat_layout` order, ``[W0 … Wn−1, b0 … bn−1]``,
+    the order of the network's own parameter buffer.  Per element it holds
     the LSB ``scale``, the representable ``lower``/``upper`` values and the
     AND/OR masks as ``int64`` bit patterns.  Every layer shares one word
     length, so the code range and the sign-extension shift are scalars, and
@@ -229,35 +229,30 @@ class CompiledMasks:
         layers = network.layers
         if len(layers) != len(mask_set.layer_masks):
             raise ValueError("mask set does not match network depth")
-        entries = list(zip(layers, mask_set.layer_masks, mask_set.layer_formats))
-        # one row per tensor: (name, parameter shape, AND mask, OR mask, format)
+        entries = list(enumerate(zip(mask_set.layer_masks, mask_set.layer_formats)))
+        # one row per tensor, in flat_layout order: (name, AND mask, OR mask, format)
         tensors = [
-            (f"layer {index} weights", layer.weights.shape, masks.weight_and,
-             masks.weight_or, fmt.weight_format)
-            for index, (layer, masks, fmt) in enumerate(entries)
+            (f"layer {index} weights", masks.weight_and, masks.weight_or, fmt.weight_format)
+            for index, (masks, fmt) in entries
         ] + [
-            (f"layer {index} bias", layer.bias.shape, masks.bias_and, masks.bias_or,
-             fmt.bias_format)
-            for index, (layer, masks, fmt) in enumerate(entries)
+            (f"layer {index} bias", masks.bias_and, masks.bias_or, fmt.bias_format)
+            for index, (masks, fmt) in entries
         ]
-        for name, shape, and_mask, or_mask, _ in tensors:
+        self._views = flat_layout(layers)
+        for (name, and_mask, or_mask, _), (_, shape) in zip(tensors, self._views):
             # a mis-shaped mask would broadcast one row's faults to every row
             if np.shape(and_mask) != shape or np.shape(or_mask) != shape:
                 raise ValueError(
                     f"{name}: mask shape {np.shape(and_mask)} does not match "
                     f"parameter shape {shape}"
                 )
-        _, shapes, and_masks, or_masks, formats = zip(*tensors)
+        _, and_masks, or_masks, formats = zip(*tensors)
         word_lengths = {fmt.total_bits for fmt in formats}
         if len(word_lengths) != 1:
             raise ValueError(f"layer formats mix word lengths {sorted(word_lengths)}")
-        sizes = [int(np.prod(shape)) for shape in shapes]
-        stops = np.cumsum(sizes).tolist()
-        self._views = [
-            (slice(stop - size, stop), shape) for stop, size, shape in zip(stops, sizes, shapes)
-        ]
+        sizes = [span.stop - span.start for span, _ in self._views]
         #: number of weight elements (the prefix weight decay applies to)
-        self.num_weights = stops[len(layers) - 1]
+        self.num_weights = self._views[len(layers) - 1][0].stop
         self.scale = np.repeat([fmt.scale for fmt in formats], sizes)
         self.lower = np.repeat([fmt.min_value for fmt in formats], sizes)
         self.upper = np.repeat([fmt.max_value for fmt in formats], sizes)
@@ -268,16 +263,12 @@ class CompiledMasks:
         self.shift = 64 - formats[0].total_bits
 
     def masters(self, network: Network) -> np.ndarray:
-        """The master parameters as one flat vector."""
-        layers = network.layers
-        return _flat([layer.weights for layer in layers] + [layer.bias for layer in layers])
+        """The network's flat master buffer (writing into it writes the layers)."""
+        return network.flat_parameters()
 
     def gradients(self, network: Network) -> np.ndarray:
-        """The parameter gradients of the last backward pass as one flat vector."""
-        layers = network.layers
-        return _flat(
-            [layer.grad_weights for layer in layers] + [layer.grad_bias for layer in layers]
-        )
+        """The network's flat gradient buffer, as the last backward pass left it."""
+        return network.flat_gradients()
 
     def quantize(self, values: np.ndarray) -> np.ndarray:
         """Saturated codes of flat values, exactly ``quantize_to_code`` per tensor.
@@ -322,9 +313,8 @@ class CompiledMasks:
             layer.set_effective(weights, bias)
 
     def set_masters(self, network: Network, flat: np.ndarray) -> None:
-        """Make every layer's master parameters views of ``flat``."""
-        for layer, (weights, bias) in zip(network.layers, self.split(flat)):
-            layer.weights, layer.bias = weights, bias
+        """Write ``flat`` into the network's master buffer."""
+        network.flat_parameters()[...] = flat
 
 
 def _flat(arrays: list[np.ndarray]) -> np.ndarray:

@@ -110,7 +110,9 @@ class MemoryAdaptiveTrainer(Trainer):
         """One MAT iteration: mask, forward, backward, adapted update.
 
         Runs on the flat layout of :class:`~repro.matic.masking.CompiledMasks`,
-        so every stage is one numpy expression over all parameters.
+        so every stage is one numpy expression over all parameters.  The
+        masters and the gradient are the network's own flat buffers, not
+        copies; the masters are read before the update overwrites them.
         """
         masks = self._compiled
         if masks is None:

@@ -72,19 +72,22 @@ class Identity(Activation):
 class Sigmoid(Activation):
     """Logistic sigmoid ``1 / (1 + exp(-x))``.
 
-    The implementation is numerically stable for large-magnitude inputs by
-    branching on the sign of ``x``.
+    The implementation is numerically stable for large-magnitude inputs: with
+    ``e = exp(-|x|)``, which never overflows, it is ``1 / (1 + e)`` for
+    ``x >= 0`` and ``e / (1 + e)`` below zero.  That is the branch form
+    ``1 / (1 + exp(-x))`` / ``exp(x) / (1 + exp(x))`` bit for bit on every
+    non-NaN input, ±0 and ±inf included.  A NaN input gives NaN, but
+    ``-|x|`` sets its sign bit, so the output NaN's sign bit may differ from
+    the branch form's.
     """
 
     name = "sigmoid"
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        expx = np.exp(x[~pos])
-        out[~pos] = expx / (1.0 + expx)
+        e = np.exp(-np.abs(x))
+        out = np.where(x >= 0, 1.0, e)
+        out /= 1.0 + e
         return out
 
     def backward(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:

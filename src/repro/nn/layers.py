@@ -57,6 +57,14 @@ class DenseLayer(Layer):
         Initialization schemes; Xavier uniform and zeros by default.
     rng:
         Random generator used to draw the initial weights.
+
+    Inside a :class:`~repro.nn.network.Network`, ``weights``, ``bias``,
+    ``grad_weights`` and ``grad_bias`` are views into the network's flat
+    parameter and gradient buffers.  :meth:`backward` overwrites
+    ``grad_weights`` and ``grad_bias`` in place, so a gradient array held
+    across a backward pass changes; copy it to keep it.  Assigning any of the
+    four attributes still rebinds it: the network copies a rebound array into
+    its buffer, and rebinds the view, before its next flat access.
     """
 
     def __init__(
@@ -139,6 +147,10 @@ class DenseLayer(Layer):
     # ------------------------------------------------------------ forward
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        return self._forward(self._batch(x), training)
+
+    def _batch(self, x: np.ndarray) -> np.ndarray:
+        """``x`` as a 2-D float batch, checked against the layer's width."""
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             x = x.reshape(1, -1)
@@ -146,7 +158,12 @@ class DenseLayer(Layer):
             raise ValueError(
                 f"input has {x.shape[1]} features, layer expects {self.in_features}"
             )
-        z = x @ self.active_weights + self.active_bias
+        return x
+
+    def _forward(self, x: np.ndarray, training: bool) -> np.ndarray:
+        """:meth:`forward` on a batch :meth:`_batch` already checked."""
+        z = x @ self.active_weights
+        z += self.active_bias
         y = self.activation.forward(z)
         if training:
             self._input = x
@@ -159,15 +176,19 @@ class DenseLayer(Layer):
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         """Backpropagate ``grad_output`` (dJ/dy) through the layer.
 
-        Stores ``grad_weights`` / ``grad_bias`` (gradients with respect to
-        the *active* weights) and returns dJ/dx for the previous layer.
+        Writes ``grad_weights`` / ``grad_bias`` in place (gradients with
+        respect to the *active* weights) and returns dJ/dx for the previous
+        layer.
         """
-        if self._input is None or self._pre_activation is None or self._output is None:
-            raise RuntimeError("backward() called before forward(training=True)")
         grad_output = np.asarray(grad_output, dtype=float)
         if grad_output.ndim == 1:
             grad_output = grad_output.reshape(1, -1)
+        return self._backward(grad_output)
 
+    def _backward(self, grad_output: np.ndarray, input_gradient: bool = True) -> np.ndarray | None:
+        """:meth:`backward` on a 2-D float gradient; dJ/dx only if asked for."""
+        if self._input is None or self._pre_activation is None or self._output is None:
+            raise RuntimeError("backward() called before forward(training=True)")
         if self.skip_activation_gradient:
             grad_z = grad_output
         else:
@@ -175,9 +196,9 @@ class DenseLayer(Layer):
                 self._pre_activation, self._output
             )
 
-        self.grad_weights = self._input.T @ grad_z
-        self.grad_bias = np.sum(grad_z, axis=0)
-        return grad_z @ self.active_weights.T
+        np.matmul(self._input.T, grad_z, out=self.grad_weights)
+        np.add.reduce(grad_z, axis=0, out=self.grad_bias)
+        return grad_z @ self.active_weights.T if input_gradient else None
 
     # -------------------------------------------------------- bookkeeping
 
@@ -192,6 +213,18 @@ class DenseLayer(Layer):
     @property
     def num_parameters(self) -> int:
         return self.weights.size + self.bias.size
+
+    def _fresh_copy(self) -> "DenseLayer":
+        """This layer's configuration, without an effective view or forward caches.
+
+        The copy still names this layer's parameter and gradient arrays;
+        :meth:`repro.nn.network.Network.copy` rebinds them to its new buffers.
+        """
+        clone = type(self).__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        clone.clear_effective()
+        clone._input = clone._pre_activation = clone._output = None
+        return clone
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (

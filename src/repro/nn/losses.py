@@ -9,6 +9,10 @@ Every loss exposes:
     Gradient of the mean loss with respect to the predictions (same shape as
     ``predictions``).
 
+``value_and_gradient(predictions, targets)``
+    Both at once, sharing the shape check and any clipping; the training
+    path calls this once per step.
+
 ``fuses_with_softmax``
     True when the loss gradient is expressed with respect to the
     pre-activation logits of a softmax output layer (cross-entropy).  The
@@ -38,18 +42,38 @@ def _as_2d(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _pair(predictions: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Predictions and targets as 2-D float arrays of one shape."""
+    p, t = _as_2d(predictions), _as_2d(targets)
+    if p.shape != t.shape:
+        raise ValueError(f"shape mismatch: {p.shape} vs {t.shape}")
+    return p, t
+
+
 class Loss:
-    """Base class for losses."""
+    """Base class for losses.
+
+    A subclass overrides :meth:`value_and_gradient`, or both :meth:`value`
+    and :meth:`gradient`; the base class derives the rest from those.
+    """
 
     name = "base"
     #: when True the gradient is w.r.t. softmax logits, not probabilities
     fuses_with_softmax = False
 
     def value(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        raise NotImplementedError
+        return self.value_and_gradient(predictions, targets)[0]
 
     def gradient(self, predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self.value_and_gradient(predictions, targets)[1]
+
+    def value_and_gradient(
+        self, predictions: np.ndarray, targets: np.ndarray
+    ) -> tuple[float, np.ndarray]:
+        """``(value, gradient)``, exactly what the two separate calls return."""
+        if type(self).value is Loss.value or type(self).gradient is Loss.gradient:
+            raise NotImplementedError
+        return self.value(predictions, targets), self.gradient(predictions, targets)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"{type(self).__name__}()"
@@ -64,17 +88,12 @@ class MeanSquaredError(Loss):
 
     name = "mse"
 
-    def value(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        p, t = _as_2d(predictions), _as_2d(targets)
-        if p.shape != t.shape:
-            raise ValueError(f"shape mismatch: {p.shape} vs {t.shape}")
-        return float(np.mean((p - t) ** 2))
-
-    def gradient(self, predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        p, t = _as_2d(predictions), _as_2d(targets)
-        if p.shape != t.shape:
-            raise ValueError(f"shape mismatch: {p.shape} vs {t.shape}")
-        return 2.0 * (p - t) / p.size
+    def value_and_gradient(
+        self, predictions: np.ndarray, targets: np.ndarray
+    ) -> tuple[float, np.ndarray]:
+        p, t = _pair(predictions, targets)
+        error = p - t
+        return float(np.mean(error**2)), 2.0 * error / p.size
 
 
 class CrossEntropyLoss(Loss):
@@ -88,18 +107,12 @@ class CrossEntropyLoss(Loss):
     name = "cross_entropy"
     fuses_with_softmax = True
 
-    def value(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        p, t = _as_2d(predictions), _as_2d(targets)
-        if p.shape != t.shape:
-            raise ValueError(f"shape mismatch: {p.shape} vs {t.shape}")
-        p = np.clip(p, _EPS, 1.0)
-        return float(-np.mean(np.sum(t * np.log(p), axis=-1)))
-
-    def gradient(self, predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        p, t = _as_2d(predictions), _as_2d(targets)
-        if p.shape != t.shape:
-            raise ValueError(f"shape mismatch: {p.shape} vs {t.shape}")
-        return (p - t) / p.shape[0]
+    def value_and_gradient(
+        self, predictions: np.ndarray, targets: np.ndarray
+    ) -> tuple[float, np.ndarray]:
+        p, t = _pair(predictions, targets)
+        value = -np.mean(np.sum(t * np.log(np.clip(p, _EPS, 1.0)), axis=-1))
+        return float(value), (p - t) / p.shape[0]
 
 
 class BinaryCrossEntropyLoss(Loss):
@@ -116,20 +129,14 @@ class BinaryCrossEntropyLoss(Loss):
 
     name = "binary_cross_entropy"
 
-    def value(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        p, t = _as_2d(predictions), _as_2d(targets)
-        if p.shape != t.shape:
-            raise ValueError(f"shape mismatch: {p.shape} vs {t.shape}")
+    def value_and_gradient(
+        self, predictions: np.ndarray, targets: np.ndarray
+    ) -> tuple[float, np.ndarray]:
+        p, t = _pair(predictions, targets)
         p = np.clip(p, _EPS, 1.0 - _EPS)
-        per_sample = -np.sum(t * np.log(p) + (1.0 - t) * np.log(1.0 - p), axis=-1)
-        return float(np.mean(per_sample))
-
-    def gradient(self, predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        p, t = _as_2d(predictions), _as_2d(targets)
-        if p.shape != t.shape:
-            raise ValueError(f"shape mismatch: {p.shape} vs {t.shape}")
-        p = np.clip(p, _EPS, 1.0 - _EPS)
-        return (p - t) / (p * (1.0 - p)) / p.shape[0]
+        q = 1.0 - p
+        per_sample = -np.sum(t * np.log(p) + (1.0 - t) * np.log(q), axis=-1)
+        return float(np.mean(per_sample)), (p - t) / (p * q) / p.shape[0]
 
 
 _REGISTRY = {

@@ -109,7 +109,7 @@ class Trainer:
         loss_value = self.network.backward(predictions, targets)
         if self.weight_decay:
             for layer in self.network.layers:
-                layer.grad_weights = layer.grad_weights + self.weight_decay * layer.weights
+                layer.grad_weights += self.weight_decay * layer.weights
         self.optimizer.step(self.network)
         return loss_value
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_passes import sigmoid_forward
 from repro.nn import (
     Identity,
     LeakyReLU,
@@ -153,3 +154,47 @@ class TestProperties:
         out = Softmax().forward(np.array(rows))
         assert np.all(out >= 0.0)
         np.testing.assert_allclose(out.sum(axis=-1), np.ones(len(rows)), atol=1e-9)
+
+
+class TestSigmoidMatchesBranchForm:
+    """``exp(-|x|)`` with one ``np.where`` against the boolean fancy-index form."""
+
+    #: values the float strategy might reach rarely: the extremes, the
+    #: smallest subnormal, where exp over/underflows and where 1 + e rounds
+    EDGES = (
+        0.0, -0.0, np.inf, -np.inf, 1.8e308, -1.8e308, 5e-324, -5e-324, 2.2e-308,
+        -2.2e-308, 709.78, -709.78, 745.2, -745.2, 36.8, -36.8, 37.5, -37.5,
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=False),
+                st.floats(-800.0, 800.0),
+                st.floats(-1e-300, 1e-300),
+                st.sampled_from(EDGES),
+            ),
+            min_size=1,
+            max_size=64,
+        )
+    )
+    def test_bits_identical_without_nan(self, values):
+        x = np.array(values, dtype=float)
+        assert np.array_equal(
+            Sigmoid().forward(x).view(np.uint64), sigmoid_forward(x).view(np.uint64)
+        )
+
+    def test_every_edge_at_once_and_as_a_matrix(self):
+        x = np.array(self.EDGES).reshape(3, -1)
+        out = Sigmoid().forward(x)
+        assert out.shape == x.shape
+        assert np.array_equal(out.view(np.uint64), sigmoid_forward(x).view(np.uint64))
+
+    def test_nan_gives_nan(self):
+        """Only the NaN's sign bit may differ: ``-|x|`` sets it."""
+        x = np.array([np.nan, -np.nan, 1.0, -3.0, np.nan, 0.0])
+        out, reference = Sigmoid().forward(x), sigmoid_forward(x)
+        nan = np.isnan(x)
+        assert np.all(np.isnan(out[nan])) and np.all(np.isnan(reference[nan]))
+        assert np.array_equal(out[~nan].view(np.uint64), reference[~nan].view(np.uint64))

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.nn import DenseLayer, Network, Topology, parse_topology
+from repro.matic import FaultMaskSet, MemoryAdaptiveTrainer
+from repro.nn import DenseLayer, LeakyReLU, Network, Topology, Trainer, parse_topology
+from repro.nn.initializers import XavierUniform
+from repro.quant import WeightQuantizer
 
 
 class TestDenseLayer:
@@ -214,3 +219,156 @@ class TestNetwork:
             layer.set_effective(np.zeros_like(layer.weights), np.zeros_like(layer.bias))
         net.clear_effective()
         assert all(layer.effective_weights is None for layer in net.layers)
+
+
+def _bits(array: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(array).view(np.uint64)
+
+
+def _legacy_state(network: Network) -> dict:
+    """The state a network pickled before it owned flat buffers.
+
+    Its layers carry arrays of their own and no buffer attribute exists.
+    """
+    layers = []
+    for layer in network.layers:
+        own = DenseLayer.__new__(DenseLayer)
+        own.__dict__.update(vars(layer))
+        for name in ("weights", "bias", "grad_weights", "grad_bias"):
+            setattr(own, name, getattr(layer, name).copy())
+        layers.append(own)
+    return {"name": network.name, "widths": network.widths, "loss": network.loss, "layers": layers}
+
+
+def _pickled_as_before(network: Network, monkeypatch) -> bytes:
+    """The bytes ``network`` pickled to before it owned flat buffers."""
+    legacy = Network.__new__(Network)
+    legacy.__dict__.update(_legacy_state(network))
+    with monkeypatch.context() as patch:
+        patch.delattr(Network, "__getstate__")  # back to pickling __dict__
+        return pickle.dumps(legacy)
+
+
+def _assert_on_own_buffers(network: Network, other: Network | None = None) -> None:
+    parameters, gradients = network.flat_parameters(), network.flat_gradients()
+    for layer in network.layers:
+        assert layer.weights.base is parameters and layer.bias.base is parameters
+        assert layer.grad_weights.base is gradients and layer.grad_bias.base is gradients
+    if other is not None:
+        assert not np.shares_memory(parameters, other.flat_parameters())
+        assert not np.shares_memory(gradients, other.flat_gradients())
+
+
+def _fit(network: Network, data, mat: bool):
+    if mat:
+        masks = FaultMaskSet.random(network, WeightQuantizer(total_bits=12), 0.05, rng=1)
+        trainer = MemoryAdaptiveTrainer(network, masks, epochs=2, batch_size=16, seed=3,
+                                        weight_decay=1e-3)
+    else:
+        trainer = Trainer(network, optimizer="adam", learning_rate=0.02, epochs=2,
+                          batch_size=16, seed=3, weight_decay=1e-3)
+    return trainer.fit(data)
+
+
+class TestFlatBuffers:
+    def test_layers_view_one_buffer_in_the_compiled_order(self):
+        net = Network("4-6-5-3", seed=0)
+        _assert_on_own_buffers(net)
+        flat = np.concatenate(
+            [layer.weights for layer in net.layers] + [layer.bias for layer in net.layers],
+            axis=None,
+        )
+        assert np.array_equal(net.flat_parameters(), flat)
+        net.flat_parameters()[0] = 7.0
+        assert net.layers[0].weights[0, 0] == 7.0
+
+    def test_seeded_weights_are_the_initializer_draws(self):
+        rng = np.random.default_rng(5)
+        expected = [DenseLayer(a, b, rng=rng).weights for a, b in ((5, 7), (7, 2))]
+        for layer, weights in zip(Network("5-7-2", seed=5).layers, expected):
+            assert np.array_equal(layer.weights, weights)
+
+    def test_rebound_attribute_is_copied_back_in(self):
+        net = Network("3-4-2", seed=0)
+        layer = net.layers[1]
+        mine = np.full((4, 2), 0.25)
+        layer.weights = mine
+        assert layer.weights is mine  # plain rebinding, as for a lone layer
+        assert np.all(net.flat_parameters()[12:20] == 0.25)
+        assert layer.weights is not mine and layer.weights.base is net.flat_parameters()
+        mine[...] = 1.0  # the caller's array is not aliased afterwards
+        assert np.all(layer.weights == 0.25)
+        layer.grad_bias = np.ones(2)
+        assert np.all(net.flat_gradients()[-2:] == 1.0)
+        _assert_on_own_buffers(net)
+
+    def test_rebound_array_of_another_shape_is_rejected(self):
+        net = Network("3-4-2", seed=0)
+        net.layers[0].weights = np.zeros((1, 4))
+        with pytest.raises(ValueError, match="shape"):
+            net.flat_parameters()
+
+    def test_backward_overwrites_held_gradients(self):
+        net = Network("3-4-2", seed=0)
+        x, t = np.ones((2, 3)), np.zeros((2, 2))
+        held = net.layers[0].grad_weights
+        net.backward(net.forward(x, training=True), t)
+        assert net.layers[0].grad_weights is held and np.any(held != 0.0)
+
+    def test_set_weights_copies_into_the_buffer(self):
+        net = Network("3-4-2", seed=0)
+        pairs = Network("3-4-2", seed=1).get_weights()
+        net.set_weights(pairs)
+        pairs[0][0][...] = 9.0
+        assert not np.any(net.layers[0].weights == 9.0)
+        _assert_on_own_buffers(net)
+
+
+class TestCopyAndPickle:
+    def test_copy_keeps_activation_parameters(self):
+        net = Network(
+            "3-5-2", hidden_activation=LeakyReLU(0.3), output_activation="identity", seed=1
+        )
+        clone = net.copy()
+        assert clone.layers[0].activation.negative_slope == 0.3
+        x = np.random.default_rng(0).normal(size=(16, 3)) * 4.0
+        assert np.array_equal(clone.predict(x), net.predict(x))
+
+    def test_copy_draws_no_initializer(self, monkeypatch):
+        net = Network("4-6-2", seed=0)
+
+        def refuse(self, shape, rng):
+            raise AssertionError("copy() drew initial weights")
+
+        monkeypatch.setattr(XavierUniform, "__call__", refuse)
+        clone = net.copy()
+        assert np.array_equal(clone.flat_parameters(), net.flat_parameters())
+        assert all(layer.effective_weights is None for layer in clone.layers)
+
+    @pytest.mark.parametrize("mat", [False, True], ids=["float", "mat"])
+    @pytest.mark.parametrize("how", ["pickle", "copy"])
+    def test_restored_network_trains_like_the_original(self, toy_dataset, how, mat):
+        net = Network("8-6-2", loss="binary_cross_entropy", seed=4)
+        _fit(net, toy_dataset, mat=False)  # forward caches and gradients are set
+        clone = pickle.loads(pickle.dumps(net)) if how == "pickle" else net.copy()
+        _assert_on_own_buffers(clone, net)
+        history, clone_history = _fit(net, toy_dataset, mat), _fit(clone, toy_dataset, mat)
+        assert history.train_loss == clone_history.train_loss
+        assert np.array_equal(_bits(clone.flat_parameters()), _bits(net.flat_parameters()))
+
+    def test_pickle_carries_each_array_once(self, toy_dataset, monkeypatch):
+        net = Network("8-6-2", seed=4)
+        _fit(net, toy_dataset, mat=False)
+        assert len(pickle.dumps(net)) <= len(_pickled_as_before(net, monkeypatch))
+
+    def test_state_pickled_before_buffers_loads_and_trains(self, toy_dataset, monkeypatch):
+        net = Network("8-6-2", loss="binary_cross_entropy", seed=4)
+        _fit(net, toy_dataset, mat=False)
+        restored = pickle.loads(_pickled_as_before(net, monkeypatch))
+        assert type(restored) is Network
+        _assert_on_own_buffers(restored, net)
+        assert np.array_equal(restored.flat_parameters(), net.flat_parameters())
+        assert np.array_equal(restored.flat_gradients(), net.flat_gradients())
+        history, restored_history = _fit(net, toy_dataset, True), _fit(restored, toy_dataset, True)
+        assert history.train_loss == restored_history.train_loss
+        assert np.array_equal(_bits(restored.flat_parameters()), _bits(net.flat_parameters()))

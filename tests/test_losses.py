@@ -5,10 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from reference_passes import LOSSES
 from repro.nn import (
     BinaryCrossEntropyLoss,
     CrossEntropyLoss,
+    Loss,
     MeanSquaredError,
+    Network,
     get_loss,
 )
 
@@ -130,3 +133,48 @@ class TestRegistry:
     def test_unknown_raises(self):
         with pytest.raises(ValueError):
             get_loss("nope")
+
+
+class TestFusedValueAndGradient:
+    """One ``value_and_gradient`` call equals the separate calls, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(LOSSES))
+    @pytest.mark.parametrize("batch", [1, 5])
+    def test_matches_separate_reference_calls(self, name, batch):
+        rng = np.random.default_rng(batch)
+        predictions = rng.random((batch, 4))
+        # probabilities at and past the clip bounds, and a negative output
+        predictions[0, :3] = (0.0, 1.0, 1e-14)
+        predictions[-1, 3] = -0.5 if name == "mse" else 1.0 - 1e-14
+        targets = np.eye(4)[rng.integers(0, 4, size=batch)]
+        reference = LOSSES[name]()
+        value, gradient = get_loss(name).value_and_gradient(predictions, targets)
+        assert value == reference.value(predictions, targets)
+        assert np.array_equal(
+            gradient.view(np.uint64), reference.gradient(predictions, targets).view(np.uint64)
+        )
+        assert get_loss(name).value(predictions, targets) == value
+        assert np.array_equal(get_loss(name).gradient(predictions, targets), gradient)
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            get_loss("binary_cross_entropy").value_and_gradient(np.zeros((2, 3)), np.zeros((3, 2)))
+
+    def test_a_loss_with_separate_calls_still_trains(self):
+        class Halved(Loss):
+            def value(self, predictions, targets):
+                return float(np.mean(predictions - targets) / 2)
+
+            def gradient(self, predictions, targets):
+                return np.full(np.shape(predictions), 0.125)
+
+        network = Network("3-2", output_activation="identity", loss=Halved(), seed=0)
+        x, t = np.ones((4, 3)), np.zeros((4, 2))
+        assert network.backward(network.forward(x, training=True), t) == Halved().value(
+            network.predict(x), t
+        )
+        assert np.allclose(network.layers[0].grad_bias, 0.5)
+
+    def test_a_loss_defining_nothing_is_not_implemented(self):
+        with pytest.raises(NotImplementedError):
+            Loss().value(np.zeros((1, 1)), np.zeros((1, 1)))

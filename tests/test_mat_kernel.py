@@ -4,8 +4,9 @@ The kernel (:class:`repro.matic.masking.CompiledMasks`) must reproduce the
 per-tensor reference path bit for bit: the masked view against
 :func:`repro.matic.apply_masks_to_values`, ε_q against
 ``clip − fmt.quantize(clip)``, and a whole MAT fit against a copy of the
-per-layer training step kept in this file.  Both sides run in one process, so
-the comparison does not depend on the BLAS build.
+per-layer training step kept in this file, which runs the per-layer forward
+and backward passes of ``reference_passes.py``.  Both sides run in one
+process, so the comparison does not depend on the BLAS build.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_passes import use_reference_passes
 from repro.datasets import get_benchmark
 from repro.experiments.cache import cache_digest
 from repro.matic import FaultMaskSet, LayerMasks, MemoryAdaptiveTrainer, apply_masks_to_values
@@ -194,7 +196,13 @@ class TestMisShapedMasksRejected:
 
 
 class PerLayerTrainer(MemoryAdaptiveTrainer):
-    """The per-layer, per-tensor MAT step the flat kernel replaced."""
+    """The per-layer, per-tensor MAT step the flat kernel replaced.
+
+    Its network runs the per-layer passes the flat buffer replaced.
+    """
+
+    def __init__(self, network: Network, *args, **kwargs) -> None:
+        super().__init__(use_reference_passes(network), *args, **kwargs)
 
     def _install_masked_view(self) -> None:
         for layer, masks, fmt in zip(
