@@ -6,7 +6,9 @@ heavyweight artifacts (trained float baselines, memory-adaptive fine-tuning
 runs) are memoized by the content-addressed artifact cache
 (:mod:`repro.experiments.cache`), so a warm-cache pass recalls every
 training instead of repeating it; the sweep grids themselves execute
-through the :mod:`repro.experiments.engine` worker pool.
+through :mod:`repro.experiments.engine`, on the directory queue with a
+private result store when a driver is handed no runner and the host has
+more than one CPU.
 """
 
 from __future__ import annotations

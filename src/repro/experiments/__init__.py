@@ -26,13 +26,14 @@ serving a mixed-operating-point request stream, one die per task.
 
 All drivers execute through the sweep engine
 (:mod:`repro.experiments.engine`): grids expand into independent seeded
-tasks that run serially or on a multiprocessing pool with identical results,
-and heavyweight artifacts (float baselines, memory-adaptive fine-tuning,
+tasks that run serially or in parallel with identical results, and
+heavyweight artifacts (float baselines, memory-adaptive fine-tuning,
 topology-sweep fits) are memoized by the content-addressed artifact cache
-(:mod:`repro.experiments.cache`).  For sweeps that must survive worker
-death, the elastic queue backend (:mod:`repro.experiments.queue`) adds
-lease-based claiming, retries with quarantine, and zero-recompute resume;
-it is also how several hosts sharing one cache directory split a grid.
+(:mod:`repro.experiments.cache`).  Parallel sweeps run on the directory
+queue (:mod:`repro.experiments.queue`): worker processes claim tasks under
+leases, failed tasks are retried and then quarantined, and a named sweep
+resumes from what it already published; it is also how several hosts
+sharing one cache directory split a grid.
 :mod:`repro.experiments.faults` is its deterministic chaos harness
 (kill/delay/no-heartbeat/poison rules).
 
@@ -42,7 +43,8 @@ drivers, laziness keeps ``python -m repro.experiments.<driver>`` from
 importing the target module *before* ``runpy`` executes it as ``__main__``
 (the double-execution ``RuntimeWarning``, which also gave every CLI run a
 second copy of the driver's classes and workers).  For the queue and the
-fault harness it spares every serial or process run their import cost.
+fault harness it spares every serial run their import cost, and that of
+``multiprocessing``.
 """
 
 from importlib import import_module
@@ -63,16 +65,12 @@ from .common import (
     train_cached,
 )
 from .engine import (
-    ProcessBackend,
     QuarantinedTask,
-    RetryingWorker,
     SerialBackend,
     SweepBackend,
     SweepExecution,
     SweepRunner,
     SweepTask,
-    TaskTimeoutError,
-    WorkerCrashedError,
     expand_grid,
     resolve_backend,
     retry_delay,
@@ -136,18 +134,14 @@ __all__ = [
     "KillWorker",
     "PoisonTask",
     "PreparedBenchmark",
-    "ProcessBackend",
     "QuarantinedTask",
     "QueueBackend",
-    "RetryingWorker",
     "SerialBackend",
     "SuppressHeartbeat",
     "SweepBackend",
     "SweepExecution",
     "SweepRunner",
     "SweepTask",
-    "TaskTimeoutError",
-    "WorkerCrashedError",
     "cache_digest",
     "default_cache",
     "set_default_cache",

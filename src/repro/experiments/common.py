@@ -23,10 +23,10 @@ Execution
 ---------
 Grid-shaped drivers expand their operating points with
 :func:`~repro.experiments.engine.expand_grid` and execute them through a
-:class:`~repro.experiments.engine.SweepRunner` (pluggable serial /
-process-pool / queue backends; see the engine module docstring for
-the worker model).  Drivers accept a ``runner`` argument so callers can share
-one pool — and one backend configuration — across experiments.
+:class:`~repro.experiments.engine.SweepRunner` (serial or queue backend;
+see the engine module docstring for the worker model).  Drivers accept a
+``runner`` argument so callers can share one backend configuration across
+experiments.
 
 Command line
 ------------
@@ -34,16 +34,17 @@ Every driver module is runnable (``python -m repro.experiments.<driver>``)
 and shares one execution vocabulary, wired through
 :func:`experiment_parser` / :func:`run_experiment_cli`:
 
-* ``--workers N`` / ``--backend {serial,process,queue}`` pick the
-  execution backend (defaults honour ``$REPRO_SWEEP_WORKERS`` /
-  ``$REPRO_SWEEP_BACKEND``); hosts that run the same CLI with
-  ``--backend queue`` and one shared ``--cache-dir`` split its grid between
-  them, and each prints the full table;
+* ``--workers N`` / ``--backend {serial,queue}`` pick the execution
+  backend (defaults honour ``$REPRO_SWEEP_WORKERS`` /
+  ``$REPRO_SWEEP_BACKEND``; without either, more than one worker runs on
+  the queue and publishes through ``--cache-dir``); hosts that run the same
+  CLI with ``--backend queue`` and one shared ``--cache-dir`` split its
+  grid between them, and each prints the full table;
 * ``--stream`` prints each grid point as it completes (the engine's
   ``as_completed`` channel) instead of only the final table;
-* ``--retries/--task-timeout/--backoff`` configure the failure policy
-  (retries work on every backend; timeouts need a backend that can preempt
-  a task — queue and process; see ``docs/robustness.md``).
+* ``--retries/--task-timeout/--backoff`` configure the queue's lease
+  policy (a serial run attempts each task once; see
+  ``docs/robustness.md``).
 """
 
 from __future__ import annotations
@@ -439,7 +440,8 @@ def experiment_parser(prog: str, description: str) -> argparse.ArgumentParser:
         "--backend",
         choices=BACKEND_NAMES,
         default=None,
-        help="execution backend (default: $REPRO_SWEEP_BACKEND or 'process')",
+        help="execution backend (default: $REPRO_SWEEP_BACKEND, else the "
+        "queue for more than one worker and serial for one)",
     )
     group.add_argument(
         "--stream",
@@ -457,28 +459,26 @@ def experiment_parser(prog: str, description: str) -> argparse.ArgumentParser:
         type=_checked(int, lambda n: n >= 0, "an integer >= 0"),
         default=None,
         metavar="N",
-        help="failed-task retry budget: attempt each task at most N+1 times. "
-        "honored on every backend (queue requeues with backoff and "
-        "quarantines once spent; serial/process retry in-worker and "
-        "re-raise). default: 0 (queue backend: 2)",
+        help="queue backend: attempt each task at most N+1 times, requeued "
+        "with backoff, then quarantine it (default: 2). a serial run "
+        "attempts each task once and raises",
     )
     group.add_argument(
         "--task-timeout",
         type=_checked(float, lambda s: math.isfinite(s) and s > 0, "finite and > 0"),
         default=None,
         metavar="SECONDS",
-        help="per-task hang bound. queue backend: hard lease deadline after "
-        "which the task is stolen and requeued; process backend: stall "
-        "detection (no completion within the window fails the sweep). "
-        "the serial backend cannot preempt a task and ignores it",
+        help="queue backend: per-task hang bound, the hard lease deadline "
+        "after which the task is stolen and requeued. the serial backend "
+        "cannot preempt a task and ignores it",
     )
     group.add_argument(
         "--backoff",
         type=_checked(float, lambda s: math.isfinite(s) and s >= 0, "finite and >= 0"),
         default=None,
         metavar="SECONDS",
-        help="base delay between retry attempts; doubles per attempt with "
-        "deterministic per-task jitter (default: 0.5)",
+        help="queue backend: base delay between retry attempts; doubles per "
+        "attempt with deterministic per-task jitter (default: 0.5)",
     )
     return parser
 

@@ -21,41 +21,36 @@ Execution is delegated to a :class:`SweepBackend`:
 
 * :class:`SerialBackend` — in-process, lazy: each task runs when its result
   is consumed, so streaming consumers drive the sweep one task at a time.
-* :class:`ProcessBackend` — the ``multiprocessing`` pool.  The shared
-  payload is pickled once per worker (pool initializer) and the small task
-  records are streamed; ``fn`` must be a module-level callable of
-  ``(shared, task)`` so it can be pickled under any start method.
-* ``QueueBackend`` (:mod:`repro.experiments.queue`) — the fault-tolerant
-  elastic backend: a shared-directory task queue with lease-based claims,
-  heartbeat renewal, work-stealing re-execution of dead workers' tasks, and
-  poison quarantine.  It is also how several hosts split one grid: each
-  runs the same sweep against one shared store, and their fleets claim
-  from one queue directory.  See :doc:`docs/robustness`.
+* ``QueueBackend`` (:mod:`repro.experiments.queue`) — worker processes
+  claiming from a shared-directory task queue: lease-based claims,
+  heartbeat renewal, work-stealing re-execution of dead workers' tasks,
+  and poison quarantine.  It is also how several hosts split one grid:
+  each runs the same sweep against one shared store, and their fleets
+  claim from one queue directory.  See :doc:`docs/robustness`.
 
 ``SweepRunner(backend=...)`` accepts a backend name or instance; ``None``
-falls back to ``$REPRO_SWEEP_BACKEND`` and finally to ``"process"``.  A
-single worker (or ``parallel=False``, used by sweeps whose points
-intentionally share mutable state — the Fig. 12 temperature schedule walks
-one chip through a chamber) always takes the serial path, preserving
-in-order, in-process execution — except on the queue backend, whose
-publish/lease/resume semantics are the point even at one worker.  The
-worker count defaults to ``$REPRO_SWEEP_WORKERS`` or the CPU count.
+falls back to ``$REPRO_SWEEP_BACKEND``.  A runner that chose neither runs
+one worker in process and more than one on the queue.  That queue
+publishes through the runner's store when the sweep is named
+(``sweep_label``, as every driver CLI names it) and the store is enabled;
+otherwise it gets a private temporary store, deleted when the sweep ends,
+so it recalls nothing across runs.  A queue chosen by name or instance
+keeps its publish/lease/resume semantics even at one worker and refuses a
+disabled store.  ``parallel=False`` (sweeps whose points share mutable
+state — the Fig. 12 temperature schedule walks one chip through a chamber)
+always runs in process, in order.  The worker count defaults to
+``$REPRO_SWEEP_WORKERS`` or the CPU count.
 
 Robustness
 ----------
-``SweepRunner(retries=..., task_timeout=..., backoff=...)`` configures the
-failure policy.  Retries are honored on *every* backend: the queue backend
-requeues failed tasks natively (with exponential backoff + deterministic
-jitter, see :func:`retry_delay`, then quarantines them as
-:class:`QuarantinedTask` once the budget is spent); the serial and process
-backends wrap the worker in :class:`RetryingWorker`, which retries in place
-and re-raises once the budget is spent.  ``task_timeout`` needs a
-backend that can preempt a task, so it is honored by the queue backend (as
-the lease's hard deadline) and the process backend (as a stall detector
-raising :class:`TaskTimeoutError`); the serial backend document-ignores
-it.  A process-pool worker killed by signal (SIGKILL, OOM) surfaces as
-:class:`WorkerCrashedError` naming the in-flight tasks instead of an opaque
-``BrokenProcessPool``.
+``SweepRunner(retries=..., task_timeout=..., backoff=...)`` is the queue's
+failure policy.  A failed task is requeued with exponential backoff and
+deterministic jitter (:func:`retry_delay`) and quarantined as
+:class:`QuarantinedTask` once the budget is spent; ``task_timeout`` is the
+lease's hard deadline, past which a hung task is stolen and requeued; a
+worker killed by signal (SIGKILL, OOM) stops renewing its lease, and its
+task runs again on a surviving worker.  The serial backend attempts each
+task once and raises.
 
 Streaming
 ---------
@@ -68,19 +63,17 @@ top of it (collect everything, return in task order).
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
-import multiprocessing
 import os
-import sys
-import time
+import shutil
+import tempfile
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
-from .cache import ArtifactCache, cache_digest
+from .cache import ArtifactCache, cache_digest, default_cache
 
 __all__ = [
     "SweepTask",
@@ -88,11 +81,7 @@ __all__ = [
     "SweepExecution",
     "SweepBackend",
     "SerialBackend",
-    "ProcessBackend",
     "QuarantinedTask",
-    "RetryingWorker",
-    "TaskTimeoutError",
-    "WorkerCrashedError",
     "expand_grid",
     "resolve_backend",
     "retry_delay",
@@ -105,7 +94,7 @@ _ENV_WORKERS = "REPRO_SWEEP_WORKERS"
 _ENV_BACKEND = "REPRO_SWEEP_BACKEND"
 
 #: Names accepted by ``SweepRunner(backend=...)`` and ``$REPRO_SWEEP_BACKEND``.
-BACKEND_NAMES = ("serial", "process", "queue")
+BACKEND_NAMES = ("serial", "queue")
 
 #: Default base delay (seconds) between retry attempts; see :func:`retry_delay`.
 DEFAULT_BACKOFF = 0.5
@@ -305,43 +294,8 @@ class QuarantinedTask:
         return f"quarantined after {self.attempts} attempt(s) — {what}{last}"
 
 
-@dataclass
-class RetryingWorker:
-    """Picklable wrapper retrying ``fn(shared, task)`` in place.
-
-    How the serial and process backends honor ``SweepRunner(retries=)``:
-    the retry loop runs *inside* the worker (sleeping :func:`retry_delay`
-    between attempts), so those backends keep their execution model and
-    simply re-raise once the budget is spent.  The queue backend never sees
-    this wrapper — it requeues failures natively, across workers, and is
-    additionally able to retry tasks whose worker died rather than raised.
-    """
-
-    fn: Callable[[Any, SweepTask], Any]
-    retries: int
-    backoff: float = DEFAULT_BACKOFF
-
-    def __call__(self, shared: Any, task: SweepTask) -> Any:
-        attempt = 1
-        while True:
-            try:
-                return self.fn(shared, task)
-            except Exception:
-                if attempt > int(self.retries):
-                    raise
-                time.sleep(retry_delay(self.backoff, task_digest(task), attempt))
-                attempt += 1
-
-
 def worker_identity(fn: Callable[..., Any]) -> str:
-    """Qualified name of the user's worker function, unwrapping retry wrappers.
-
-    Result-store and poison-store keys must name the *logical* worker: a run
-    with ``retries=2`` and a run with ``retries=0`` execute the same
-    function and must recall each other's published results.
-    """
-    while isinstance(fn, RetryingWorker):
-        fn = fn.fn
+    """Qualified name of the worker function: the store keys' worker axis."""
     return f"{fn.__module__}.{getattr(fn, '__qualname__', fn.__name__)}"
 
 
@@ -370,76 +324,7 @@ def store_label(sweep_label: str, shared: Any) -> str:
     return f"{sweep_label}#{shared_digest[:16]}"
 
 
-class WorkerCrashedError(RuntimeError):
-    """A pool worker died by signal (SIGKILL, OOM kill) mid-sweep.
-
-    The process pool cannot tell which of its in-flight tasks the dead
-    worker held, so every task that never completed is listed.  The queue
-    backend turns this exact failure into a lease expiry + requeue instead
-    of an error — hence the suggestion.
-    """
-
-    def __init__(self, in_flight: Sequence[SweepTask], backend: str = "process"):
-        self.in_flight = list(in_flight)
-        shown = [
-            f"{task.describe()} [{task_digest(task)[:12]}]"
-            for task in self.in_flight[:3]
-        ]
-        more = f" (+{len(self.in_flight) - 3} more)" if len(self.in_flight) > 3 else ""
-        super().__init__(
-            f"a {backend}-pool worker died by signal (SIGKILL/OOM) with "
-            f"{len(self.in_flight)} task(s) in flight or queued: "
-            f"{'; '.join(shown)}{more} — completed results are lost with the "
-            "pool; re-run with --backend queue for automatic recovery "
-            "(expired leases requeue and surviving workers steal the work)"
-        )
-
-
-class TaskTimeoutError(RuntimeError):
-    """No task completed within ``task_timeout`` — the pool looks hung.
-
-    The process backend cannot preempt a single wedged task, so the timeout
-    is a *stall* bound: wall-clock since the last completion (or since
-    submission).  The queue backend enforces the same flag per-task, as the
-    lease's hard deadline, and requeues instead of raising.
-    """
-
-    def __init__(self, timeout: float, in_flight: Sequence[SweepTask]):
-        self.timeout = float(timeout)
-        self.in_flight = list(in_flight)
-        shown = [
-            f"{task.describe()} [{task_digest(task)[:12]}]"
-            for task in self.in_flight[:3]
-        ]
-        more = f" (+{len(self.in_flight) - 3} more)" if len(self.in_flight) > 3 else ""
-        super().__init__(
-            f"no task completed within --task-timeout {self.timeout:g}s; "
-            f"{len(self.in_flight)} task(s) still in flight or queued: "
-            f"{'; '.join(shown)}{more} — the process backend cannot requeue a "
-            "hung task; --backend queue steals its lease and retries it on a "
-            "surviving worker"
-        )
-
-
 # ------------------------------------------------------------------ backends
-
-# Per-worker globals installed by the pool initializer: the shared payload is
-# pickled once per worker instead of once per task.
-_WORKER_FN: Callable[[Any, SweepTask], Any] | None = None
-_WORKER_SHARED: Any = None
-
-
-def _init_worker(fn: Callable[[Any, SweepTask], Any], shared: Any) -> None:
-    global _WORKER_FN, _WORKER_SHARED
-    _WORKER_FN = fn
-    _WORKER_SHARED = shared
-
-
-def _run_indexed_chunk(
-    chunk: Sequence[tuple[int, SweepTask]],
-) -> list[tuple[int, Any]]:
-    assert _WORKER_FN is not None, "worker used before initialization"
-    return [(position, _WORKER_FN(_WORKER_SHARED, task)) for position, task in chunk]
 
 
 @runtime_checkable
@@ -459,7 +344,6 @@ class SweepBackend(Protocol):
         shared: Any,
         tasks: Sequence[SweepTask],
         workers: int,
-        chunksize: int,
     ) -> Iterator[tuple[int, Any]]: ...
 
 
@@ -468,112 +352,27 @@ class SerialBackend:
 
     name = "serial"
 
-    def submit(self, fn, shared, tasks, workers, chunksize):
+    def submit(self, fn, shared, tasks, workers):
         return ((position, fn(shared, task)) for position, task in enumerate(tasks))
 
 
-class ProcessBackend:
-    """Process pool; the shared payload is pickled once per worker.
-
-    Failure semantics: a worker that *raises* propagates its exception to
-    the consumer (like every backend); a worker that *dies by signal*
-    (SIGKILL/OOM) raises :class:`WorkerCrashedError` naming the tasks that
-    never completed, instead of CPython's opaque ``BrokenProcessPool``.
-    With ``task_timeout`` set, a pool that goes ``task_timeout`` seconds
-    without completing anything raises :class:`TaskTimeoutError` (a stall
-    detector — the pool cannot preempt one wedged task).  Either way the
-    remaining workers are torn down; only the queue backend can requeue and
-    survive.
-    """
-
-    name = "process"
-
-    def __init__(self, mp_context: str | None = None, task_timeout: float | None = None):
-        self.mp_context = mp_context
-        self.task_timeout = task_timeout
-
-    def submit(self, fn, shared, tasks, workers, chunksize):
-        # fork is only reliably safe on Linux: macOS lists it as available,
-        # but forking after numpy/Accelerate initialization aborts or
-        # deadlocks in the children (hence CPython's spawn default there)
-        method = self.mp_context or ("fork" if sys.platform == "linux" else "spawn")
-        context = multiprocessing.get_context(method)
-        items = list(enumerate(tasks))
-        step = max(1, int(chunksize))
-        chunks = [items[start : start + step] for start in range(0, len(items), step)]
-        timeout = self.task_timeout
-
-        def remaining_tasks(pending_chunks) -> list[SweepTask]:
-            return [task for chunk in pending_chunks for _, task in chunk]
-
-        def stream() -> Iterator[tuple[int, Any]]:
-            executor = concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=context,
-                initializer=_init_worker,
-                initargs=(fn, shared),
-            )
-            try:
-                pending = {
-                    executor.submit(_run_indexed_chunk, chunk): chunk
-                    for chunk in chunks
-                }
-                while pending:
-                    done, _ = concurrent.futures.wait(
-                        pending,
-                        timeout=timeout,
-                        return_when=concurrent.futures.FIRST_COMPLETED,
-                    )
-                    if not done:
-                        raise TaskTimeoutError(timeout, remaining_tasks(pending.values()))
-                    for future in done:
-                        chunk = pending.pop(future)
-                        try:
-                            results = future.result()
-                        except concurrent.futures.process.BrokenProcessPool as error:
-                            raise WorkerCrashedError(
-                                remaining_tasks([chunk, *pending.values()])
-                            ) from error
-                        yield from results
-                executor.shutdown()
-            except BaseException:
-                # kill the workers outright: shutdown() alone would block on
-                # (or orphan) a hung/poisoned task, and cancel_futures only
-                # covers work that never started
-                for process in list(getattr(executor, "_processes", {}).values()):
-                    try:
-                        process.terminate()
-                    except Exception:
-                        pass
-                executor.shutdown(wait=False, cancel_futures=True)
-                raise
-
-        return stream()
-
-
-def resolve_backend(
-    spec: str | SweepBackend | None,
-    mp_context: str | None = None,
-    task_timeout: float | None = None,
-) -> SweepBackend:
+def resolve_backend(spec: str | SweepBackend | None) -> SweepBackend:
     """Turn a backend name/instance into a backend, honouring the env override.
 
-    ``None`` resolves ``$REPRO_SWEEP_BACKEND`` and defaults to ``"process"``.
+    ``None`` resolves ``$REPRO_SWEEP_BACKEND`` and defaults to ``"queue"``.
     """
     if spec is None:
-        spec = os.environ.get(_ENV_BACKEND, "").strip() or "process"
+        spec = os.environ.get(_ENV_BACKEND, "").strip() or "queue"
     if isinstance(spec, str):
         name = spec.strip().lower()
         if name == "serial":
             return SerialBackend()
-        if name == "process":
-            return ProcessBackend(mp_context, task_timeout=task_timeout)
         if name == "queue":
             # local import: the queue module builds on the engine's tasks,
             # digests, and retry policy, so the dependency points that way
             from .queue import QueueBackend
 
-            return QueueBackend(mp_context=mp_context, task_timeout=task_timeout)
+            return QueueBackend()
         raise ValueError(
             f"unknown sweep backend {spec!r} (expected one of {BACKEND_NAMES})"
         )
@@ -650,10 +449,10 @@ class SweepExecution:
     def close(self) -> None:
         """Abandon the submission without consuming the remaining results.
 
-        The backend stream's cleanup runs: pools shut down, and the queue
-        backend signals its workers and leaves every already-published
-        result in the store — resubmitting the same sweep later resumes
-        from there.  Chaos tests use this to simulate a coordinator killed
+        The backend stream's cleanup runs: the queue backend stops its
+        workers and leaves every already-published result in its store —
+        resubmitting the same sweep later resumes from there, unless the
+        store was a private one.  Chaos tests use this to simulate a coordinator killed
         mid-sweep.
         """
         close = getattr(self._stream, "close", None)
@@ -669,20 +468,17 @@ class SweepRunner:
     ----------
     workers:
         Worker processes.  ``None`` → ``$REPRO_SWEEP_WORKERS`` or CPU
-        count.  1 (or a single-CPU host) always takes the in-process path.
+        count.  1 (or a single-CPU host) takes the in-process path unless
+        the queue was chosen by name or instance.
     parallel:
         Master switch; ``False`` forces in-process serial execution
         regardless of ``workers``/``backend`` (used by sweeps whose points
         share mutable state).
     backend:
-        Backend name (``"serial"``/``"process"``/``"queue"``) or
-        :class:`SweepBackend` instance.  ``None`` → ``$REPRO_SWEEP_BACKEND``
-        or ``"process"``.
-    mp_context:
-        ``multiprocessing`` start method for the process backend (``"fork"``
-        on Linux keeps worker start cheap; ``"spawn"`` works everywhere).
-    chunksize:
-        Tasks handed to a pool worker per dispatch (process backend).
+        Backend name (``"serial"``/``"queue"``) or :class:`SweepBackend`
+        instance.  ``None`` → ``$REPRO_SWEEP_BACKEND``, and without it one
+        worker runs in process and more than one on the queue (see the
+        module docstring for the store such a queue publishes through).
     store:
         Artifact cache the queue backend publishes task results through
         (``None`` → the default cache).
@@ -696,27 +492,23 @@ class SweepRunner:
         task completes — lets CLIs render tables incrementally.  On the
         queue backend, results recalled from the store count too.
     retries:
-        Failed-task retry budget: a task is attempted at most ``retries+1``
-        times.  Honored by every backend — the queue backend requeues (and
-        quarantines once spent), the others retry in-worker via
-        :class:`RetryingWorker` and re-raise once spent.  ``None`` → 0
-        (queue backend: its own default of 2).
+        Queue backend: failed-task retry budget, so a task is attempted at
+        most ``retries+1`` times and then quarantined.  ``None`` → the
+        queue's default of 2.  The serial backend attempts each task once
+        and raises.
     task_timeout:
-        Per-task hang bound in seconds.  Queue backend: the lease's hard
-        deadline, after which the task is stolen and requeued.  Process
-        backend: stall detection (:class:`TaskTimeoutError`).  The serial
+        Queue backend: per-task hang bound in seconds, the lease's hard
+        deadline after which the task is stolen and requeued.  The serial
         backend cannot preempt a running task and ignores it.
     backoff:
-        Base delay between retry attempts (:func:`retry_delay` grows it
-        exponentially with deterministic jitter).  ``None`` →
+        Queue backend: base delay between retry attempts (:func:`retry_delay`
+        grows it exponentially with deterministic jitter).  ``None`` →
         :data:`DEFAULT_BACKOFF`.
     """
 
     workers: int | None = None
     parallel: bool = True
     backend: str | SweepBackend | None = None
-    mp_context: str | None = None
-    chunksize: int = 1
     store: ArtifactCache | None = None
     sweep_label: str = ""
     progress: Callable[[SweepTask, Any, int, int], None] | None = None
@@ -732,24 +524,58 @@ class SweepRunner:
         workers = self.workers if self.workers is not None else _default_workers()
         return max(1, min(int(workers), num_tasks))
 
-    def _resolve(self, num_tasks: int) -> tuple[SweepBackend, int]:
+    def _stream(
+        self, fn: Callable[[Any, SweepTask], Any], shared: Any, tasks: list[SweepTask]
+    ) -> Iterator[tuple[int, Any]]:
+        chosen = self.backend
+        if chosen is None:
+            chosen = os.environ.get(_ENV_BACKEND, "").strip() or None
         # resolve before the single-worker short-circuit so an invalid
         # backend name (or $REPRO_SWEEP_BACKEND) fails everywhere, not just
         # on multicore hosts with multi-task grids
-        backend = resolve_backend(
-            self.backend, self.mp_context, task_timeout=self.task_timeout
-        )
+        backend = resolve_backend(chosen) if chosen is not None else None
         if getattr(backend, "queue_semantics", False) and self.parallel:
-            # never downgrade the queue backend to the in-process path: its
+            # never downgrade a chosen queue to the in-process path: its
             # publish/lease/resume semantics are the point even at 1 worker
             # (parallel=False still wins — stateful sweeps must stay serial)
             backend.configure_from_runner(self)
-            workers = self.workers if self.workers is not None else _default_workers()
-            return backend, max(1, min(int(workers), max(1, num_tasks)))
-        workers = self.effective_workers(num_tasks)
+            requested = self.workers if self.workers is not None else _default_workers()
+            return backend.submit(fn, shared, tasks, max(1, min(int(requested), len(tasks))))
+        workers = self.effective_workers(len(tasks))
         if workers == 1:
-            return SerialBackend(), 1
-        return backend, workers
+            return SerialBackend().submit(fn, shared, tasks, 1)
+        if backend is None:
+            return self._unchosen_queue(fn, shared, tasks, workers)
+        return backend.submit(fn, shared, tasks, workers)
+
+    def _unchosen_queue(
+        self,
+        fn: Callable[[Any, SweepTask], Any],
+        shared: Any,
+        tasks: list[SweepTask],
+        workers: int,
+    ) -> Iterator[tuple[int, Any]]:
+        """The queue a runner that chose no backend runs its workers on.
+
+        A named sweep publishes through the runner's store if it is enabled;
+        any other gets a private temporary store, deleted with the sweep.
+        """
+        from .queue import QueueBackend
+
+        store = self.store if self.store is not None else default_cache()
+        private = None
+        if self.sweep_label and store.enabled:
+            backend = QueueBackend()
+        else:
+            private = tempfile.mkdtemp(prefix="repro-sweep-")
+            # a private store holds this run alone: any label names it
+            backend = QueueBackend(store=ArtifactCache(root=private), sweep_label="private")
+        try:
+            backend.configure_from_runner(self)
+            yield from backend.submit(fn, shared, tasks, workers)
+        finally:
+            if private is not None:
+                shutil.rmtree(private, ignore_errors=True)
 
     def submit(
         self,
@@ -759,16 +585,7 @@ class SweepRunner:
     ) -> SweepExecution:
         """Start ``fn(shared, task)`` for every task; return a streaming handle."""
         tasks = list(tasks)
-        backend, workers = self._resolve(len(tasks))
-        run_fn = fn
-        retries = int(self.retries) if self.retries else 0
-        if retries > 0 and not getattr(backend, "handles_retries", False):
-            run_fn = RetryingWorker(
-                fn,
-                retries,
-                self.backoff if self.backoff is not None else DEFAULT_BACKOFF,
-            )
-        stream = backend.submit(run_fn, shared, tasks, workers, self.chunksize)
+        stream = self._stream(fn, shared, tasks)
 
         def count() -> None:
             # count at result time, not submission time: the backend streams

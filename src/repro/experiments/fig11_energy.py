@@ -146,8 +146,8 @@ def run_fig11(
     """Recompute the Fig. 11 energy breakdown from the calibrated model.
 
     The two operating points run as engine tasks — trivially cheap here, so
-    the default runner stays on the in-process path (a pool would cost far
-    more than the two analytic evaluations).
+    the default runner stays on the in-process path (worker processes would
+    cost far more than the two analytic evaluations).
     """
     model = energy_model or SnnacEnergyModel()
     runner = runner or SweepRunner(parallel=False)

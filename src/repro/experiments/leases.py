@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 #: Default retry budget of the queue backend (used when the runner leaves it
-#: unset): unlike the in-process backends, retrying is what it is for.
+#: unset): unlike the serial backend, retrying is what it is for.
 DEFAULT_QUEUE_RETRIES = 2
 
 

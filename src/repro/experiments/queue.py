@@ -21,8 +21,6 @@ overlapping grids share task state exactly when they would share results::
                                     {task, digest, attempts, not_before, errors}
         leases/<task_digest>.lease  JSON: {owner, acquired,
                                     heartbeat_deadline, hard_deadline}
-        shutdown-<run>              sentinel: coordinator run <run> told its
-                                    own workers to exit
 
 Completed results never live in the queue directory: they publish to the
 artifact store under :data:`~repro.experiments.leases.RESULT_KIND`, and
@@ -43,8 +41,9 @@ the task record through :func:`~repro.experiments.leases.fail_transition`
 (or quarantines it to the poison store), but only while the worker still
 holds its lease; an expired lease is stolen with
 :func:`~repro.experiments.leases.steal_lease` and requeued the same way, so
-the stealer owns that decision.  Workers poll every ``poll_seconds`` — a
-shared directory has nothing to block on.
+the stealer owns that decision.  A worker with nothing claimable polls
+every ``poll_seconds`` — a shared directory has nothing to block on — and
+wakes at once when its coordinator stops the run.
 
 Coordinator
 -----------
@@ -53,16 +52,19 @@ the remainder, spawns the worker fleet, then runs settle / reclaim / respawn
 / inline-drain rounds until every task has settled, and tears down.  A round
 that made no progress waits at most ``poll_seconds`` before the next, and
 wakes as soon as a worker exits, so a fleet that drains the queue ends the
-sweep without waiting out a poll.
+sweep without waiting out a poll.  Since a worker publishes before it
+removes the task file, a round looks up in the store only the pending
+tasks whose file is gone.
 
 Several coordinators may share one queue directory — hosts splitting one
 grid, or overlapping sweeps — so each stops and retires only what is its
-own.  Every submission gets a fresh run id (:attr:`WorkerSpec.run`), and
-its workers obey only the shutdown sentinel carrying that id.  At teardown
-a coordinator withdraws its sentinel and, once its own tasks have settled,
-removes only the directories left empty, never a peer's queued tasks; and
-since a peer may retire the directory first, a coordinator left without a
-fleet puts its unsettled tasks back before it drains the queue itself.
+own.  Every submission stops its fleet through a ``multiprocessing.Event``
+of its own (:attr:`WorkerSpec.stop`), which only its workers hold.  At
+teardown a coordinator sets that event and, once its own tasks have
+settled, removes only the directories left empty, never a peer's queued
+tasks; and since a peer may retire the directory first, a coordinator left
+without a fleet puts its unsettled tasks back before it drains the queue
+itself.
 """
 
 from __future__ import annotations
@@ -72,8 +74,9 @@ import multiprocessing.connection
 import os
 import pickle
 import sys
+import threading
 import time
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
@@ -119,6 +122,15 @@ def _write_record(path: Path, record: dict[str, Any]) -> bool:
     return atomic_write(path, pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
 
 
+def _names(directory: Path, suffix: str) -> list[str]:
+    """The sorted names in ``directory`` that end in ``suffix`` (none if it
+    is gone)."""
+    try:
+        return sorted(name for name in os.listdir(directory) if name.endswith(suffix))
+    except OSError:
+        return []
+
+
 def _read_record(path: Path) -> dict[str, Any] | None:
     try:
         with open(path, "rb") as handle:
@@ -147,17 +159,20 @@ class WorkerSpec:
     sweep_dir: Path
     worker_index: int = 0
     fault_plan: FaultPlan | None = None
-    #: id of the coordinator run that spawned the worker: the one whose
-    #: shutdown sentinel it obeys
-    run: str = ""
+    #: set by the coordinator run that spawned the worker, at its teardown:
+    #: the worker stops claiming and wakes from an idle wait.  The run's
+    #: ``multiprocessing.Event``; the default, for a worker driven in
+    #: process, is never set
+    stop: Any = field(default_factory=threading.Event)
 
 
 class _QueueDir:
     """One sweep's queue directory, as one worker or the coordinator sees it.
 
     Workers claim, renew, complete, and fail through it; the coordinator
-    (owner-less) enqueues, steals expired leases every round, signals its
-    own workers to shut down, and retires what the sweep left empty.
+    (owner-less) enqueues, steals expired leases every round, finds the
+    tasks that may have settled, stops its own workers, and retires what
+    the sweep left empty.
     """
 
     def __init__(self, spec: WorkerSpec, owner: str = ""):
@@ -166,7 +181,6 @@ class _QueueDir:
         self.sweep_dir = Path(spec.sweep_dir)
         self.tasks_dir = self.sweep_dir / "tasks"
         self.leases_dir = self.sweep_dir / "leases"
-        self.shutdown_path = self.sweep_dir / f"shutdown-{spec.run}"
 
     def _task_path(self, record: dict[str, Any]) -> Path:
         return self.tasks_dir / f"{record['digest']}.pkl"
@@ -174,18 +188,15 @@ class _QueueDir:
     def _lease_path(self, record: dict[str, Any]) -> Path:
         return self.leases_dir / f"{record['digest']}.lease"
 
-    def _pending_files(self) -> list[Path]:
-        try:
-            names = sorted(path.name for path in self.tasks_dir.glob("*.pkl"))
-        except OSError:
-            return []
+    def _pending_names(self) -> list[str]:
+        names = _names(self.tasks_dir, ".pkl")
         index = self.spec.worker_index
         if names and index > 0:
             # deterministic rotation: workers start their scans at different
             # offsets so a fresh fleet doesn't all fight over the first task
             pivot = index % len(names)
             names = names[pivot:] + names[:pivot]
-        return [self.tasks_dir / name for name in names]
+        return names
 
     def claim(self) -> tuple[str, dict[str, Any] | None]:
         """Steal expired leases, then lease the first claimable task.
@@ -194,13 +205,14 @@ class _QueueDir:
         ``shutdown``, ``busy`` (leases were reclaimed: rescan now), ``idle``
         (nothing claimable yet: poll), or ``drained`` (nothing left).
         """
-        if self.shutdown_path.exists() or not self.tasks_dir.is_dir():
+        if self.spec.stop.is_set() or not self.tasks_dir.is_dir():
             return "shutdown", None
         reclaimed = self.reclaim()
         spec = self.spec
         now = time.time()
         hard = now + spec.task_timeout if spec.task_timeout is not None else None
-        for path in self._pending_files():
+        for name in self._pending_names():
+            path = self.tasks_dir / name
             record = _read_record(path)
             if record is None or record.get("not_before", 0.0) > now:
                 continue
@@ -219,12 +231,7 @@ class _QueueDir:
         return ("drained" if self._idle() else "idle"), None
 
     def _idle(self) -> bool:
-        try:
-            return not any(self.tasks_dir.glob("*.pkl")) and not any(
-                self.leases_dir.glob("*.lease")
-            )
-        except OSError:
-            return False
+        return not _names(self.tasks_dir, ".pkl") and not _names(self.leases_dir, ".lease")
 
     def renew(self, record: dict[str, Any]) -> bool:
         return renew_lease(self._lease_path(record), self.owner, self.spec.lease_seconds)
@@ -264,13 +271,10 @@ class _QueueDir:
 
     def reclaim(self) -> int:
         """Steal expired leases; requeue (or quarantine) their tasks."""
-        try:
-            lease_paths = sorted(self.leases_dir.glob("*.lease"))
-        except OSError:
-            return 0
         reclaimed = 0
         now = time.time()
-        for lease_path in lease_paths:
+        for name in _names(self.leases_dir, ".lease"):
+            lease_path = self.leases_dir / name
             if not lease_expired(read_lease(lease_path), now):
                 continue
             stolen = steal_lease(lease_path)
@@ -304,20 +308,23 @@ class _QueueDir:
                 {"task": task, "digest": digest, "attempts": 0, "not_before": 0.0, "errors": []},
             )
 
+    def unqueued(self, digests: Iterable[str]) -> list[str]:
+        """The digests whose task file is gone: the only ones that may have
+        settled, since a worker publishes before it removes the file."""
+        queued = set(_names(self.tasks_dir, ".pkl"))
+        return [digest for digest in digests if f"{digest}.pkl" not in queued]
+
     def shutdown(self) -> None:
-        try:
-            self.shutdown_path.touch()
-        except OSError:
-            pass
+        """Stop this run's workers: they claim nothing more and stop idling."""
+        self.spec.stop.set()
 
     def retire(self, settled: bool) -> None:
-        """Withdraw this run's sentinel; once settled, remove what is left empty.
+        """Once the run's tasks have settled, remove what is left empty.
 
         An abandoned run keeps the directory for its resume.  ``rmdir``,
         never a tree removal: a peer coordinator's queued tasks and leases
         keep the directory alive.
         """
-        discard(self.shutdown_path)
         if not settled:
             return
         for path in (self.tasks_dir, self.leases_dir, self.sweep_dir):
@@ -404,8 +411,8 @@ class LeaseWorker:
                 return
             if outcome == "idle":
                 # tasks exist but none is claimable (backoff windows or live
-                # leases): poll
-                time.sleep(self.spec.poll_seconds)
+                # leases): poll, or stop as soon as the coordinator does
+                self.spec.stop.wait(self.spec.poll_seconds)
 
 
 def _worker_main(spec: WorkerSpec) -> None:
@@ -463,7 +470,6 @@ class QueueBackend:
     lease_seconds: float = 15.0
     poll_seconds: float = 0.05
     respawn: bool = True
-    mp_context: str | None = None
     fault_plan: FaultPlan | None = None
     queue_dir: Path | str | None = None
 
@@ -475,9 +481,6 @@ class QueueBackend:
     #: SweepRunner must not downgrade this backend to the in-process serial
     #: path at 1 worker, and should hand it runner-level configuration
     queue_semantics = True
-    #: retries are handled natively (requeue/quarantine) — SweepRunner must
-    #: not additionally wrap the worker in RetryingWorker
-    handles_retries = True
 
     def __post_init__(self) -> None:
         self._given = {
@@ -501,10 +504,7 @@ class QueueBackend:
         shared: Any,
         tasks: Sequence[SweepTask],
         workers: int,
-        chunksize: int,
     ) -> Iterator[tuple[int, Any]]:
-        # chunksize is a pool-dispatch optimization; the queue hands out one
-        # task per claim so stealing stays task-granular
         return self._coordinate(self._spec(fn, shared), list(tasks), max(1, int(workers)))
 
     def _spec(self, fn: Callable[[Any, SweepTask], Any], shared: Any) -> WorkerSpec:
@@ -537,7 +537,6 @@ class QueueBackend:
             fault_plan=(
                 self.fault_plan if self.fault_plan is not None else FaultPlan.from_env()
             ),
-            run=os.urandom(8).hex(),
         )
 
     def _coordinate(
@@ -562,8 +561,8 @@ class QueueBackend:
         for position, task in enumerate(tasks):
             positions.setdefault(task_digest(task), []).append(position)
 
-        def settle_from_store(recall: bool) -> Iterator[tuple[int, Any]]:
-            for digest in list(positions):
+        def settle_from_store(digests: list[str], recall: bool) -> Iterator[tuple[int, Any]]:
+            for digest in digests:
                 found = recall_settled(spec.store, spec.label, spec.worker_name, digest)
                 if found is None:
                     continue
@@ -578,13 +577,14 @@ class QueueBackend:
 
         # recall: everything a previous run (or a concurrent sweep over an
         # overlapping grid) already settled costs zero recomputation
-        yield from settle_from_store(recall=True)
+        yield from settle_from_store(list(positions), recall=True)
         if not positions:
             return
 
         stats["enqueued"] = len(positions)
-        method = self.mp_context or ("fork" if sys.platform == "linux" else "spawn")
-        context = multiprocessing.get_context(method)
+        context = multiprocessing.get_context(_START_METHOD)
+        # the run's own stop signal: only the workers spawned below hold it
+        spec = replace(spec, stop=context.Event())
         queue = _QueueDir(spec)
         processes: list[Any] = []
         next_index = 0
@@ -615,7 +615,7 @@ class QueueBackend:
                 # the queue, so a crash never loses a result), then steal the
                 # leases of dead or hung workers
                 unsettled = len(positions)
-                yield from settle_from_store(recall=False)
+                yield from settle_from_store(queue.unqueued(positions), recall=False)
                 if not positions:
                     break
                 queue.reclaim()
@@ -673,7 +673,12 @@ class QueueBackend:
 
 
 #: QueueBackend fields a runner configures unless the constructor was given them.
-_RUNNER_FIELDS = ("store", "sweep_label", "retries", "task_timeout", "backoff", "mp_context")
+_RUNNER_FIELDS = ("store", "sweep_label", "retries", "task_timeout", "backoff")
+
+#: How workers start: fork is only reliably safe on Linux (macOS lists it,
+#: but forking after numpy/Accelerate initialization aborts or deadlocks in
+#: the children, hence CPython's spawn default there).
+_START_METHOD = "fork" if sys.platform == "linux" else "spawn"
 
 
 def _stop_fleet(processes: list[Any], grace: float) -> list[Any]:

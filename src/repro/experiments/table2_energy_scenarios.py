@@ -180,7 +180,7 @@ def run_table2(
     deployed memory-adaptive models still meet their accuracy target — the
     MATIC knob that turns voltage scaling into an accuracy/energy trade-off.
     Each scenario is one engine task on the in-process path (the analytic
-    model evaluations are far cheaper than a worker pool).
+    model evaluations are far cheaper than worker processes).
     """
     model = energy_model or SnnacEnergyModel()
     runner = runner or SweepRunner(parallel=False)

@@ -313,9 +313,11 @@ _VIEWS = frozenset(("weights", "bias", "grad_weights", "grad_bias"))
 
 
 def _stripped(layer: DenseLayer) -> DenseLayer:
-    """A shallow copy of ``layer`` without the views of its network's buffers."""
+    """A shallow copy of ``layer`` without the views of its network's buffers
+    or the last training batch its forward pass kept for backward."""
     clone = type(layer).__new__(type(layer))
     clone.__dict__.update((k, v) for k, v in vars(layer).items() if k not in _VIEWS)
+    clone._input = clone._pre_activation = clone._output = None
     return clone
 
 

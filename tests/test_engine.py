@@ -5,28 +5,27 @@ from __future__ import annotations
 import importlib
 import json
 import os
-import signal
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.experiments import cache as cache_module
 from repro.experiments import run_fig5, run_fig9a, run_fig10
 from repro.experiments.cache import ArtifactCache, cache_digest
 from repro.experiments.engine import (
-    ProcessBackend,
-    RetryingWorker,
     SerialBackend,
     SweepRunner,
     SweepTask,
-    TaskTimeoutError,
-    WorkerCrashedError,
     expand_grid,
     resolve_backend,
     store_label,
     task_digest,
     worker_identity,
 )
+from repro.experiments.queue import QueueBackend
 
 
 def _square_worker(shared, task):
@@ -45,26 +44,17 @@ def _failing_worker(shared, task):
     return task.param("value")
 
 
-def _suicidal_worker(shared, task):
-    if task.param("value") == shared["bad"]:
-        os.kill(os.getpid(), signal.SIGKILL)
-    return task.param("value")
-
-
-def _sleepy_worker(shared, task):
-    time.sleep(shared["sleep"])
-    return task.param("value")
-
-
-#: attempt counts per task index — lives in whichever process runs the task,
-#: so it also works on the process backend (the retry happens in-worker)
-_FLAKY_CALLS: dict[int, int] = {}
+def _attempts(counts_dir, task):
+    """Attempts at ``task`` so far, kept on disk: a retry may run in another
+    worker process."""
+    path = os.path.join(counts_dir, f"{task.index}.attempts")
+    return os.path.getsize(path) if os.path.exists(path) else 0
 
 
 def _flaky_then_ok_worker(shared, task):
-    count = _FLAKY_CALLS.get(task.index, 0) + 1
-    _FLAKY_CALLS[task.index] = count
-    if count <= shared["fail_times"]:
+    with open(os.path.join(shared["counts"], f"{task.index}.attempts"), "a") as handle:
+        handle.write("x")  # one byte per attempt
+    if _attempts(shared["counts"], task) <= shared["fail_times"]:
         raise RuntimeError("transient glitch")
     return task.param("value") * 10
 
@@ -189,24 +179,27 @@ class TestBackends:
         tasks = expand_grid(params=[{"value": v} for v in range(9)], seed=13)
         return runner.map(_square_worker, tasks, shared={"offset": 4})
 
-    def test_all_backends_bit_identical(self):
+    def test_all_backends_bit_identical(self, tmp_path):
         serial = self._mini_sweep(SweepRunner(workers=1, backend="serial"))
-        process = self._mini_sweep(SweepRunner(workers=3, backend="process"))
-        assert serial == process
+        queue = self._mini_sweep(
+            SweepRunner(workers=3, backend="queue", store=ArtifactCache(root=tmp_path))
+        )
+        unchosen = self._mini_sweep(SweepRunner(workers=3))  # a private store
+        assert serial == queue == unchosen
         assert [r["value"] for r in serial] == [v**2 + 4 for v in range(9)]
 
-    def test_backend_instances_accepted(self):
-        runner = SweepRunner(workers=3, backend=ProcessBackend())
+    def test_backend_instances_accepted(self, tmp_path):
+        runner = SweepRunner(workers=3, backend=QueueBackend(store=ArtifactCache(root=tmp_path)))
         assert self._mini_sweep(runner) == self._mini_sweep(SweepRunner(workers=1))
 
     def test_env_override_selects_backend(self, monkeypatch):
         monkeypatch.setenv("REPRO_SWEEP_BACKEND", "serial")
         assert isinstance(resolve_backend(None), SerialBackend)
         monkeypatch.delenv("REPRO_SWEEP_BACKEND")
-        assert isinstance(resolve_backend(None), ProcessBackend)
+        assert isinstance(resolve_backend(None), QueueBackend)
         # an explicit argument beats the environment
         monkeypatch.setenv("REPRO_SWEEP_BACKEND", "serial")
-        assert isinstance(resolve_backend("process"), ProcessBackend)
+        assert isinstance(resolve_backend("queue"), QueueBackend)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown sweep backend"):
@@ -233,11 +226,13 @@ class TestBackends:
         assert runner.tasks_run == 5
 
     @pytest.mark.parametrize("backend,workers", [
-        ("serial", 1), ("process", 3),
+        ("serial", 1), ("queue", 3),
     ])
-    def test_as_completed_streams_every_backend(self, backend, workers):
+    def test_as_completed_streams_every_backend(self, backend, workers, tmp_path):
         tasks = expand_grid(params=[{"value": v} for v in range(7)], seed=2)
-        runner = SweepRunner(workers=workers, backend=backend)
+        runner = SweepRunner(
+            workers=workers, backend=backend, store=ArtifactCache(root=tmp_path)
+        )
         pairs = list(runner.as_completed(_square_worker, tasks, shared={"offset": 0}))
         assert len(pairs) == len(tasks)
         # every yielded pair couples a task with its own result
@@ -268,11 +263,10 @@ class TestBackends:
         assert executed == [0, 1, 2, 3, 4]
         assert [value for _, value in rest] == [1, 2, 3, 4]
 
-    def test_map_is_ordered_on_unordered_backends(self):
+    def test_map_is_ordered_on_unordered_backends(self, tmp_path):
         tasks = expand_grid(params=[{"value": v} for v in range(16)], seed=9)
-        results = SweepRunner(workers=4, backend="process").map(
-            _square_worker, tasks, shared={"offset": 0}
-        )
+        runner = SweepRunner(workers=4, backend="queue", store=ArtifactCache(root=tmp_path))
+        results = runner.map(_square_worker, tasks, shared={"offset": 0})
         assert [r["index"] for r in results] == list(range(16))
 
     def test_progress_callback_sees_every_completion(self):
@@ -284,7 +278,7 @@ class TestBackends:
         assert seen == [(1, 4), (2, 4), (3, 4), (4, 4)]
 
     @pytest.mark.parametrize("backend,workers", [
-        ("serial", 1), ("process", 3),
+        ("serial", 1),
     ])
     def test_worker_errors_propagate(self, backend, workers):
         tasks = expand_grid(params=[{"value": v} for v in range(8)], seed=4)
@@ -292,9 +286,9 @@ class TestBackends:
         with pytest.raises(RuntimeError, match="boom"):
             runner.map(_failing_worker, tasks, shared={"bad": 3})
 
-    def test_submit_results_matches_map(self):
+    def test_submit_results_matches_map(self, tmp_path):
         tasks = expand_grid(params=[{"value": v} for v in range(6)], seed=3)
-        runner = SweepRunner(workers=2, backend="process")
+        runner = SweepRunner(workers=2, backend="queue", store=ArtifactCache(root=tmp_path))
         execution = runner.submit(_square_worker, tasks, shared={"offset": 1})
         assert len(execution) == 6
         assert execution.results() == SweepRunner(workers=1).map(
@@ -303,57 +297,37 @@ class TestBackends:
 
 
 class TestRobustness:
-    """Retry budgets, crash diagnostics, and hang bounds on the pool backends."""
+    """The retry budget is the queue's; a serial run attempts each task once."""
 
-    @pytest.mark.parametrize("backend,workers", [
-        ("serial", 1), ("process", 3),
-    ])
-    def test_retries_recover_transient_failures(self, backend, workers):
-        _FLAKY_CALLS.clear()
+    def test_retries_recover_transient_failures(self, tmp_path):
         tasks = expand_grid(params=[{"value": v} for v in range(6)], seed=9)
         runner = SweepRunner(
-            workers=workers, backend=backend, retries=1, backoff=0.01
+            workers=3,
+            backend="queue",
+            store=ArtifactCache(root=tmp_path / "store"),
+            retries=1,
+            backoff=0.01,
         )
         results = runner.map(
-            _flaky_then_ok_worker, tasks, shared={"fail_times": 1}
+            _flaky_then_ok_worker, tasks, shared={"fail_times": 1, "counts": str(tmp_path)}
         )
         assert results == [v * 10 for v in range(6)]
+        # each task failed once, then its retry (on any worker) succeeded
+        assert [_attempts(tmp_path, task) for task in tasks] == [2] * 6
 
-    def test_retry_budget_exhausts_and_reraises(self):
-        _FLAKY_CALLS.clear()
+    def test_zero_retries_by_default(self, tmp_path):
+        """A serial run attempts each task once, whatever the retry budget."""
         tasks = expand_grid(params=[{"value": 1}, {"value": 2}], seed=9)
-        runner = SweepRunner(workers=1, retries=1, backoff=0.01)
-        with pytest.raises(RuntimeError, match="transient glitch"):
-            runner.map(_flaky_then_ok_worker, tasks, shared={"fail_times": 3})
-
-    def test_zero_retries_by_default(self):
-        _FLAKY_CALLS.clear()
-        tasks = expand_grid(params=[{"value": 1}, {"value": 2}], seed=9)
-        with pytest.raises(RuntimeError, match="transient glitch"):
-            SweepRunner(workers=1).map(
-                _flaky_then_ok_worker, tasks, shared={"fail_times": 1}
-            )
-
-    def test_sigkilled_pool_worker_names_in_flight_tasks(self):
-        tasks = expand_grid(params=[{"value": v} for v in range(4)], seed=2)
-        runner = SweepRunner(workers=2, backend="process")
-        with pytest.raises(WorkerCrashedError, match="--backend queue") as info:
-            runner.map(_suicidal_worker, tasks, shared={"bad": 2})
-        assert len(info.value.in_flight) >= 1
-        assert any("value=2" in task.describe() for task in info.value.in_flight)
-
-    def test_task_timeout_bounds_a_hung_pool(self):
-        tasks = expand_grid(params=[{"value": v} for v in range(2)], seed=2)
-        runner = SweepRunner(workers=2, backend="process", task_timeout=0.5)
-        start = time.perf_counter()
-        with pytest.raises(TaskTimeoutError, match="task-timeout"):
-            runner.map(_sleepy_worker, tasks, shared={"sleep": 30.0})
-        # the pool is torn down, not drained: nowhere near the 30 s sleep
-        assert time.perf_counter() - start < 10.0
+        for retries in (None, 2):
+            counts = tmp_path / f"retries-{retries}"
+            counts.mkdir()
+            with pytest.raises(RuntimeError, match="transient glitch"):
+                SweepRunner(workers=1, retries=retries).map(
+                    _flaky_then_ok_worker, tasks, shared={"fail_times": 1, "counts": str(counts)}
+                )
+            assert _attempts(counts, tasks[0]) == 1
 
     def test_worker_identity_unwraps_retry_wrapper(self):
-        wrapped = RetryingWorker(_square_worker, retries=2)
-        assert worker_identity(wrapped) == worker_identity(_square_worker)
         assert worker_identity(_square_worker).endswith("._square_worker")
 
     def test_store_label_covers_shared_payload(self):
@@ -479,17 +453,18 @@ class TestDriverEquivalence:
             )
 
     def test_fig9a_three_backends_identical(self, tmp_path):
-        """Seeded mini-sweep through serial, process, and queue backends."""
+        """Seeded mini-sweep through the serial backend, a queue chosen by
+        name, and the queue a runner that chose no backend gets."""
         voltages = np.array([0.46, 0.52])
         rows = []
-        for backend, workers in (("serial", 1), ("process", 2), ("queue", 2)):
+        for backend, workers in (("serial", 1), ("queue", 2), (None, 2)):
             result = run_fig9a(
                 voltages=voltages,
                 num_words=96,
                 runner=SweepRunner(
                     workers=workers,
                     backend=backend,
-                    store=ArtifactCache(root=tmp_path / backend),
+                    store=ArtifactCache(root=tmp_path / str(backend)),
                 ),
             )
             rows.append(
@@ -576,29 +551,72 @@ class TestDriverEquivalence:
         assert warm.points[0].adaptive_error == cold.points[0].adaptive_error
         assert warm.points[0].naive_error == cold.points[0].naive_error
 
-    def test_fig10_parallel_matches_serial(self, tmp_path):
-        kwargs = dict(
-            benchmarks=("inversek2j",),
-            voltages=(0.90, 0.50),
-            num_samples=300,
-            adaptive_epochs=4,
-            seed=5,
-        )
+    def test_fig10_parallel_matches_serial(self, tmp_path, private_dirs):
+        """An unnamed two-worker run is bit-identical to the serial one, and
+        its queue publishes to a private store it deletes: nothing lands in
+        the runner's store (the default cache) or the driver's cache."""
         serial = run_fig10(
-            runner=SweepRunner(workers=1), cache=ArtifactCache(root=tmp_path / "a"), **kwargs
+            runner=SweepRunner(workers=1), cache=ArtifactCache(root=tmp_path / "a"), **_FIG10
         )
         parallel = run_fig10(
-            runner=SweepRunner(workers=2), cache=ArtifactCache(root=tmp_path / "b"), **kwargs
+            runner=SweepRunner(workers=2), cache=ArtifactCache(root=tmp_path / "b"), **_FIG10
         )
-        for a, b in zip(
-            serial.sweep_for("inversek2j").points, parallel.sweep_for("inversek2j").points
-        ):
-            assert (a.voltage, a.bit_fault_rate, a.naive_error, a.adaptive_error) == (
-                b.voltage,
-                b.bit_fault_rate,
-                b.naive_error,
-                b.adaptive_error,
-            )
+        assert _fig10_points(parallel) == _fig10_points(serial)
+        assert len(private_dirs) == 1 and not private_dirs[0].exists()
+        assert not (tmp_path / "default").exists()
+        assert not {"queue", "sweep-shard"} & {path.name for path in (tmp_path / "b").iterdir()}
+
+    def test_cache_disabled_parallel_matches_serial(self, tmp_path, private_dirs, monkeypatch):
+        """With ``$REPRO_CACHE_DISABLE`` a named two-worker run still runs on
+        a private store and matches the cache-disabled serial reference."""
+        monkeypatch.setenv("REPRO_CACHE_DISABLE", "1")
+        serial = run_fig10(runner=SweepRunner(workers=1), **_FIG10)
+        parallel = run_fig10(runner=SweepRunner(workers=2, sweep_label="fig10"), **_FIG10)
+        assert _fig10_points(parallel) == _fig10_points(serial)
+        assert len(private_dirs) == 1 and not private_dirs[0].exists()
+        assert not (tmp_path / "default").exists()
+
+    def test_private_store_removed_after_close_mid_stream(self, private_dirs):
+        tasks = expand_grid(params=[{"value": v} for v in range(6)], seed=3)
+        execution = SweepRunner(workers=2).submit(_square_worker, tasks, shared={"offset": 0})
+        stream = execution.as_completed()  # held: dropping it would close the sweep
+        next(stream)
+        assert len(private_dirs) == 1 and private_dirs[0].exists()
+        execution.close()
+        assert not private_dirs[0].exists()
+        # a submission closed before its first result makes no store at all
+        SweepRunner(workers=2).submit(_square_worker, tasks, shared={"offset": 0}).close()
+        assert len(private_dirs) == 1
+
+
+#: A two-task fig10 grid (one naive, one adaptive task).
+_FIG10 = dict(
+    benchmarks=("inversek2j",), voltages=(0.90, 0.50), num_samples=300, adaptive_epochs=4, seed=5
+)
+
+
+def _fig10_points(result):
+    return [
+        (p.voltage, p.bit_fault_rate, p.naive_error, p.adaptive_error)
+        for p in result.sweep_for("inversek2j").points
+    ]
+
+
+@pytest.fixture
+def private_dirs(tmp_path, monkeypatch):
+    """Every directory ``tempfile.mkdtemp`` makes (the private stores), made
+    under ``tmp_path``; the default cache is ``tmp_path/default``."""
+    made = []
+    mkdtemp = tempfile.mkdtemp
+
+    def recording(*args, **kwargs):
+        made.append(Path(mkdtemp(*args, **{**kwargs, "dir": tmp_path})))
+        return str(made[-1])
+
+    monkeypatch.setattr(tempfile, "mkdtemp", recording)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "default"))
+    monkeypatch.setattr(cache_module, "_DEFAULT_CACHE", None)
+    return made
 
 
 class TestDriverCLIs:
@@ -696,8 +714,9 @@ class TestDriverCLIs:
         assert f"argument {flag}: must be" in capsys.readouterr().err
 
     def test_queue_and_fault_modules_load_lazily(self):
-        """A serial driver run never imports the queue machinery, yet the
-        package still exports its names."""
+        """A serial driver run never imports the queue machinery, nor
+        ``multiprocessing`` or ``concurrent.futures``, yet the package still
+        exports its names."""
         import subprocess
         import sys
 
@@ -706,6 +725,8 @@ class TestDriverCLIs:
             "import repro.experiments.fig10_error_vs_voltage\n"
             "print(sorted(m for m in ('faults', 'leases', 'queue')\n"
             "             if f'repro.experiments.{m}' in sys.modules))\n"
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures')\n"
+            "             if m in sys.modules))\n"
             "from repro.experiments import FaultPlan, QueueBackend\n"
             "print(FaultPlan.__module__, QueueBackend.__module__)\n"
         )
@@ -719,20 +740,29 @@ class TestDriverCLIs:
         )
         assert result.stdout.splitlines() == [
             "[]",
+            "[]",
             "repro.experiments.faults repro.experiments.queue",
         ]
 
     @pytest.mark.parametrize("flags, message", [
         (["--backend", "broker"], "invalid choice: 'broker'"),
         (["--broker", "127.0.0.1:7464"], "unrecognized arguments: --broker"),
+        (["--backend", "process"], "invalid choice: 'process'"),
     ])
-    def test_removed_backend_flags_rejected(self, flags, message, capsys):
+    def test_removed_backend_flags_rejected(self, flags, message, capsys, monkeypatch):
         from repro.experiments import fig09_sram
 
         with pytest.raises(SystemExit) as info:
             fig09_sram.main(["--figure", "a", *flags])
         assert info.value.code == 2
         assert message in capsys.readouterr().err
+        if flags[0] == "--backend":
+            # nor can the environment select it, whatever the worker count
+            monkeypatch.setenv("REPRO_SWEEP_BACKEND", flags[1])
+            for workers in ("1", "2"):
+                with pytest.raises(ValueError, match=f"unknown sweep backend '{flags[1]}'"):
+                    fig09_sram.main(["--figure", "a", "--num-words", "64",
+                                     "--voltages", "0.5", "0.6", "--workers", workers])
 
 
 #: Per-driver (cheap grid args, poison match) for the quarantine-rendering
@@ -955,7 +985,9 @@ class TestCliTableDiffs:
         """Two queue coordinators share one ``--cache-dir``: one runs as
         ``python -m`` in a subprocess, the other in this process with a
         delay rule slowing its worker, so the two overlap.  Both print the
-        default backend's table, and each task is published once.
+        serial backend's table, and each task is published once.  The
+        serial reference runs on the same ``--cache-dir`` but recalls no
+        published result, so the comparison is not with the queue's own.
 
         The subprocess pins ``common.dispatch_canonical_main``: without it,
         its workers live in ``__main__`` and publish where this process's
@@ -989,10 +1021,10 @@ class TestCliTableDiffs:
                 other.wait()
         assert other.returncode == 0, other_err
         monkeypatch.delenv(ENV_FAULT_PLAN)
-        assert module.main(args) == 0
-        default = _table(capsys.readouterr().out)
-        assert _table(out) == default
-        assert _table(other_out) == default
+        assert module.main([*args, "--backend", "serial"]) == 0
+        serial = _table(capsys.readouterr().out)
+        assert _table(out) == serial
+        assert _table(other_out) == serial
         total = int(out.splitlines()[0].split("/")[1].split("]")[0])  # "[i/N] ..."
         assert len(list((tmp_path / "sweep-shard").glob("*.pkl"))) == total
 
@@ -1001,7 +1033,7 @@ class TestCliTableDiffs:
     ):
         """fig9a on the queue backend while a fault plan SIGKILLs worker 0
         after its first publish, then a fresh resume: the resumed table is
-        the default backend's, and the store the chaos run published
+        the serial backend's, and the store the chaos run published
         through verifies clean."""
         from repro.experiments import cache as cache_cli
         from repro.experiments import fig09_sram
@@ -1020,7 +1052,7 @@ class TestCliTableDiffs:
         capsys.readouterr()
         assert fig09_sram.main(queue) == 0
         resumed = _table(capsys.readouterr().out)
-        assert fig09_sram.main(args) == 0
+        assert fig09_sram.main([*args, "--backend", "serial"]) == 0
         assert resumed == _table(capsys.readouterr().out)
         assert cache_cli.main(["--root", str(tmp_path), "verify", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)

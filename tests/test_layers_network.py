@@ -361,6 +361,13 @@ class TestCopyAndPickle:
         _fit(net, toy_dataset, mat=False)
         assert len(pickle.dumps(net)) <= len(_pickled_as_before(net, monkeypatch))
 
+    def test_pickle_carries_no_training_batch(self, toy_dataset):
+        net = Network("8-6-2", seed=4)
+        fresh = len(pickle.dumps(net))
+        _fit(net, toy_dataset, mat=False)
+        assert net.layers[0]._input is not None  # the forward pass kept its batch
+        assert len(pickle.dumps(net)) <= fresh
+
     def test_state_pickled_before_buffers_loads_and_trains(self, toy_dataset, monkeypatch):
         net = Network("8-6-2", loss="binary_cross_entropy", seed=4)
         _fit(net, toy_dataset, mat=False)

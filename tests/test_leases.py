@@ -13,6 +13,7 @@ under ``tmp_path``, and the heartbeat against a scripted ``renew`` on a
 from __future__ import annotations
 
 import contextlib
+import multiprocessing
 import tempfile
 import threading
 import time
@@ -248,12 +249,13 @@ class TestQueueProperties:
             assert coordinator.reclaim() == 1
 
     def test_shutdown_stops_only_its_own_runs_workers(self, tmp_path):
-        """Two coordinator runs share one queue directory: one run's
-        shutdown stops its own workers, not the other run's, and retiring
-        it leaves the other run's queued task in place."""
+        """Two coordinator runs share one queue directory, each with its own
+        stop event: one run's shutdown stops its own workers, not the other
+        run's, writes nothing into the directory, and retiring it leaves the
+        other run's queued task in place."""
         store = ArtifactCache(root=tmp_path / "cache")
-        first = _spec(tmp_path, store, run="first")
-        second = _spec(tmp_path, store, run="second")
+        first = _spec(tmp_path, store, stop=multiprocessing.Event())
+        second = _spec(tmp_path, store, stop=multiprocessing.Event())
         coordinator = _QueueDir(first)
         coordinator.enqueue({"d0": "task-d0"})
         _QueueDir(second).enqueue({"d0": "task-d0"})
@@ -261,8 +263,9 @@ class TestQueueProperties:
         assert _QueueDir(first, "w0").claim() == ("shutdown", None)
         status, record = _QueueDir(second, "w1").claim()
         assert (status, record["digest"]) == ("claimed", "d0")
+        assert not second.stop.is_set()
         coordinator.retire(settled=True)
-        assert not coordinator.shutdown_path.exists()
+        assert sorted(path.name for path in coordinator.sweep_dir.iterdir()) == ["leases", "tasks"]
         assert _on_disk(coordinator) == ({"d0"}, {"d0": "w1"})
 
 

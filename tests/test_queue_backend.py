@@ -86,6 +86,12 @@ def _slow_worker(shared, task):
     return _draw_worker(shared, task)
 
 
+def _one_slow_worker(shared, task):
+    if task.voltage == shared["slow"]:
+        time.sleep(shared["sleep"])
+    return _draw_worker(shared, task)
+
+
 #: read by ``_scaled_worker`` in whichever process runs it (a forked worker
 #: inherits it), the way CLI arguments reach a worker outside ``shared``
 _SCALE = {"value": 1.0}
@@ -463,6 +469,20 @@ class TestQueueBackend:
         )
         elapsed = time.monotonic() - start
         assert len(results) == 1 and backend.last_stats["enqueued"] == 1
+        assert elapsed < backend.poll_seconds / 2
+
+    def test_teardown_does_not_wait_out_a_poll(self, store):
+        """The worker done with the fast task idles on the slow task's live
+        lease; when the sweep settles, the coordinator's stop wakes it, so
+        the sweep ends without waiting out its poll."""
+        backend = _queue_backend(store, poll_seconds=3.0)
+        tasks = _grid(2)
+        shared = {"offset": 0, "slow": tasks[0].voltage, "sleep": 0.3}
+        start = time.monotonic()
+        results = _runner(backend, store, workers=2).map(_one_slow_worker, tasks, shared=shared)
+        elapsed = time.monotonic() - start
+        assert results == SweepRunner(workers=1).map(_draw_worker, tasks, shared=shared)
+        assert backend.last_stats["enqueued"] == 2
         assert elapsed < backend.poll_seconds / 2
 
     def test_death_after_the_last_settle_is_counted(self, store):
@@ -877,4 +897,4 @@ class TestConcurrentCoordinators:
         rest = self._finish(survivor)
         assert rest is not None, "the surviving coordinator hung after its peer was abandoned"
         assert dict(first + rest) == self._serial(tasks)
-        assert not any((store.root / "queue").iterdir())  # no sentinel left behind
+        assert not any((store.root / "queue").iterdir())  # retired once both settled
