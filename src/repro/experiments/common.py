@@ -206,11 +206,7 @@ def train_cached(
         "initial": network.get_weights(),
         # identically initialized networks can differ only in structure:
         # the objective and activations must keep artifacts apart
-        "network": {
-            "widths": tuple(network.widths),
-            "activations": tuple(layer.activation.name for layer in network.layers),
-            "loss": network.loss.name,
-        },
+        "network": network.structure_key(),
         "dataset": dataset_key(train),
         "optimizer": optimizer,
         "learning_rate": float(learning_rate),

@@ -62,7 +62,6 @@ __all__ = [
     "PoisonTask",
     "SuppressHeartbeat",
     "WorkerFaultInjector",
-    "NULL_INJECTOR",
     "rule_grammar",
 ]
 
@@ -324,7 +323,3 @@ class WorkerFaultInjector:
         # SIGKILL self: no cleanup handlers, no finally blocks — exactly the
         # abrupt death (OOM killer, preemption) the lease protocol must absorb
         os.kill(os.getpid(), signal.SIGKILL)
-
-
-#: Injector that never fires — what workers use when no plan is active.
-NULL_INJECTOR = WorkerFaultInjector([])

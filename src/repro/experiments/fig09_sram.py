@@ -14,10 +14,11 @@ SRAM faults).  The driver sweeps hidden widths for one benchmark and reports
 test error and parameter count per topology.
 
 Both sweeps run through the :class:`~repro.experiments.engine.SweepRunner`:
-Fig. 9a expands the voltage axis (each task profiles its own identically
-seeded bank, so tasks are independent and order-free), Fig. 9b expands the
-hidden-width axis with each candidate's training memoized in the artifact
-cache.
+Fig. 9a expands the voltage axis (the bank's cell population is sampled once
+per sweep and shared, read-only, with every task, which profiles its own
+bank built around it, so tasks are independent and order-free), Fig. 9b
+expands the hidden-width axis with each candidate's training memoized in
+the artifact cache.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 from ..nn.network import Network
 from ..sram import calibration
 from ..sram.array import SramBank
+from ..sram.bitcell import BitcellPopulation
 from ..sram.profiler import SramProfiler
 from .cache import ArtifactCache, default_cache
 from .common import (
@@ -86,8 +88,17 @@ class Fig9aResult:
 
 
 def _fig9a_point_worker(shared: dict, task: SweepTask) -> Fig9aPoint:
-    """Profile one identically seeded bank at one voltage."""
-    bank = SramBank(shared["num_words"], shared["word_bits"], seed=shared["seed"])
+    """Profile a bank built around the sweep's shared population at one voltage.
+
+    The population's arrays are read-only, so no task can change what
+    another task measures; each task's bank has its own contents and
+    counters.
+    """
+    vmin_read = shared["vmin_read"]
+    bank = SramBank(
+        *vmin_read.shape,
+        cells=BitcellPopulation(vmin_read, shared["preferred_state"]),
+    )
     voltage = float(task.voltage)
     report = SramProfiler().profile_bank(bank, voltage, shared["temperature"])
     predicted = float(bank.variation_model.failure_probability(voltage))
@@ -119,18 +130,23 @@ def run_fig9a(
     """Profile a weight-SRAM-sized bank across the voltage sweep of Fig. 9a.
 
     The default geometry (4608 × 16 bits = 9 KB) matches the paper's total
-    on-chip SRAM so the measured tail statistics are comparable.  Every task
-    reconstructs the bank from the same seed, so the sweep is embarrassingly
-    parallel and the measured curve does not depend on profiling order.
+    on-chip SRAM so the measured tail statistics are comparable.  The bank's
+    cell population is sampled from ``seed`` once, here, and every task
+    profiles a bank built around it, so the sweep is embarrassingly parallel
+    and the measured curve does not depend on profiling order.  The
+    population travels in the shared payload as two read-only arrays, so the
+    result store names the configuration by their content.
     """
     if voltages is None:
         voltages = np.arange(0.40, 0.561, 0.01)
     runner = runner or SweepRunner()
     tasks = expand_grid(voltages=[float(v) for v in np.asarray(voltages, dtype=float)], seed=seed)
+    cells = SramBank(num_words, word_bits, seed=seed).cells
+    for array in (cells.vmin_read, cells.preferred_state):
+        array.flags.writeable = False
     shared = {
-        "num_words": num_words,
-        "word_bits": word_bits,
-        "seed": seed,
+        "vmin_read": cells.vmin_read,
+        "preferred_state": cells.preferred_state,
         "temperature": temperature,
     }
     result = Fig9aResult()

@@ -79,7 +79,7 @@ import time
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .cache import ArtifactCache, cache_digest, default_cache
 from .engine import (
@@ -90,7 +90,6 @@ from .engine import (
     task_digest,
     worker_identity,
 )
-from .faults import NULL_INJECTOR, FaultPlan
 from .leases import (
     DEFAULT_QUEUE_RETRIES,
     POISON_KIND,
@@ -109,12 +108,51 @@ from .leases import (
     steal_lease,
 )
 
+if TYPE_CHECKING:
+    from .faults import FaultPlan
+
 __all__ = [
     "DEFAULT_QUEUE_RETRIES",
     "LeaseWorker",
     "QueueBackend",
     "WorkerSpec",
 ]
+
+#: The variable :meth:`repro.experiments.faults.FaultPlan.from_env` reads.
+_ENV_FAULT_PLAN = "REPRO_FAULT_PLAN"
+
+
+def _env_fault_plan() -> FaultPlan | None:
+    """The plan ``$REPRO_FAULT_PLAN`` carries, or None when it is unset.
+
+    The chaos harness (:mod:`repro.experiments.faults`) is imported only
+    when the variable is set, so a run without a plan never loads it.
+    """
+    if not os.environ.get(_ENV_FAULT_PLAN, "").strip():
+        return None
+    from .faults import FaultPlan
+
+    return FaultPlan.from_env()
+
+
+class _NoFaults:
+    """The fault hooks of a worker without a fault plan: none ever fires.
+
+    Stands in for a :class:`~repro.experiments.faults.WorkerFaultInjector`
+    with no rules, without importing the chaos harness.
+    """
+
+    def on_claim(self, completed: int) -> None:
+        pass
+
+    def before_execute(self, task: SweepTask) -> None:
+        pass
+
+    def heartbeat_allowed(self, completed: int) -> bool:
+        return True
+
+    def on_publish(self, completed: int) -> None:
+        pass
 
 
 def _write_record(path: Path, record: dict[str, Any]) -> bool:
@@ -349,7 +387,7 @@ class LeaseWorker:
         self.completed = 0
         plan = spec.fault_plan
         self.injector = (
-            plan.for_worker(spec.worker_index) if plan is not None else NULL_INJECTOR
+            plan.for_worker(spec.worker_index) if plan is not None else _NoFaults()
         )
         self.queue = _QueueDir(spec, self.owner)
 
@@ -535,7 +573,7 @@ class QueueBackend:
             poll_seconds=float(self.poll_seconds),
             sweep_dir=Path(root) / sweep_id,
             fault_plan=(
-                self.fault_plan if self.fault_plan is not None else FaultPlan.from_env()
+                self.fault_plan if self.fault_plan is not None else _env_fault_plan()
             ),
         )
 

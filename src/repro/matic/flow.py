@@ -534,11 +534,7 @@ class MaticFlow:
         """
         config = config if config is not None else self.training
         return {
-            "network": {
-                "widths": tuple(network.widths),
-                "activations": tuple(layer.activation.name for layer in network.layers),
-                "loss": network.loss.name,
-            },
+            "network": network.structure_key(),
             "formats": tuple(
                 (
                     fmt.weight_format.total_bits,

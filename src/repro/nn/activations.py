@@ -53,6 +53,19 @@ class Activation:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
 
+    def spec_key(self) -> str | tuple[str, dict]:
+        """Content key for cache digests: the name, plus any parameters.
+
+        An activation's instance attributes are its parameters (the
+        activations are otherwise stateless), so two of one kind configured
+        differently, such as ``LeakyReLU(0.3)`` and ``LeakyReLU(0.01)``,
+        key apart.  One without parameters keys as its bare name.
+        """
+        params = vars(self)
+        if not params:
+            return self.name
+        return (self.name, {name: params[name] for name in sorted(params)})
+
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"{type(self).__name__}()"
 

@@ -247,6 +247,19 @@ class Network:
         """Number of weight parameters (the values stored in weight SRAM)."""
         return sum(layer.weights.size for layer in self.layers)
 
+    def structure_key(self) -> dict:
+        """Content key of the network's structure, for cache digests.
+
+        Identically initialized networks can still differ in structure: the
+        widths, every layer's activation with its parameters, and the loss
+        keep their trained artifacts apart.
+        """
+        return {
+            "widths": tuple(self.widths),
+            "activations": tuple(layer.activation.spec_key() for layer in self.layers),
+            "loss": self.loss.name,
+        }
+
     def get_weights(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Return copies of ``(weights, bias)`` per layer."""
         return [(layer.weights.copy(), layer.bias.copy()) for layer in self.layers]

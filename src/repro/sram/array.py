@@ -67,6 +67,11 @@ class SramBank:
         Randomness for the variation sampling.
     name:
         Identifier used in profiling reports (e.g. ``"pe0.weights"``).
+    cells:
+        A population already sampled for this geometry, used as is instead
+        of drawing one: nothing is drawn from ``seed``, and a population of
+        another shape is rejected.  Banks built around one population share
+        its arrays, so a sweep samples a die once (Fig. 9a's tasks do).
     """
 
     def __init__(
@@ -78,6 +83,7 @@ class SramBank:
         name: str = "sram",
         temperature_coefficient: float = calibration.TEMPERATURE_COEFFICIENT,
         scenario: VariationScenario | None = None,
+        cells: BitcellPopulation | None = None,
     ) -> None:
         if num_words <= 0 or word_bits <= 0:
             raise ValueError("num_words and word_bits must be positive")
@@ -87,7 +93,6 @@ class SramBank:
         self.word_bits = int(word_bits)
         self.name = name
         self.temperature_coefficient = float(temperature_coefficient)
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         #: the variation scenario this bank was built under (None = legacy
         #: i.i.d./typical-corner behaviour); folded into cache keys
         self.scenario = scenario
@@ -105,7 +110,15 @@ class SramBank:
         self.vmin_offset = (
             float(scenario.corner.vmin_shift) if scenario is not None else 0.0
         )
-        self._cells: BitcellPopulation = model.sample(self.num_words, self.word_bits, rng)
+        if cells is None:
+            rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+            cells = model.sample(self.num_words, self.word_bits, rng)
+        elif cells.shape != (self.num_words, self.word_bits):
+            raise ValueError(
+                f"cells has shape {cells.shape}, expected "
+                f"{(self.num_words, self.word_bits)}"
+            )
+        self._cells: BitcellPopulation = cells
         #: stored contents, one uint64 word per address (word-resident storage)
         self._words = np.zeros(self.num_words, dtype=np.uint64)
         #: counters useful for energy accounting and tests

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import calibration
 from .array import SramBank, WeightMemorySystem
-from .bitops import unpack_words
+from .bitops import popcount, unpack_words
 from .fault_map import FaultMap
 
 __all__ = ["ProfileReport", "SramProfiler"]
@@ -111,13 +111,23 @@ class SramProfiler:
         voltage: float,
         temperature: float = calibration.NOMINAL_TEMPERATURE,
     ) -> ProfileReport:
-        """Run the read-after-write / read-after-read procedure on one bank."""
+        """Run the read-after-write / read-after-read procedure on one bank.
+
+        Every data background is written at nominal voltage and read twice
+        at the target voltage through the bank's public :meth:`SramBank.read`;
+        the bank's saved contents are written back afterwards (with
+        ``restore_contents``).  Errors are compared, counted and recorded in
+        the word domain: a pass's failing bits are ``(expected ^ read) &
+        word_mask``, and the stuck and stuck-value words are unpacked into
+        the fault map's bit matrices once, at the end.
+        """
         if voltage <= 0:
             raise ValueError("voltage must be positive")
         saved = bank.stored_words() if self.restore_contents else None
         addresses = np.arange(bank.num_words)
-        stuck = np.zeros((bank.num_words, bank.word_bits), dtype=bool)
-        stuck_values = np.zeros((bank.num_words, bank.word_bits), dtype=np.uint8)
+        word_mask = np.uint64(bank.word_mask)
+        stuck = np.zeros(bank.num_words, dtype=np.uint64)
+        stuck_values = np.zeros(bank.num_words, dtype=np.uint64)
         raw_errors = 0
         rar_errors = 0
         pattern_errors: dict[str, int] = {}
@@ -132,22 +142,25 @@ class SramProfiler:
             first_read = bank.read(addresses, voltage=voltage, temperature=temperature)
             second_read = bank.read(addresses, voltage=voltage, temperature=temperature)
 
-            first_diff = self._bit_errors(expected, first_read, bank.word_bits)
-            second_diff = self._bit_errors(expected, second_read, bank.word_bits)
-            raw_errors += int(first_diff.sum())
-            rar_errors += int(second_diff.sum())
-            pattern_errors[pattern_name] = int(second_diff.sum())
+            raw_errors += popcount((expected ^ first_read) & word_mask)
+            second_diff = (expected ^ second_read) & word_mask
+            errors = popcount(second_diff)
+            rar_errors += errors
+            pattern_errors[pattern_name] = errors
 
             # Record every erroneous bit with the polarity it reads as.  Using
             # the second read means only stable (trainable-around) failures
             # enter the map, matching the paper's observation that disturbed
             # cells provide stable read outputs.  Later patterns override
             # earlier ones, matching the per-fault insertion order semantics.
-            observed_bits = self._words_to_bits(second_read, bank.word_bits)
-            np.copyto(stuck_values, observed_bits, where=second_diff)
+            stuck_values &= ~second_diff
+            stuck_values |= second_read & second_diff
             stuck |= second_diff
 
-        fault_map = FaultMap.from_arrays(stuck, stuck_values)
+        fault_map = FaultMap.from_arrays(
+            unpack_words(stuck, bank.word_bits),
+            unpack_words(stuck_values, bank.word_bits),
+        )
         if saved is not None:
             bank.write(addresses, saved)
 
@@ -207,7 +220,7 @@ class SramProfiler:
         # which cells each pattern can expose: the background bit must differ
         # from the preferred state the cell flips to
         pattern_exposes = {
-            name: self._words_to_bits(
+            name: unpack_words(
                 np.full(bank.num_words, pattern, dtype=np.uint64), bank.word_bits
             )
             != preferred
@@ -263,17 +276,3 @@ class SramProfiler:
             report = self.profile_bank(bank, float(voltage), temperature)
             rates[index] = report.fault_rate
         return rates
-
-    # ------------------------------------------------------------ helpers
-
-    @staticmethod
-    def _words_to_bits(words: np.ndarray, word_bits: int) -> np.ndarray:
-        return unpack_words(words, word_bits)
-
-    @classmethod
-    def _bit_errors(
-        cls, expected: np.ndarray, observed: np.ndarray, word_bits: int
-    ) -> np.ndarray:
-        return cls._words_to_bits(expected, word_bits) != cls._words_to_bits(
-            observed, word_bits
-        )

@@ -713,36 +713,47 @@ class TestDriverCLIs:
         assert info.value.code == 2
         assert f"argument {flag}: must be" in capsys.readouterr().err
 
-    def test_queue_and_fault_modules_load_lazily(self):
+    def test_queue_and_fault_modules_load_lazily(self, tmp_path):
         """A serial driver run never imports the queue machinery, nor
-        ``multiprocessing`` or ``concurrent.futures``, yet the package still
-        exports its names."""
+        ``multiprocessing`` or ``concurrent.futures``; importing the queue,
+        and a queue run without a fault plan, never import the chaos
+        harness; yet the package still exports every name."""
         import subprocess
         import sys
 
+        from repro.experiments.faults import ENV_FAULT_PLAN
+
         script = (
             "import sys\n"
+            "def loaded(names):\n"
+            "    return sorted(m for m in names if f'repro.experiments.{m}' in sys.modules)\n"
             "import repro.experiments.fig10_error_vs_voltage\n"
-            "print(sorted(m for m in ('faults', 'leases', 'queue')\n"
-            "             if f'repro.experiments.{m}' in sys.modules))\n"
+            "print(loaded(('faults', 'leases', 'queue')))\n"
             "print(sorted(m for m in ('multiprocessing', 'concurrent.futures')\n"
             "             if m in sys.modules))\n"
+            "import repro.experiments.queue\n"
+            "print(loaded(('faults', 'queue')))\n"
+            "from repro.experiments.fig09_sram import main\n"
+            "main(['--figure', 'a', '--voltages', '0.5', '0.54', '--num-words', '32',\n"
+            f"      '--backend', 'queue', '--workers', '1', '--cache-dir', {str(tmp_path)!r}])\n"
+            "print(loaded(('faults',)))\n"
             "from repro.experiments import FaultPlan, QueueBackend\n"
             "print(FaultPlan.__module__, QueueBackend.__module__)\n"
         )
         src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop(ENV_FAULT_PLAN, None)
         result = subprocess.run(
             [sys.executable, "-c", script],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": src},
+            env=env,
             check=True,
         )
-        assert result.stdout.splitlines() == [
-            "[]",
-            "[]",
-            "repro.experiments.faults repro.experiments.queue",
-        ]
+        lines = result.stdout.splitlines()
+        assert lines[:3] == ["[]", "[]", "['queue']"]
+        assert "Fig. 9a" in result.stdout
+        assert lines[-2:] == ["[]", "repro.experiments.faults repro.experiments.queue"]
 
     @pytest.mark.parametrize("flags, message", [
         (["--backend", "broker"], "invalid choice: 'broker'"),

@@ -24,6 +24,7 @@ from repro.experiments import (
     run_table2,
     run_table3,
 )
+from repro.experiments.engine import SweepRunner
 from repro.experiments.fig10_error_vs_voltage import BenchmarkSweep, VoltagePoint
 
 
@@ -83,6 +84,55 @@ class TestEnergyDrivers:
         result = run_fig9a(voltages=np.array([0.44, 0.50, 0.54]), num_words=256)
         rates = [p.measured_rate for p in result.points]
         assert rates[0] > rates[1] > rates[2]
+
+    def test_fig9a_samples_one_population_per_sweep(self, monkeypatch):
+        from repro.sram import EmpiricalVminModel
+
+        sampled = []
+        sample = EmpiricalVminModel.sample
+
+        def counted(model, num_words, word_bits, rng):
+            sampled.append((num_words, word_bits))
+            return sample(model, num_words, word_bits, rng)
+
+        monkeypatch.setattr(EmpiricalVminModel, "sample", counted)
+        result = run_fig9a(
+            voltages=np.array([0.44, 0.47, 0.50, 0.54]),
+            num_words=128,
+            runner=SweepRunner(workers=1, backend="serial"),
+        )
+        assert len(result.points) == 4
+        assert sampled == [(128, 16)]
+
+    def test_fig9a_tasks_cannot_write_into_the_shared_population(self, monkeypatch):
+        from repro.experiments import fig09_sram
+        from repro.sram import BitcellPopulation, SramBank
+
+        worker = fig09_sram._fig9a_point_worker
+        probed = []
+
+        def probing_worker(shared, task):
+            bank = SramBank(
+                *shared["vmin_read"].shape,
+                cells=BitcellPopulation(shared["vmin_read"], shared["preferred_state"]),
+            )
+            for array in (bank.cells.vmin_read, bank.cells.preferred_state):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0, 0] = 1
+            probed.append(shared["vmin_read"])
+            return worker(shared, task)
+
+        monkeypatch.setattr(fig09_sram, "_fig9a_point_worker", probing_worker)
+        voltages = np.array([0.44, 0.50])
+        probe = run_fig9a(
+            voltages=voltages, num_words=64, runner=SweepRunner(workers=1, backend="serial")
+        )
+        assert len(probed) == 2 and probed[0] is probed[1]
+        monkeypatch.undo()
+        plain = run_fig9a(
+            voltages=voltages, num_words=64, runner=SweepRunner(workers=1, backend="serial")
+        )
+        assert probe.points == plain.points
 
 
 class TestTrainingDrivers:

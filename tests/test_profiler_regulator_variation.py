@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_profiler import ReferenceProfiler
 
 from repro.sram import (
     FAST_CORNER,
@@ -107,6 +110,105 @@ class TestSramProfiler:
         cold = profiler.profile_bank(bank, 0.47, temperature=-15.0).fault_rate
         hot = profiler.profile_bank(bank, 0.47, temperature=90.0).fault_rate
         assert cold >= hot
+
+
+@st.composite
+def profiling_setups(draw):
+    """A bank configuration, its prior contents and a profiler configuration.
+
+    Patterns and prior contents are drawn over the full 64 bits, so they
+    also carry bits above the word length, which the bank and the profiler
+    must mask off.  Pattern values lean toward all-zeros, all-ones and
+    alternating bits, so configured patterns often expose the same cells,
+    and later patterns override earlier ones.
+    """
+    word_bits = draw(st.integers(min_value=1, max_value=64))
+    num_words = draw(st.integers(min_value=1, max_value=40))
+    limit = (1 << word_bits) - 1
+    word = st.one_of(
+        st.integers(min_value=0, max_value=(1 << 64) - 1),
+        st.sampled_from([0, limit, 0xAAAA_AAAA_AAAA_AAAA & limit, 0x5555_5555_5555_5555]),
+    )
+    patterns = draw(
+        st.none()
+        | st.dictionaries(
+            st.sampled_from(["zeros", "ones", "checker", "inverse", "random"]),
+            word,
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return {
+        "num_words": num_words,
+        "word_bits": word_bits,
+        "seed": draw(st.integers(min_value=0, max_value=2**16)),
+        "vmin_offset": draw(st.sampled_from([0.0, -0.04, 0.03])),
+        # a seed for the bank's prior contents (None: a fresh, all-zero bank)
+        "prior": draw(st.none() | st.integers(min_value=0, max_value=2**32)),
+        "patterns": patterns,
+        "restore_contents": draw(st.booleans()),
+        "temperature": draw(st.sampled_from([-15.0, 25.0, 60.0, 90.0])),
+        "voltages": draw(
+            st.lists(st.floats(min_value=0.38, max_value=0.60), min_size=1, max_size=3)
+        ),
+    }
+
+
+class _UnmaskedPatterns:
+    """Writes the configured backgrounds as given, bits above the word
+    length included (``patterns_for`` is public API a subclass may
+    override)."""
+
+    def patterns_for(self, bank):
+        return dict(self.test_patterns) or super().patterns_for(bank)
+
+
+class TestWordDomainProfileMatchesReference:
+    """The word-domain ``profile_bank`` against the bit-matrix procedure it
+    replaced (``tests/reference_profiler.py``): equal reports, and equal
+    side effects on the bank it profiles."""
+
+    PROFILERS = {
+        False: (SramProfiler, ReferenceProfiler),
+        True: (
+            type("UnmaskedProfiler", (_UnmaskedPatterns, SramProfiler), {}),
+            type("UnmaskedReferenceProfiler", (_UnmaskedPatterns, ReferenceProfiler), {}),
+        ),
+    }
+
+    @staticmethod
+    def _bank(setup):
+        bank = SramBank(setup["num_words"], setup["word_bits"], seed=setup["seed"])
+        bank.vmin_offset = setup["vmin_offset"]
+        if setup["prior"] is not None:
+            rng = np.random.default_rng(setup["prior"])
+            bank.write_all(rng.integers(0, 2**64, size=bank.num_words, dtype=np.uint64))
+        return bank
+
+    @given(profiling_setups(), st.booleans())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_reports_and_bank_state_match(self, setup, unmasked):
+        profiler, reference = (
+            cls(setup["patterns"], setup["restore_contents"])
+            for cls in self.PROFILERS[unmasked]
+        )
+        bank, reference_bank = self._bank(setup), self._bank(setup)
+        for voltage in setup["voltages"]:
+            got = profiler.profile_bank(bank, voltage, setup["temperature"])
+            want = reference.profile_bank(reference_bank, voltage, setup["temperature"])
+            assert got.fault_map == want.fault_map
+            for got_mask, want_mask in zip(got.fault_map.masks(), want.fault_map.masks()):
+                np.testing.assert_array_equal(got_mask, want_mask)
+            assert got.read_after_write_errors == want.read_after_write_errors
+            assert got.read_after_read_errors == want.read_after_read_errors
+            assert list(got.pattern_errors.items()) == list(want.pattern_errors.items())
+            assert got == want
+            np.testing.assert_array_equal(bank.stored_words(), reference_bank.stored_words())
+            assert (bank.read_count, bank.write_count, bank.content_epoch) == (
+                reference_bank.read_count,
+                reference_bank.write_count,
+                reference_bank.content_epoch,
+            )
 
 
 class TestVoltageRegulator:

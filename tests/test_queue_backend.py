@@ -58,7 +58,8 @@ def _log_execution(log_path, tag):
 
 def _log_counts(log_path):
     try:
-        lines = open(log_path).read().split()
+        with open(log_path) as handle:
+            lines = handle.read().split()
     except OSError:
         return {}
     counts: dict[str, int] = {}
@@ -399,7 +400,13 @@ class TestQueueBackend:
         """The same two-kill plan on a real driver grid: three benchmarks,
         every voltage overscaled, so each benchmark contributes one batched
         naive task and one chained adaptive-sweep task.  A fresh coordinator
-        over the same store then resumes without recomputing anything."""
+        over the same store then resumes without recomputing anything.
+
+        Two workers make both deaths certain: worker 1 takes one task and
+        dies after publishing it, and while worker 0 runs its first task at
+        least four are left unclaimed (the coordinator drains only once the
+        fleet is gone), so worker 0 always makes the second claim it dies
+        on."""
         from repro.experiments.fig10_error_vs_voltage import run_fig10
 
         def rows(runner):
@@ -429,7 +436,7 @@ class TestQueueBackend:
             store, lease_seconds=1.0, poll_seconds=0.02, backoff=0.05,
             respawn=False, fault_plan=plan,
         )
-        assert rows(_runner(backend, store, workers=4)) == serial
+        assert rows(_runner(backend, store, workers=2)) == serial
         assert backend.last_stats["tasks"] == 6
         assert backend.last_stats["worker_deaths"] == 2
         assert backend.last_stats["quarantined"] == 0
@@ -613,8 +620,17 @@ class TestQueueBackend:
                 raise KeyboardInterrupt
 
         serial = rows(SweepRunner(workers=1))
+        # the interrupted run's workers straggle 0.1 s before every task, so
+        # they are still far from the end of the grid when the coordinator
+        # stops them after the second result: each finishes only the task
+        # it holds
+        straggle = FaultPlan(rules=(DelayTask(worker=-1, seconds=0.1),))
         with pytest.raises(KeyboardInterrupt):
-            rows(_runner(_queue_backend(store), store, progress=interrupt))
+            rows(
+                _runner(
+                    _queue_backend(store, fault_plan=straggle), store, progress=interrupt
+                )
+            )
         resumed = _queue_backend(store)
         assert rows(_runner(resumed, store)) == serial
         assert 2 <= resumed.last_stats["recalled"] < len(serial)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sram import GaussianVminModel, SramBank, WeightMemorySystem
+from repro.sram import BitcellPopulation, GaussianVminModel, SramBank, WeightMemorySystem
 
 
 @pytest.fixture()
@@ -256,6 +256,30 @@ class TestMarginalCellLimit:
         assert (bank.effective_vmin(25.0) > 0.20).all()
         assert bank.marginal_cells(0.20, count=8) == []
         assert bank.marginal_cells(0.20, count=8, limit=10) == []
+
+
+class TestGivenPopulation:
+    """``SramBank(cells=)``: a bank built around a population already sampled."""
+
+    def test_draws_nothing_and_shares_the_arrays(self):
+        cells = SramBank(32, 12, seed=4).cells
+        rng = np.random.default_rng(9)
+        state = rng.bit_generator.state
+        bank = SramBank(32, 12, seed=rng, cells=cells)
+        assert rng.bit_generator.state == state
+        assert bank.cells is cells
+        sampled = SramBank(32, 12, seed=4)
+        for voltage in (0.44, 0.50):
+            assert bank.fault_map_at(voltage) == sampled.fault_map_at(voltage)
+            bank.write_all(np.arange(32, dtype=np.uint64))
+            sampled.write_all(np.arange(32, dtype=np.uint64))
+            np.testing.assert_array_equal(bank.read_all(voltage), sampled.read_all(voltage))
+
+    @pytest.mark.parametrize("shape", [(32, 11), (31, 12), (12, 32)])
+    def test_rejects_a_population_of_another_shape(self, shape):
+        cells = BitcellPopulation(np.full(shape, 0.4), np.zeros(shape, dtype=np.uint8))
+        with pytest.raises(ValueError, match="expected \\(32, 12\\)"):
+            SramBank(32, 12, cells=cells)
 
 
 class TestWeightMemorySystem:

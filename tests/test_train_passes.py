@@ -18,7 +18,9 @@ from reference_passes import ReferenceTrainer, use_reference_passes
 from repro.datasets import get_benchmark
 from repro.experiments.cache import cache_digest
 from repro.experiments.common import train_cached
-from repro.nn import Network, Trainer
+from repro.matic import FaultMaskSet, MaticFlow
+from repro.nn import Dataset, LeakyReLU, Network, Trainer
+from repro.quant import WeightQuantizer
 
 TOPOLOGIES = ("mnist", "facedet", "inversek2j", "bscholes", "synth/mlp-d4-w16-i6-o2")
 _DATA: dict[str, tuple] = {}
@@ -122,3 +124,43 @@ def test_passes_match_on_one_step_of_every_loss_and_output():
             assert_bit_equal(layer.grad_weights, expected.grad_weights)
             assert_bit_equal(layer.grad_bias, expected.grad_bias)
             assert_bit_equal(layer._output, expected._output)
+
+
+class TestTrainedWeightKeys:
+    """The keys trained weights are cached under name each activation with
+    its parameters, and a network without parameterized activations keeps
+    the key it always had."""
+
+    def test_leaky_slopes_key_apart(self):
+        spec, train, _ = _workload("bscholes")
+        steep, shallow = (
+            Network(spec.topology, hidden_activation=LeakyReLU(slope),
+                    output_activation="sigmoid", loss="mse", seed=0)
+            for slope in (0.3, 0.01)
+        )
+        assert np.array_equal(steep.flat_parameters(), shallow.flat_parameters())
+        assert not np.array_equal(steep.predict(train.inputs), shallow.predict(train.inputs))
+        assert _trained_key(steep, train) != _trained_key(shallow, train)
+        mask_set = FaultMaskSet.random(steep, WeightQuantizer(total_bits=16), 0.05, rng=1)
+        adaptive_keys = {
+            cache_digest(MaticFlow()._adaptive_cache_key(network, mask_set, train, None))
+            for network in (steep, shallow)
+        }
+        assert len(adaptive_keys) == 2
+
+    def test_sigmoid_network_digest_is_pinned(self):
+        network = Network(
+            "3-4-2", hidden_activation="sigmoid", output_activation="sigmoid", loss="mse",
+            seed=0,
+        )
+        network.set_weights([
+            (np.arange(12, dtype=float).reshape(3, 4) / 16 - 0.25, np.full(4, 0.125)),
+            (np.arange(8, dtype=float).reshape(4, 2) / 8 - 0.5, np.array([0.5, -0.5])),
+        ])
+        train = Dataset(
+            inputs=np.arange(18, dtype=float).reshape(6, 3) / 32,
+            targets=np.tile([[0.25, 0.75]], (6, 1)),
+        )
+        spy = _KeySpy(network)
+        assert train_cached(network, train, epochs=1, cache=spy) is None
+        assert spy.digest == "3d9b4625d0b93316c3f3740266e6feea49a5f9453abb062448ab3b260ef3b085"
