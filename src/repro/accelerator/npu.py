@@ -241,8 +241,6 @@ class Npu:
         inputs: np.ndarray,
         voltages,
         temperature: float = 25.0,
-        collect_stats: bool = True,
-        refresh: bool = True,
     ) -> list[tuple[np.ndarray, InferenceStats]]:
         """Batched inference across SRAM voltages (one refreshed run each).
 
@@ -256,50 +254,38 @@ class Npu:
         only through performance: voltages whose cached corruption-mask
         digests (:meth:`~repro.sram.array.SramBank.mask_digest`) agree across
         every bank corrupt reads identically, so they are run back to back
-        and share the memoized decoded weight images.  With
-        ``refresh=False`` no reordering happens (corruption then persists
-        point to point, so order is semantics) and each point runs on
-        whatever the previous one left in storage.
+        and share the memoized decoded weight images.
 
-        Under ``refresh=True``, *exact-duplicate* voltage entries are
-        provably identical runs — same corruption-mask signature over the
-        same freshly-rewritten weights on the same inputs — so only the
-        first occurrence executes and later occurrences return the memoized
-        ``(outputs, stats)`` pair.  Duplicate positions alias the first
-        occurrence's arrays rather than copying them; treat sweep outputs as
-        read-only (every in-tree caller does).  With ``refresh=False``
-        duplicates still execute, because each run inherits whatever
-        corruption the previous point left behind.
+        *Exact-duplicate* voltage entries are provably identical runs — same
+        corruption-mask signature over the same freshly-rewritten weights on
+        the same inputs — so only the first occurrence executes and later
+        occurrences return the memoized ``(outputs, stats)`` pair.  Duplicate
+        positions alias the first occurrence's arrays rather than copying
+        them; treat sweep outputs as read-only (every in-tree caller does).
         """
         if self.program is None:
             raise RuntimeError("no model deployed; call deploy() first")
         voltages = [float(v) for v in voltages]
-        order = list(range(len(voltages)))
+        first_at: dict[float, int] = {}
         duplicate_of: dict[int, int] = {}
-        if refresh:
-            first_at: dict[float, int] = {}
-            for index, voltage in enumerate(voltages):
-                canonical = first_at.setdefault(voltage, index)
-                if canonical != index:
-                    duplicate_of[index] = canonical
-            group_rank: dict[tuple[bytes, ...], int] = {}
-            ranks = []
-            for voltage in voltages:
-                signature = tuple(
-                    bank.mask_digest(voltage, temperature) for bank in self.memory
-                )
-                ranks.append(group_rank.setdefault(signature, len(group_rank)))
-            order = [index for index in order if index not in duplicate_of]
-            order.sort(key=lambda index: (ranks[index], index))
+        for index, voltage in enumerate(voltages):
+            canonical = first_at.setdefault(voltage, index)
+            if canonical != index:
+                duplicate_of[index] = canonical
+        group_rank: dict[tuple[bytes, ...], int] = {}
+        ranks = []
+        for voltage in voltages:
+            signature = tuple(
+                bank.mask_digest(voltage, temperature) for bank in self.memory
+            )
+            ranks.append(group_rank.setdefault(signature, len(group_rank)))
+        order = [index for index in range(len(voltages)) if index not in duplicate_of]
+        order.sort(key=lambda index: (ranks[index], index))
         results: list[tuple[np.ndarray, InferenceStats] | None] = [None] * len(voltages)
         for index in order:
-            if refresh:
-                self.refresh_weights()
+            self.refresh_weights()
             results[index] = self.run(
-                inputs,
-                sram_voltage=voltages[index],
-                temperature=temperature,
-                collect_stats=collect_stats,
+                inputs, sram_voltage=voltages[index], temperature=temperature
             )
         for index, canonical in duplicate_of.items():
             results[index] = results[canonical]

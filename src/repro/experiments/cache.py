@@ -16,13 +16,13 @@ Artifacts live under a root directory (``$REPRO_CACHE_DIR``, default
         trained-weights/<digest>.pkl      list[(weights, bias)] per layer
         fault-map/<digest>.pkl            one bank's (stuck_mask, stuck_values)
         fault-map-chip/<digest>.pkl       every bank's maps of one chip
-        fault-map-sweep/<digest>.pkl      one bank's maps along a voltage axis
         sweep-*/<digest>.pkl              queue-sweep task results and
                                           quarantined tasks
 
 The ``fault-map*`` kinds are written by
-:meth:`repro.matic.flow.MaticFlow.profile_chip` and
-:meth:`~repro.matic.flow.MaticFlow.profile_chip_sweep`.  The queue backend
+:meth:`repro.matic.flow.MaticFlow.profile_chip`; voltage-axis maps
+(:meth:`~repro.matic.flow.MaticFlow.profile_chip_sweep`) are derived on
+every call and never stored.  The queue backend
 (:mod:`repro.experiments.queue`) publishes per-task results and quarantines
 as ordinary artifacts under the two ``sweep-*`` kinds that
 :mod:`repro.experiments.leases` keys, so resume, dedup, ``stats``, and
@@ -107,12 +107,13 @@ _ENV_DISABLE = "REPRO_CACHE_DISABLE"
 _ENV_BUDGET = "REPRO_CACHE_BUDGET"
 
 
-def _hash_bytes(hasher: "hashlib._Hash", tag: bytes, payload: bytes) -> None:
+def _hash_bytes(hasher: "hashlib._Hash", tag: bytes, payload: bytes | np.ndarray) -> None:
     """Feed one length-delimited, type-tagged component into the hash.
 
     Length prefixes make the encoding injective: without them adjacent
     variable-length components could be re-split into a colliding key
-    (e.g. ``["xstr:y"]`` versus ``["x", "y"]``).
+    (e.g. ``["xstr:y"]`` versus ``["x", "y"]``).  ``payload`` is bytes or a
+    flat ``uint8`` array, whose length is its byte count.
     """
     hasher.update(tag)
     hasher.update(str(len(payload)).encode() + b":")
@@ -122,10 +123,12 @@ def _hash_bytes(hasher: "hashlib._Hash", tag: bytes, payload: bytes) -> None:
 def _hash_update(hasher: "hashlib._Hash", value: Any) -> None:
     """Feed one key component into the hash, canonically and type-tagged."""
     if isinstance(value, np.ndarray):
+        # a 0-d array comes back with shape (1,), which is the shape hashed;
+        # the bytes are fed through a uint8 view, not copied out
         array = np.ascontiguousarray(value)
         _hash_bytes(hasher, b"dtype:", str(array.dtype).encode())
         _hash_bytes(hasher, b"shape:", str(array.shape).encode())
-        _hash_bytes(hasher, b"ndarray:", array.tobytes())
+        _hash_bytes(hasher, b"ndarray:", array.view(np.uint8).reshape(-1))
     elif isinstance(value, (bool, np.bool_)):
         _hash_bytes(hasher, b"bool:", str(bool(value)).encode())
     elif isinstance(value, (int, np.integer)):

@@ -8,10 +8,10 @@ The flow stitches the subsystems together in the order the paper describes:
 2. **Memory-adaptive training** — convert the fault maps into injection
    masks through the compiled weight placement and train the model with the
    MAT update rule so it learns around the profiled errors.
-3. **Canary selection** — pick the most marginal still-working bit-cells of
-   each bank as in-situ canaries.
-4. **Deploy** — load the quantized model into the weight SRAMs and hand a
-   runtime :class:`~repro.matic.canary.CanaryController` to the caller.
+3. **Deploy** — load the quantized model into the weight SRAMs.
+4. **Canary selection** — pick the most marginal still-working bit-cells of
+   each bank as in-situ canaries and hand a runtime
+   :class:`~repro.matic.canary.CanaryController` to the caller.
 
 The flow also provides the *naive* deployment path (train at full precision,
 quantize, deploy, no fault awareness), which is the baseline every
@@ -20,7 +20,7 @@ application-error experiment compares against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable
 
 import numpy as np
@@ -67,38 +67,27 @@ class TrainingConfig:
 
 @dataclass
 class ProfileCacheCounters:
-    """Cache-traffic accounting for :meth:`MaticFlow.profile_chip` and friends.
+    """Cache-traffic accounting for :meth:`MaticFlow.profile_chip`.
 
     One counter pair per memoization granularity: whole-chip records
-    (``fault-map-chip``), per-bank records (``fault-map``), and per-bank
-    voltage-axis records (``fault-map-sweep``).  Counters are per-process —
-    parallel sweep workers each count their own flow copy — and exist so the
-    tests and the adaptive benchmark can assert *how* a warm run was served
-    (one chip-level round trip, zero bank re-profiles) instead of inferring
-    it from wall time.
+    (``fault-map-chip``) and per-bank records (``fault-map``).  Counters are
+    per-process — parallel sweep workers each count their own flow copy —
+    and exist so the tests and the fault-map benchmark can assert *how* a
+    warm run was served (one chip-level round trip, zero bank re-profiles)
+    instead of inferring it from wall time.
     """
 
     chip_hits: int = 0
     chip_misses: int = 0
     bank_hits: int = 0
     bank_misses: int = 0
-    sweep_hits: int = 0
-    sweep_misses: int = 0
 
     def reset(self) -> None:
         self.chip_hits = self.chip_misses = 0
         self.bank_hits = self.bank_misses = 0
-        self.sweep_hits = self.sweep_misses = 0
 
     def as_dict(self) -> dict:
-        return {
-            "chip_hits": self.chip_hits,
-            "chip_misses": self.chip_misses,
-            "bank_hits": self.bank_hits,
-            "bank_misses": self.bank_misses,
-            "sweep_hits": self.sweep_hits,
-            "sweep_misses": self.sweep_misses,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -235,10 +224,6 @@ class MaticFlow:
 
     # ------------------------------------------------------------ pieces
 
-    def make_quantizer(self) -> WeightQuantizer:
-        """The base weight quantizer (see :meth:`quantizer_for`)."""
-        return WeightQuantizer(total_bits=self.word_bits, frac_bits=self.frac_bits)
-
     def quantizer_for(self, network: Network) -> WeightQuantizer:
         """The weight format shared by training and deployment for one model.
 
@@ -247,12 +232,8 @@ class MaticFlow:
         masks, during memory-adaptive training, and when loading the weights
         into the accelerator's SRAM banks.
         """
-        base = self.make_quantizer()
+        base = WeightQuantizer(total_bits=self.word_bits, frac_bits=self.frac_bits)
         return base.freeze(base.layer_formats(network))
-
-    def build_network(self, topology: str | Topology, loss: str, **kwargs) -> Network:
-        """Construct a model with the flow's default seeding."""
-        return Network(topology, loss=loss, seed=self.training.seed, **kwargs)
 
     def train_baseline(
         self, network: Network, train: Dataset, validation: Dataset | None = None
@@ -391,49 +372,15 @@ class MaticFlow:
         analytic path cannot reproduce fall back to measured per-voltage
         profiling inside ``profile_bank_sweep`` itself.
 
-        With a ``training_cache`` attached the axis is memoized as **one**
-        ``"fault-map-sweep"`` record per bank (keyed like
-        :meth:`_profile_cache_key` with the voltage axis in place of the
-        single voltage) instead of ``len(voltages) × banks`` round trips.
-        The same ``restore_contents`` soundness caveat as
-        :meth:`profile_chip` applies.
+        Nothing is memoized: deriving the axis costs less than hashing its
+        key and reading the maps back from the artifact cache.
         """
         profiler = profiler if profiler is not None else SramProfiler()
-        voltage_axis = tuple(float(v) for v in voltages)
-        cache = self.training_cache
-        counters = self.profile_counters
-        maps_by_bank: list[list[FaultMap]] = []
-        for bank in chip.memory:
-            if cache is None or not profiler.restore_contents:
-                reports = profiler.profile_bank_sweep(bank, voltage_axis, temperature)
-                maps_by_bank.append([report.fault_map for report in reports])
-                continue
-            key = self._profile_cache_key(bank, 0.0, temperature, profiler)
-            del key["voltage"]
-            key["voltages"] = voltage_axis
-            cached = cache.get("fault-map-sweep", key)
-            if cached is not None:
-                counters.sweep_hits += 1
-                maps_by_bank.append(
-                    [
-                        FaultMap.from_arrays(stuck_mask, stuck_values)
-                        for stuck_mask, stuck_values in cached
-                    ]
-                )
-                continue
-            counters.sweep_misses += 1
-            reports = profiler.profile_bank_sweep(bank, voltage_axis, temperature)
-            maps = [report.fault_map for report in reports]
-            cache.put(
-                "fault-map-sweep",
-                key,
-                tuple((fm.stuck_mask, fm.stuck_values) for fm in maps),
-            )
-            maps_by_bank.append(maps)
-        return [
-            [maps_by_bank[b][i] for b in range(len(maps_by_bank))]
-            for i in range(len(voltage_axis))
+        per_bank = [
+            profiler.profile_bank_sweep(bank, voltages, temperature)
+            for bank in chip.memory
         ]
+        return [[report.fault_map for report in point] for point in zip(*per_bank)]
 
     def compile_program(
         self,
@@ -489,12 +436,11 @@ class MaticFlow:
     ) -> FaultMaskSet:
         """Convert per-bank fault maps into per-layer injection masks.
 
-        ``quantizer`` and ``program`` let sweep callers hoist the format
-        choice and the compile out of the per-voltage loop: the placement is
+        ``quantizer`` and ``program`` let the deploy walk hoist the format
+        choice and the compile out of its per-voltage loop: the placement is
         voltage-invariant, so one compiled program translates every operating
         point's fault maps.  When omitted they are derived from ``network``
-        (formats fitted from its *current* weights, then frozen) exactly as
-        before the hoist.
+        (formats fitted from its *current* weights, then frozen).
         """
         if quantizer is None:
             quantizer = self.quantizer_for(network)
@@ -612,40 +558,86 @@ class MaticFlow:
     # ----------------------------------------------------------- the flow
 
     def _starting_network(
-        self,
-        topology: str | Topology,
-        loss: str,
-        hidden_activation: str,
-        output_activation: str,
-        initial_network: Network | None,
+        self, topology: str | Topology, loss: str, initial_network: Network | None
     ) -> Network:
-        """The network adaptive training starts from (pristine copy)."""
+        """The pristine network a deployment starts from."""
         if initial_network is not None:
             return initial_network.copy()
-        if isinstance(topology, Topology):
-            return Network(topology, loss=loss, seed=self.training.seed)
-        return Network(
-            topology,
-            hidden_activation=hidden_activation,
-            output_activation=output_activation,
-            loss=loss,
-            seed=self.training.seed,
-        )
+        return Network(topology, loss=loss, seed=self.training.seed)
 
-    def _select_canaries(self, chip: Snnac, target_voltage: float, program: NpuProgram):
-        """Pick in-situ canaries and build the runtime controller."""
-        selector = CanarySelector(
-            canaries_per_bank=self.canaries_per_bank,
-            strategy=self.canary_strategy,
-            placement=self.canary_placement,
-        )
-        canaries = selector.select(
-            chip.memory,
-            target_voltage,
-            used_words_per_bank=program.placement.words_used_per_pe,
-        )
-        controller = CanaryController(chip, canaries) if canaries else None
-        return canaries, controller
+    def _deploy_walk(
+        self,
+        chip: Snnac,
+        start: Network,
+        train: Dataset,
+        validation: Dataset | None,
+        voltages: tuple[float, ...],
+        maps_per_voltage: list[list[FaultMap]],
+        select_canaries: bool,
+        warm_start: bool = False,
+        measure: Callable[[MaticDeployment], Any] | None = None,
+    ) -> list[AdaptiveSweepPoint]:
+        """Fine-tune, deploy and (optionally) pick canaries at every voltage.
+
+        Formats are frozen and the program compiled once, from the pristine
+        ``start``: warm-started weights must not shift the word layout
+        mid-walk, or the per-voltage masks would describe different deployed
+        words.  The walk goes high→low so each point's faults are a superset
+        of its warm-start parent's (ties keep input order); a warm point
+        starts from the previous point's converged weights and trains
+        ``max(1, epochs // 6)`` epochs.  Points return in ``voltages`` order.
+        """
+        quantizer = self.quantizer_for(start)
+        program = self.compile_program(start, chip, quantizer)
+        warm_config = replace(self.training, epochs=max(1, self.training.epochs // 6))
+        order = sorted(range(len(voltages)), key=lambda i: (-voltages[i], i))
+        points: dict[int, AdaptiveSweepPoint] = {}
+        previous: Network | None = None
+        for index in order:
+            voltage, fault_maps = voltages[index], maps_per_voltage[index]
+            warm = warm_start and previous is not None
+            network = (previous if warm else start).copy()
+            mask_set = self.build_mask_set(
+                network, chip, fault_maps, quantizer=quantizer, program=program
+            )
+            history = self.fit_adaptive(
+                network, mask_set, train, validation, config=warm_config if warm else None
+            )
+            chip.deploy_quantized(program, quantizer.quantize_network(network))
+            canaries: list[CanaryBit] = []
+            if select_canaries:
+                selector = CanarySelector(
+                    canaries_per_bank=self.canaries_per_bank,
+                    strategy=self.canary_strategy,
+                    placement=self.canary_placement,
+                )
+                canaries = selector.select(
+                    chip.memory,
+                    voltage,
+                    used_words_per_bank=program.placement.words_used_per_pe,
+                )
+            chip.sram_regulator.set_voltage(voltage)
+            deployment = MaticDeployment(
+                chip=chip,
+                network=network,
+                program=program,
+                quantizer=quantizer,
+                fault_maps=fault_maps,
+                mask_set=mask_set,
+                target_voltage=voltage,
+                canaries=canaries,
+                controller=CanaryController(chip, canaries) if canaries else None,
+                history=history,
+            )
+            points[index] = AdaptiveSweepPoint(
+                voltage=voltage,
+                deployment=deployment,
+                history=history,
+                measurement=measure(deployment) if measure is not None else None,
+                warm_started=warm,
+            )
+            previous = network
+        return [points[index] for index in range(len(voltages))]
 
     def deploy_adaptive(
         self,
@@ -655,55 +647,29 @@ class MaticFlow:
         validation: Dataset | None = None,
         target_voltage: float = 0.5,
         loss: str = "mse",
-        hidden_activation: str = "sigmoid",
-        output_activation: str = "sigmoid",
         initial_network: Network | None = None,
         select_canaries: bool = True,
     ) -> MaticDeployment:
         """Run the full MATIC flow and return the deployment handle.
 
-        ``initial_network`` lets callers start adaptive training from a
-        pre-trained baseline (the usual practice: fine-tune around the
-        profiled faults rather than training from scratch).
+        The chip is profiled at ``target_voltage`` through :meth:`profile_chip`
+        (measured, and memoized when a ``training_cache`` is attached), then
+        deployed as a one-point walk.  ``initial_network`` lets callers start
+        adaptive training from a pre-trained baseline (the usual practice:
+        fine-tune around the profiled faults rather than training from
+        scratch).
         """
-        # 1. profile the chip's weight memories at the target voltage
-        fault_maps = self.profile_chip(chip, target_voltage)
-
-        # 2. memory-adaptive training with the profiled injection masks; the
-        # formats are frozen from the pristine starting weights and the
-        # program compiled once — mask translation and deployment share it
-        network = self._starting_network(
-            topology, loss, hidden_activation, output_activation, initial_network
+        voltage = float(target_voltage)
+        (point,) = self._deploy_walk(
+            chip,
+            self._starting_network(topology, loss, initial_network),
+            train,
+            validation,
+            (voltage,),
+            [self.profile_chip(chip, voltage)],
+            select_canaries,
         )
-        quantizer = self.quantizer_for(network)
-        program = self.compile_program(network, chip, quantizer)
-        mask_set = self.build_mask_set(
-            network, chip, fault_maps, quantizer=quantizer, program=program
-        )
-        history = self.fit_adaptive(network, mask_set, train, validation)
-
-        # 3. deploy the trained model to the chip (quantized master weights)
-        chip.deploy_quantized(program, quantizer.quantize_network(network))
-
-        # 4. select in-situ canaries and build the runtime controller
-        canaries: list[CanaryBit] = []
-        controller = None
-        if select_canaries:
-            canaries, controller = self._select_canaries(chip, target_voltage, program)
-
-        chip.sram_regulator.set_voltage(target_voltage)
-        return MaticDeployment(
-            chip=chip,
-            network=network,
-            program=program,
-            quantizer=quantizer,
-            fault_maps=fault_maps,
-            mask_set=mask_set,
-            target_voltage=float(target_voltage),
-            canaries=canaries,
-            controller=controller,
-            history=history,
-        )
+        return point.deployment
 
     def deploy_adaptive_sweep(
         self,
@@ -713,13 +679,9 @@ class MaticFlow:
         validation: Dataset | None = None,
         voltages=(0.53, 0.50, 0.46),
         loss: str = "mse",
-        hidden_activation: str = "sigmoid",
-        output_activation: str = "sigmoid",
         initial_network: Network | None = None,
         select_canaries: bool = False,
         warm_start: bool = True,
-        warm_epochs: int | None = None,
-        warm_patience: int | None = None,
         measure: Callable[[MaticDeployment], Any] | None = None,
     ) -> list[AdaptiveSweepPoint]:
         """Run the MATIC flow across a whole voltage axis on one chip.
@@ -729,21 +691,20 @@ class MaticFlow:
 
         1. **Sweep profiling** — every operating point's fault maps come from
            one :meth:`profile_chip_sweep` pass (one vectorized V_min
-           comparison per bank, one cache record per bank) instead of a full
-           measured profile per voltage.
+           comparison per bank) instead of a full measured profile per
+           voltage.
         2. **Shared compile** — the placement/program is voltage-invariant,
            so the model is compiled once and every point translates its fault
            maps and deploys against the cached program.
         3. **Warm-started MAT** — with ``warm_start=True`` the walk proceeds
            high→low and fine-tunes each point starting from the neighboring
            (next-higher) voltage's converged weights under a reduced budget
-           (``warm_epochs``, default ``max(1, epochs // 6)``, and
-           ``warm_patience``) instead of retraining from the pristine
-           baseline; neighboring fault maps are nested, so the previous
-           point's weights are already nearly adapted.  The trained-weights
-           cache key folds the lineage in naturally — the warm initial
-           weights *are* the previous point's converged masters — so warm
-           and cold artifacts can never collide.
+           (``max(1, epochs // 6)`` epochs, the flow's own patience) instead
+           of retraining from the pristine baseline; neighboring fault maps
+           are nested, so the previous point's weights are already nearly
+           adapted.  The trained-weights cache key folds the lineage in
+           naturally — the warm initial weights *are* the previous point's
+           converged masters — so warm and cold artifacts can never collide.
 
         With ``warm_start=False`` every point trains from the pristine
         baseline under the flow's full config: bit-identical to the
@@ -762,81 +723,17 @@ class MaticFlow:
         voltage_axis = tuple(float(v) for v in voltages)
         if not voltage_axis:
             raise ValueError("deploy_adaptive_sweep needs at least one voltage")
-
-        # 1. one profiling pass covers the whole axis
-        maps_per_voltage = self.profile_chip_sweep(chip, voltage_axis)
-
-        # 2. freeze formats and compile once, from the pristine baseline —
-        # warm-started weights must not shift the word layout mid-sweep, or
-        # the per-voltage masks would describe different deployed words
-        base = self._starting_network(
-            topology, loss, hidden_activation, output_activation, initial_network
+        return self._deploy_walk(
+            chip,
+            self._starting_network(topology, loss, initial_network),
+            train,
+            validation,
+            voltage_axis,
+            self.profile_chip_sweep(chip, voltage_axis),
+            select_canaries,
+            warm_start=warm_start,
+            measure=measure,
         )
-        quantizer = self.quantizer_for(base)
-        program = self.compile_program(base, chip, quantizer)
-
-        warm_config = replace(
-            self.training,
-            epochs=(
-                int(warm_epochs)
-                if warm_epochs is not None
-                else max(1, self.training.epochs // 6)
-            ),
-            patience=(
-                warm_patience if warm_patience is not None else self.training.patience
-            ),
-        )
-
-        # 3. walk the axis high→low so each point's faults are a superset of
-        # its warm-start parent's (ties keep input order)
-        order = sorted(range(len(voltage_axis)), key=lambda i: (-voltage_axis[i], i))
-        points: dict[int, AdaptiveSweepPoint] = {}
-        previous: Network | None = None
-        for index in order:
-            target_voltage = voltage_axis[index]
-            fault_maps = maps_per_voltage[index]
-            warm = warm_start and previous is not None
-            network = (previous if warm else base).copy()
-            mask_set = self.build_mask_set(
-                network, chip, fault_maps, quantizer=quantizer, program=program
-            )
-            history = self.fit_adaptive(
-                network,
-                mask_set,
-                train,
-                validation,
-                config=warm_config if warm else None,
-            )
-            chip.deploy_quantized(program, quantizer.quantize_network(network))
-            canaries: list[CanaryBit] = []
-            controller = None
-            if select_canaries:
-                canaries, controller = self._select_canaries(
-                    chip, target_voltage, program
-                )
-            chip.sram_regulator.set_voltage(target_voltage)
-            deployment = MaticDeployment(
-                chip=chip,
-                network=network,
-                program=program,
-                quantizer=quantizer,
-                fault_maps=fault_maps,
-                mask_set=mask_set,
-                target_voltage=target_voltage,
-                canaries=canaries,
-                controller=controller,
-                history=history,
-            )
-            measurement = measure(deployment) if measure is not None else None
-            points[index] = AdaptiveSweepPoint(
-                voltage=target_voltage,
-                deployment=deployment,
-                history=history,
-                measurement=measurement,
-                warm_started=warm,
-            )
-            previous = network
-        return [points[index] for index in range(len(voltage_axis))]
 
     def deploy_naive(
         self,
@@ -846,33 +743,21 @@ class MaticFlow:
         validation: Dataset | None = None,
         target_voltage: float = 0.5,
         loss: str = "mse",
-        hidden_activation: str = "sigmoid",
-        output_activation: str = "sigmoid",
         initial_network: Network | None = None,
     ) -> MaticDeployment:
         """Deploy the naive baseline: same topology, no fault awareness.
 
-        The chip is never profiled — the naive deployment does not use fault
-        maps (that is the point of the baseline) — so ``fault_maps`` is empty.
+        Without ``initial_network`` the model is trained at full precision
+        first.  The chip is never profiled — the naive deployment does not
+        use fault maps (that is the point of the baseline) — so
+        ``fault_maps`` is empty.
         """
-        if initial_network is not None:
-            network = initial_network.copy()
-            history = None
-        else:
-            if isinstance(topology, Topology):
-                network = Network(topology, loss=loss, seed=self.training.seed)
-            else:
-                network = Network(
-                    topology,
-                    hidden_activation=hidden_activation,
-                    output_activation=output_activation,
-                    loss=loss,
-                    seed=self.training.seed,
-                )
+        network = self._starting_network(topology, loss, initial_network)
+        history = None
+        if initial_network is None:
             history = self.train_baseline(network, train, validation)
         quantizer = self.quantizer_for(network)
         program = chip.deploy(network, quantizer)
-        mask_set = FaultMaskSet.identity(network, quantizer)
         chip.sram_regulator.set_voltage(target_voltage)
         return MaticDeployment(
             chip=chip,
@@ -880,7 +765,7 @@ class MaticFlow:
             program=program,
             quantizer=quantizer,
             fault_maps=[],
-            mask_set=mask_set,
+            mask_set=FaultMaskSet.identity(network, quantizer),
             target_voltage=float(target_voltage),
             history=history,
         )

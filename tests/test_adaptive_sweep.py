@@ -23,9 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.accelerator.soc import Snnac, SnnacConfig
-from repro.experiments.cache import ArtifactCache
+from repro.experiments.cache import ArtifactCache, cache_digest
 from repro.matic.flow import MaticFlow, ProfileCacheCounters, TrainingConfig
 from repro.nn.data import Dataset
+from repro.nn.network import Network
 from repro.sram import SramProfiler
 
 VOLTAGES = (0.53, 0.50, 0.46)
@@ -160,33 +161,17 @@ class TestProfileChipSweep:
         for reference_maps, sweep_maps in zip(per_voltage, swept):
             assert reference_maps == sweep_maps
 
-    def test_one_record_per_bank_and_counters(self, tmp_path):
-        cache = ArtifactCache(root=tmp_path / "cache")
-        flow = MaticFlow(training_cache=cache)
-        chip = make_chip()
-        flow.profile_chip_sweep(chip, VOLTAGES)
-        assert flow.profile_counters.sweep_misses == len(chip.memory)
-        sweep_records = list((cache.root / "fault-map-sweep").glob("*.pkl"))
-        assert len(sweep_records) == len(chip.memory)
-
-        flow.profile_chip_sweep(make_chip(), VOLTAGES)
-        assert flow.profile_counters.sweep_hits == len(chip.memory)
-        assert len(list((cache.root / "fault-map-sweep").glob("*.pkl"))) == len(
-            chip.memory
-        )
-
     def test_distinct_axes_do_not_collide(self, tmp_path):
         cache = ArtifactCache(root=tmp_path / "cache")
         flow = MaticFlow(training_cache=cache)
         full = flow.profile_chip_sweep(make_chip(), VOLTAGES)
         shorter = flow.profile_chip_sweep(make_chip(), VOLTAGES[:2])
-        assert flow.profile_counters.sweep_misses == 2 * len(make_chip().memory)
         assert full[:2] == [list(maps) for maps in shorter] or full[:2] == shorter
 
     def test_counters_reset_and_as_dict(self):
-        counters = ProfileCacheCounters(chip_hits=3, sweep_misses=2)
+        counters = ProfileCacheCounters(chip_hits=3, bank_misses=2)
         snapshot = counters.as_dict()
-        assert snapshot["chip_hits"] == 3 and snapshot["sweep_misses"] == 2
+        assert snapshot["chip_hits"] == 3 and snapshot["bank_misses"] == 2
         counters.reset()
         assert all(value == 0 for value in counters.as_dict().values())
 
@@ -233,10 +218,59 @@ class TestColdPathIdentity:
         MaticFlow(training=config, training_cache=cache).deploy_adaptive_sweep(
             make_chip(), "2-8-2", train, voltages=VOLTAGES, warm_start=False
         )
-        # only the fault-map-sweep records are new; every training recalls
+        # nothing is new: every training recalls, and sweep maps are derived
         assert (
-            cache.stats.stores == stores + len(make_chip().memory)
+            cache.stats.stores == stores
         ), "cold sweep must not retrain points the historical flow cached"
+
+
+class _TrainedKeySpy:
+    """A cache that records each trained-weights key and serves fixed weights.
+
+    Every other kind misses and nothing is stored, so the keys depend on the
+    walk's inputs alone, never on training arithmetic.
+    """
+
+    def __init__(self) -> None:
+        self.digests: list[str] = []
+        self.weights = Network("2-8-2", seed=11).get_weights()
+
+    def get(self, kind: str, key):
+        if kind != "trained-weights":
+            return None
+        self.digests.append(cache_digest(key))
+        return self.weights
+
+    def put(self, kind: str, key, value) -> None:
+        pass
+
+
+class TestPinnedTrainedWeightKeys:
+    """The trained-weights keys of both deploy spellings, pinned to digests
+    computed before the two spellings shared one walk."""
+
+    def test_one_point_deploy_adaptive(self):
+        train, validation = make_dataset()
+        spy = _TrainedKeySpy()
+        MaticFlow(
+            training=TrainingConfig(epochs=6, seed=3), training_cache=spy
+        ).deploy_adaptive(make_chip(), "2-8-2", train, validation, target_voltage=0.50)
+        assert spy.digests == [
+            "271723a375a113769abbf20478ed224c04e898762da6d9465320e040dab6bc3f"
+        ]
+
+    def test_warm_started_sweep_points(self):
+        train, validation = make_dataset()
+        spy = _TrainedKeySpy()
+        MaticFlow(
+            training=TrainingConfig(epochs=6, seed=3), training_cache=spy
+        ).deploy_adaptive_sweep(make_chip(), "2-8-2", train, validation, voltages=VOLTAGES)
+        # walk order 0.53 (cold), 0.50 and 0.46 (warm, from the recalled weights)
+        assert spy.digests == [
+            "571720a51ed638da77eaecffe121ffd00642c758f9346010b7034d4e6f961276",
+            "e8b00a08e05853844e0140e04f6c0c43e9d8f9e1166554b49a2e3076f7c80ec3",
+            "458446dd4b243ee8b04445a47c628f3f88a8c5179f712514adca27985473f860",
+        ]
 
 
 class TestWarmStartSoundness:
@@ -267,7 +301,7 @@ class TestWarmStartSoundness:
         train, _ = make_dataset()
         config = TrainingConfig(epochs=12, seed=3)
         points = MaticFlow(training=config).deploy_adaptive_sweep(
-            make_chip(), "2-8-2", train, voltages=VOLTAGES, warm_epochs=2
+            make_chip(), "2-8-2", train, voltages=VOLTAGES
         )
         assert points[0].history.epochs_run == config.epochs
         for point in points[1:]:

@@ -1,14 +1,19 @@
-"""Size accounting, clear/prune, and the repro.experiments.cache CLI."""
+"""Size accounting, clear/prune, the repro.experiments.cache CLI, and the
+encoding of array key components."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import time
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.experiments.cache import (
+    SCHEMA_VERSION,
     ArtifactCache,
     cache_digest,
     main,
@@ -494,3 +499,61 @@ class TestEvictCli:
     def test_evict_rejects_bad_budget(self, cache):
         with pytest.raises(SystemExit):
             main(["--root", str(cache.root), "evict", "--budget", "wat"])
+
+
+def _reference_digest(array: np.ndarray) -> str:
+    """``cache_digest({"array": array})`` encoded through ``tobytes()``."""
+    contiguous = np.ascontiguousarray(array)
+    hasher = hashlib.sha256()
+    hasher.update(f"schema:{SCHEMA_VERSION};".encode())
+    hasher.update(b"map{")
+    for tag, payload in (
+        (b"key:", b"array"),
+        (b"dtype:", str(contiguous.dtype).encode()),
+        (b"shape:", str(contiguous.shape).encode()),
+        (b"ndarray:", contiguous.tobytes()),
+    ):
+        hasher.update(tag + str(len(payload)).encode() + b":" + payload)
+    hasher.update(b"}")
+    return hasher.hexdigest()
+
+
+_MATRIX = np.arange(24.0).reshape(4, 6)
+
+
+class TestArrayDigest:
+    """Arrays are hashed in place, to the digests their copied bytes gave."""
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            _MATRIX,
+            np.array(2.5),
+            np.zeros((0, 3)),
+            np.zeros((3, 0)),
+            _MATRIX[::2, 1::2],
+            np.asfortranarray(_MATRIX),
+            np.array([True, False, True]),
+            np.arange(7, dtype=np.uint8),
+            np.arange(5, dtype=np.uint64) << np.uint64(40),
+            np.arange(6, dtype=">i4").reshape(2, 3),
+            np.array(["ab", "xyz"]),
+            np.array(["2020-01-01", "2021-06-30"], dtype="datetime64[D]"),
+        ],
+        ids=[
+            "float64", "0-d", "empty-rows", "empty-columns", "strided", "fortran", "bool",
+            "uint8", "uint64", "big-endian", "str", "datetime64",
+        ],
+    )
+    def test_matches_the_copying_encoder(self, array):
+        assert cache_digest({"array": array}) == _reference_digest(array)
+
+    def test_hashing_does_not_copy_the_array(self):
+        array = np.random.default_rng(0).random((4608, 16))
+        tracemalloc.start()
+        try:
+            cache_digest({"array": array})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < array.nbytes // 16

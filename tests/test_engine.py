@@ -514,6 +514,9 @@ class TestDriverEquivalence:
         warm = run_fig10(cache=cache, **kwargs)
         assert cache.stats.stores == stores_after_cold  # nothing retrained
         assert cache.stats.hits > 0
+        disabled = run_fig10(
+            cache=ArtifactCache(root=tmp_path / "disabled", enabled=False), **kwargs
+        )
 
         def points(result):
             return [
@@ -521,7 +524,11 @@ class TestDriverEquivalence:
                 for p in result.sweep_for("inversek2j").points
             ]
 
-        assert points(warm) == points(cold)
+        assert points(warm) == points(cold) == points(disabled)
+        tables = [r.to_experiment_result().to_text() for r in (cold, warm, disabled)]
+        assert tables[1] == tables[0] and tables[2] == tables[0]
+        # the adaptive walk derives its sweep maps; it stores none
+        assert not (tmp_path / "fault-map-sweep").exists()
 
     def test_fig5_cache_disabled_matches_cached(self, tmp_path):
         kwargs = dict(

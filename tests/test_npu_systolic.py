@@ -242,16 +242,15 @@ class TestRunSweep:
                 stats_b.sram_reads,
             )
 
-    def test_run_sweep_without_refresh_preserves_order_and_persistence(self, quantizer):
+    def test_plain_runs_keep_corruption_between_points(self, quantizer):
+        """Unlike run_sweep, a plain run does not refresh the weights first."""
         x = np.random.default_rng(1).random((8, 10))
-        voltages = [0.46, 0.90, 0.46]
-        reference = self._deployed(quantizer)
-        expected = [reference.run(x, sram_voltage=v)[0] for v in voltages]
-        swept = self._deployed(quantizer).run_sweep(x, voltages, refresh=False)
-        for out_a, (out_b, _) in zip(expected, swept):
-            np.testing.assert_array_equal(out_a, out_b)
+        npu = self._deployed(quantizer)
+        pristine = npu.run(x, sram_voltage=0.90)[0]
+        outputs = [npu.run(x, sram_voltage=v)[0] for v in (0.46, 0.90, 0.46)]
         # corruption from the 0.46 V point persisted into the 0.90 V one
-        np.testing.assert_array_equal(expected[0], expected[2])
+        assert not np.array_equal(outputs[1], pristine)
+        np.testing.assert_array_equal(outputs[0], outputs[2])
 
     def test_run_sweep_requires_deploy(self, memory):
         with pytest.raises(RuntimeError):
