@@ -515,7 +515,7 @@ class WeightPlacement:
         bank_and = np.full((len(fault_maps), max_words), full, dtype=np.uint64)
         bank_or = np.zeros((len(fault_maps), max_words), dtype=np.uint64)
         for index, fault_map in enumerate(fault_maps):
-            and_masks, or_masks = fault_map.mask_views()
+            and_masks, or_masks = fault_map.masks()
             bank_and[index, : fault_map.num_words] = and_masks & full
             bank_or[index, : fault_map.num_words] = or_masks & full
 

@@ -10,7 +10,7 @@ controller operate on this object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,13 +128,10 @@ class Microcontroller:
     wake_count: int = 0
     control_routine_runs: int = 0
     inference_requests: int = 0
-    log: list[str] = field(default_factory=list)
 
-    def wake(self, reason: str = "") -> None:
+    def wake(self) -> None:
         self.asleep = False
         self.wake_count += 1
-        if reason:
-            self.log.append(f"wake: {reason}")
 
     def sleep(self) -> None:
         self.asleep = True
@@ -226,7 +223,7 @@ class Snnac:
     def deploy(self, network: Network, quantizer: WeightQuantizer | None = None):
         """Compile and load a model into the weight SRAMs at nominal voltage."""
         quantizer = quantizer or WeightQuantizer(total_bits=self.config.word_bits)
-        self.mcu.wake("deploy model")
+        self.mcu.wake()
         program = self.npu.deploy(network, quantizer)
         self.mcu.sleep()
         return program
@@ -240,7 +237,7 @@ class Snnac:
         flow compiles once per sweep and re-deploys each operating point's
         retrained weights through this entry point.
         """
-        self.mcu.wake("deploy model")
+        self.mcu.wake()
         self.npu.deploy_quantized(program, quantized)
         self.mcu.sleep()
         return program
@@ -291,7 +288,7 @@ class Snnac:
 
     def run_inference(self, inputs: np.ndarray) -> tuple[np.ndarray, InferenceStats]:
         """Run a batch of inferences at the current operating point."""
-        self.mcu.wake("inference")
+        self.mcu.wake()
         outputs, stats = self.npu.run(
             inputs,
             sram_voltage=self.effective_sram_voltage,
@@ -328,7 +325,7 @@ class Snnac:
         programmed = [
             self.sram_regulator.set_voltage(float(v)) for v in sram_voltages
         ]
-        self.mcu.wake("voltage sweep")
+        self.mcu.wake()
         noise = self.environment.supply_noise
         results = self.npu.run_sweep(
             inputs,

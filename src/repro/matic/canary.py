@@ -319,7 +319,7 @@ class CanaryController:
         above the last-known-good setting (the paper's conservative one-step
         margin), restores the canary storage states, and returns.
         """
-        self.chip.mcu.wake("canary control routine")
+        self.chip.mcu.wake()
         regulator = self.chip.sram_regulator
         if safe_voltage is not None:
             regulator.set_voltage(safe_voltage)

@@ -334,22 +334,20 @@ class MaticFlow:
             ]
         counters.chip_misses += 1
         fault_maps: list[FaultMap] = []
+        records = []  # each bank's (stuck_mask, stuck_values), for the chip record
         for bank, key in zip(chip.memory, bank_keys):
-            cached = cache.get("fault-map", key)
-            if cached is not None:
+            record = cache.get("fault-map", key)
+            if record is not None:
                 counters.bank_hits += 1
-                stuck_mask, stuck_values = cached
-                fault_maps.append(FaultMap.from_arrays(stuck_mask, stuck_values))
-                continue
-            counters.bank_misses += 1
-            fault_map = profiler.profile_bank(bank, voltage, temperature).fault_map
-            cache.put("fault-map", key, (fault_map.stuck_mask, fault_map.stuck_values))
-            fault_maps.append(fault_map)
-        cache.put(
-            "fault-map-chip",
-            chip_key,
-            tuple((fm.stuck_mask, fm.stuck_values) for fm in fault_maps),
-        )
+                fault_maps.append(FaultMap.from_arrays(*record))
+            else:
+                counters.bank_misses += 1
+                fault_map = profiler.profile_bank(bank, voltage, temperature).fault_map
+                record = (fault_map.stuck_mask, fault_map.stuck_values)
+                cache.put("fault-map", key, record)
+                fault_maps.append(fault_map)
+            records.append(record)
+        cache.put("fault-map-chip", chip_key, tuple(records))
         return fault_maps
 
     def profile_chip_sweep(

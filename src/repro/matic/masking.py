@@ -25,7 +25,7 @@ from ..nn.network import Network, flat_layout
 from ..quant.fixed_point import round_to_code
 from ..quant.quantizer import LayerQuantization, WeightQuantizer
 from ..sram.bitops import pack_bits, popcount
-from ..sram.fault_map import FaultMap
+from ..sram.fault_map import FaultMap, masks_from_words
 
 __all__ = ["LayerMasks", "FaultMaskSet", "CompiledMasks", "apply_masks_to_values"]
 
@@ -336,9 +336,6 @@ def _random_masks(
     the pre-vectorized implementation exactly, so masks for a given generator
     state are bit-identical to the historical ones.
     """
-    stuck = rng.random(shape + (word_bits,)) < fault_rate
-    stuck_one = rng.random(shape + (word_bits,)) < stuck_one_probability
-    cleared = pack_bits(stuck & ~stuck_one)
-    and_mask = np.full(shape, full, dtype=np.uint64) ^ cleared
-    or_mask = pack_bits(stuck & stuck_one)
-    return and_mask, or_mask
+    stuck = pack_bits(rng.random(shape + (word_bits,)) < fault_rate)
+    stuck_one = pack_bits(rng.random(shape + (word_bits,)) < stuck_one_probability)
+    return masks_from_words(stuck, stuck_one, full)

@@ -252,8 +252,8 @@ def simulate_die(
     # memoized per-bank profiling: warm re-runs of the same die recall the
     # fault maps from the artifact cache instead of re-measuring the banks
     fault_maps = flow.profile_chip(chip, target_voltage, temperature)
-    total_bits = sum(fault_map.stuck_mask.size for fault_map in fault_maps)
-    faulty_bits = sum(int(fault_map.stuck_mask.sum()) for fault_map in fault_maps)
+    total_bits = sum(fm.num_words * fm.word_bits for fm in fault_maps)
+    faulty_bits = sum(fm.num_faults for fm in fault_maps)
     fault_rate = float(faulty_bits / total_bits) if total_bits else 0.0
 
     selector = CanarySelector(

@@ -11,7 +11,7 @@ from .bitcell import (
     GaussianVminModel,
 )
 from .bitops import pack_bits, popcount, unpack_words
-from .fault_map import BitFault, FaultMap, masks_from_arrays
+from .fault_map import BitFault, FaultMap, masks_from_words
 from .profiler import ProfileReport, SramProfiler
 from .regulator import VoltageRegulator
 from .variation import (
@@ -38,7 +38,7 @@ __all__ = [
     "CorrelatedVminModel",
     "BitFault",
     "FaultMap",
-    "masks_from_arrays",
+    "masks_from_words",
     "pack_bits",
     "popcount",
     "unpack_words",

@@ -18,12 +18,13 @@ Operating-point-resident read path
 Storage is word-resident: the bank keeps its contents as a ``uint64`` word
 vector, and for every distinct ``(voltage, temperature)`` operating point it
 caches the word-level AND/OR corruption masks derived from the sampled cell
-population (the same derivation :meth:`SramBank.fault_map_at` exposes as a
-:class:`~repro.sram.fault_map.FaultMap`).  A read is then a single
-``(words & and_mask) | or_mask`` over the addressed words, with the
-persistent corruption written back in the same operation — no per-read
-bit unpack/compare/repack round-trip.  The mask cache is invalidated when
-the cell population changes (:attr:`SramBank.cells` assignment or
+population: the failing cells packed into words once per point, and the
+preferred states once per population (the words :meth:`SramBank.fault_map_at`
+returns as a :class:`~repro.sram.fault_map.FaultMap`).  A read is then a
+single ``(words & and_mask) | or_mask`` over the addressed words, with the
+persistent corruption written back in the same operation — no per-read bit
+unpack/compare/repack round-trip.  The cache is invalidated when the cell
+population changes (:attr:`SramBank.cells` assignment or
 :meth:`SramBank.resample_cells`); writes never invalidate it because the
 masks depend only on cell physics, not on stored contents.  Content changes
 are tracked by :attr:`SramBank.content_epoch`, which bumps on every write or
@@ -39,8 +40,8 @@ import numpy as np
 
 from . import calibration
 from .bitcell import BitcellPopulation, BitcellVariationModel, EmpiricalVminModel
-from .bitops import popcount, unpack_words
-from .fault_map import BitFault, FaultMap, masks_from_arrays
+from .bitops import pack_bits, popcount
+from .fault_map import BitFault, FaultMap, masks_from_words
 from .variation import VariationScenario
 
 __all__ = ["SramBank", "WeightMemorySystem"]
@@ -132,6 +133,7 @@ class SramBank:
             tuple[float, float, float], tuple[np.ndarray, np.ndarray, bool]
         ] = {}
         self._point_digests: dict[tuple[float, float, float], bytes] = {}
+        self._preferred_words: np.ndarray | None = None
 
     # ---------------------------------------------------------- population
 
@@ -142,8 +144,7 @@ class SramBank:
         Assigning a new population invalidates the cached operating-point
         masks.  Mutating the arrays *in place* does not — call
         :meth:`invalidate_operating_point_cache` afterwards (or simply mutate
-        before the first read at the affected operating points, as the test
-        fixtures do).
+        before the first read, as the test fixtures do).
         """
         return self._cells
 
@@ -163,21 +164,17 @@ class SramBank:
         self.cells = self.variation_model.sample(self.num_words, self.word_bits, rng)
 
     def invalidate_operating_point_cache(self) -> None:
-        """Drop every cached per-operating-point corruption mask."""
+        """Drop every cached corruption mask and the packed preferred states."""
         self._point_masks.clear()
         self._point_digests.clear()
+        self._preferred_words = None
 
-    @property
-    def data_bits(self) -> np.ndarray:
-        """Stored bits as a ``(num_words, word_bits)`` matrix (LSB at index 0).
-
-        A compatibility *view* unpacked on demand from the word-resident
-        storage.  The array is read-only (mutating it could never reach the
-        bank) — change contents through :meth:`write`.
-        """
-        bits = unpack_words(self._words, self.word_bits)
-        bits.flags.writeable = False
-        return bits
+    def preferred_words(self) -> np.ndarray:
+        """The cells' preferred states packed into words (once per population)."""
+        if self._preferred_words is None:
+            self._preferred_words = pack_bits(self._cells.preferred_state)
+            self._preferred_words.flags.writeable = False
+        return self._preferred_words
 
     # ----------------------------------------------------------- geometry
 
@@ -263,9 +260,9 @@ class SramBank:
         key = (float(voltage), float(temperature), float(self.vmin_offset))
         cached = self._point_masks.get(key)
         if cached is None:
-            stuck = self.effective_vmin(temperature) > float(voltage)
-            and_masks, or_masks = masks_from_arrays(
-                stuck, self._cells.preferred_state
+            stuck = pack_bits(self.effective_vmin(temperature) > float(voltage))
+            and_masks, or_masks = masks_from_words(
+                stuck, self.preferred_words(), self.word_mask
             )
             and_masks.flags.writeable = False
             or_masks.flags.writeable = False
@@ -409,9 +406,8 @@ class SramBank:
         preferred state.  The profiler (:mod:`repro.sram.profiler`) recovers
         the same map through read-after-write/read-after-read measurements.
         """
-        vmin = self.effective_vmin(temperature)
-        stuck = vmin > float(voltage)
-        return FaultMap.from_arrays(stuck, self.cells.preferred_state)
+        stuck = pack_bits(self.effective_vmin(temperature) > float(voltage))
+        return FaultMap.from_words(stuck, self.preferred_words(), self.word_bits)
 
     def marginal_order(
         self,

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import calibration
 from .array import SramBank, WeightMemorySystem
-from .bitops import popcount, unpack_words
+from .bitops import pack_bits, popcount
 from .fault_map import FaultMap
 
 __all__ = ["ProfileReport", "SramProfiler"]
@@ -118,8 +118,8 @@ class SramProfiler:
         the bank's saved contents are written back afterwards (with
         ``restore_contents``).  Errors are compared, counted and recorded in
         the word domain: a pass's failing bits are ``(expected ^ read) &
-        word_mask``, and the stuck and stuck-value words are unpacked into
-        the fault map's bit matrices once, at the end.
+        word_mask``, and the accumulated stuck and stuck-value words become
+        the fault map as they are.
         """
         if voltage <= 0:
             raise ValueError("voltage must be positive")
@@ -157,10 +157,7 @@ class SramProfiler:
             stuck_values |= second_read & second_diff
             stuck |= second_diff
 
-        fault_map = FaultMap.from_arrays(
-            unpack_words(stuck, bank.word_bits),
-            unpack_words(stuck_values, bank.word_bits),
-        )
+        fault_map = FaultMap.from_words(stuck, stuck_values, bank.word_bits)
         if saved is not None:
             bank.write(addresses, saved)
 
@@ -188,9 +185,9 @@ class SramProfiler:
         preferred state in that cell (the second read always returns the
         preferred state).  Both facts are voltage-independent except for the
         single threshold comparison, so the whole axis reduces to one
-        vectorized comparison of the bank's effective V_min population
-        against the voltage vector plus a per-pattern detectability mask —
-        no writes, no reads, no restore round trips.
+        comparison of the bank's effective V_min population per voltage,
+        packed into words, plus a per-pattern detectability word per
+        address — no writes, no reads, no restore round trips.
 
         The derivation is asserted bit-identical to per-voltage
         :meth:`profile_bank` by the equivalence oracle in
@@ -216,25 +213,22 @@ class SramProfiler:
             return [self.profile_bank(bank, v, temperature) for v in voltage_axis]
 
         vmin = bank.effective_vmin(temperature)
-        preferred = np.asarray(bank.cells.preferred_state, dtype=np.uint8)
+        preferred = bank.preferred_words()
         # which cells each pattern can expose: the background bit must differ
         # from the preferred state the cell flips to
         pattern_exposes = {
-            name: unpack_words(
-                np.full(bank.num_words, pattern, dtype=np.uint64), bank.word_bits
-            )
-            != preferred
+            name: (preferred ^ np.uint64(pattern)) & np.uint64(bank.word_mask)
             for name, pattern in self.patterns_for(bank).items()
         }
-        detectable = np.zeros((bank.num_words, bank.word_bits), dtype=bool)
+        detectable = np.zeros(bank.num_words, dtype=np.uint64)
         for exposes in pattern_exposes.values():
             detectable |= exposes
 
         reports = []
         for v in voltage_axis:
-            disturbed = vmin > v
+            disturbed = pack_bits(vmin > v)
             pattern_errors = {
-                name: int(np.count_nonzero(disturbed & exposes))
+                name: popcount(disturbed & exposes)
                 for name, exposes in pattern_exposes.items()
             }
             # the first read flips disturbed cells to their preferred state in
@@ -246,7 +240,9 @@ class SramProfiler:
                     bank_name=bank.name,
                     voltage=v,
                     temperature=float(temperature),
-                    fault_map=FaultMap.from_arrays(disturbed & detectable, preferred),
+                    fault_map=FaultMap.from_words(
+                        disturbed & detectable, preferred, bank.word_bits
+                    ),
                     read_after_write_errors=errors,
                     read_after_read_errors=errors,
                     pattern_errors=pattern_errors,
@@ -262,17 +258,3 @@ class SramProfiler:
     ) -> list[ProfileReport]:
         """Profile every weight bank of an accelerator memory system."""
         return [self.profile_bank(bank, voltage, temperature) for bank in memory]
-
-    def failure_rate_curve(
-        self,
-        bank: SramBank,
-        voltages: np.ndarray,
-        temperature: float = calibration.NOMINAL_TEMPERATURE,
-    ) -> np.ndarray:
-        """Measured bit-level failure rate at each voltage (Fig. 9a's curve)."""
-        voltages = np.asarray(voltages, dtype=float)
-        rates = np.empty_like(voltages)
-        for index, voltage in enumerate(voltages):
-            report = self.profile_bank(bank, float(voltage), temperature)
-            rates[index] = report.fault_rate
-        return rates

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sram import BitFault, FaultMap
+from reference_fault_map import FaultMap as ReferenceFaultMap, masks_from_arrays
+from repro.sram import BitFault, FaultMap, SramBank
 
 
 class TestBitFault:
@@ -40,9 +41,9 @@ class TestFaultMap:
         fm.add(BitFault(2, 6, 0))
         assert fm.num_faults == 2
         assert (2, 5) in fm
+        assert (2, 6) in fm
         assert (3, 5) not in fm
-        assert len(fm.faults_at(2)) == 2
-        np.testing.assert_array_equal(fm.faulty_addresses, [2])
+        assert fm.faults == [BitFault(2, 5, 1), BitFault(2, 6, 0)]
 
     def test_add_out_of_range(self):
         fm = FaultMap(8, 16)
@@ -95,9 +96,9 @@ class TestFaultMap:
         merged = a.merge(b)
         assert merged.num_faults == 2
         # later map wins on conflicts
-        assert merged.faults_at(0)[0].stuck_value == 0
+        assert merged.faults == [BitFault(0, 0, 0), BitFault(1, 1, 0)]
         # originals untouched
-        assert a.faults_at(0)[0].stuck_value == 1
+        assert a.faults == [BitFault(0, 0, 1)]
 
     def test_merge_geometry_mismatch(self):
         with pytest.raises(ValueError):
@@ -175,16 +176,9 @@ class TestArrayBackedEquivalence:
         ref_and, ref_or = self._reference_masks(16, 8, reference)
         np.testing.assert_array_equal(got_and, ref_and)
         np.testing.assert_array_equal(got_or, ref_or)
-        np.testing.assert_array_equal(
-            fm.faulty_addresses, sorted({a for a, _ in reference})
-        )
         for address in range(16):
-            expected = [
-                (a, b, v) for (a, b), v in sorted(reference.items()) if a == address
-            ]
-            assert [
-                (f.address, f.bit, f.stuck_value) for f in fm.faults_at(address)
-            ] == expected
+            for bit in range(8):
+                assert ((address, bit) in fm) == ((address, bit) in reference)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -230,15 +224,6 @@ class TestArrayBackedEquivalence:
         assert fresh_and[0] == 0xFF
         assert fresh_or[0] == 0b1
 
-    def test_mask_views_are_read_only_and_copy_free(self):
-        fm = FaultMap(4, 8, [BitFault(0, 0, 1)])
-        view_and, view_or = fm.mask_views()
-        np.testing.assert_array_equal(view_and, fm.masks()[0])
-        np.testing.assert_array_equal(view_or, fm.masks()[1])
-        with pytest.raises(ValueError):
-            view_and[0] = 0
-        assert fm.mask_views()[0] is view_and  # cached, not rebuilt
-
     def test_apply_tracks_mutation(self):
         fm = FaultMap(2, 8)
         words = np.array([0x00, 0x00], dtype=np.uint64)
@@ -268,11 +253,6 @@ class TestArrayBackedEquivalence:
         assert (0.0, 0.0) not in fm
         assert ("0", "0") not in fm
         assert (np.int64(0), np.int64(0)) in fm  # numpy ints are real indices
-
-    def test_faults_at_unknown_address_is_empty(self):
-        fm = FaultMap(4, 8, [BitFault(0, 0, 1)])
-        assert fm.faults_at(3) == []
-        assert fm.faults_at(17) == []
 
     def test_from_arrays_rejects_non_binary_stuck_values(self):
         stuck = np.zeros((2, 4), dtype=bool)
@@ -304,6 +284,152 @@ class TestArrayBackedEquivalence:
         assert values[1, 3] == 1
         assert values[0, 0] == 0
         assert np.all(values[~expected_stuck] == 0)
+
+
+#: word lengths the differential tests cover: the extremes, SNNAC's 8–22 bit
+#: weight words, and 64 (every bit of the uint64 words)
+DIFFERENTIAL_WORD_BITS = (1, 8, 16, 22, 64)
+
+
+@st.composite
+def edit_sequences(draw):
+    """A geometry and a sequence of edits to replay on both implementations."""
+    word_bits = draw(st.sampled_from(DIFFERENTIAL_WORD_BITS))
+    num_words = draw(st.integers(1, 12))
+    cell = st.tuples(
+        st.integers(0, num_words - 1), st.integers(0, word_bits - 1), st.integers(0, 1)
+    )
+    edit = st.one_of(
+        st.tuples(st.just("add"), cell),
+        st.tuples(st.just("merge"), st.lists(cell, max_size=12), st.booleans()),
+        st.tuples(st.just("from_arrays"), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0)),
+        st.tuples(
+            st.just("random"),
+            st.floats(0.0, 1.0),
+            st.integers(0, 2**32 - 1),
+            st.floats(0.0, 1.0),
+        ),
+    )
+    return num_words, word_bits, draw(st.lists(edit, min_size=1, max_size=8))
+
+
+def _replay(edit, maps, num_words, word_bits):
+    """Apply one edit to a ``(word-domain, reference)`` pair of maps."""
+    current, expected = maps
+    kind = edit[0]
+    if kind == "add":
+        fault = BitFault(*edit[1])
+        current.add(fault)
+        expected.add(fault)
+        return current, expected
+    if kind == "merge":
+        faults = [BitFault(*entry) for entry in edit[1]]
+        other = FaultMap(num_words, word_bits, faults)
+        other_expected = ReferenceFaultMap(num_words, word_bits, faults)
+        if edit[2]:
+            return current.merge(other), expected.merge(other_expected)
+        return other.merge(current), other_expected.merge(expected)
+    if kind == "from_arrays":
+        rng = np.random.default_rng(edit[1])
+        stuck = rng.random((num_words, word_bits)) < edit[2]
+        # non-stuck cells carry arbitrary values, which both must ignore
+        values = np.where(
+            stuck,
+            rng.integers(0, 2, stuck.shape),
+            rng.integers(0, 9, stuck.shape),
+        )
+        return (
+            FaultMap.from_arrays(stuck, values),
+            ReferenceFaultMap.from_arrays(stuck, values),
+        )
+    _, rate, seed, stuck_one = edit
+    return (
+        FaultMap.random(num_words, word_bits, rate, rng=seed, stuck_one_probability=stuck_one),
+        ReferenceFaultMap.random(
+            num_words, word_bits, rate, rng=seed, stuck_one_probability=stuck_one
+        ),
+    )
+
+
+def _assert_same_map(current, expected, words):
+    """Every query of the word-domain map equals the bit-matrix reference."""
+    arrays = [
+        (current.stuck_mask, expected.stuck_mask),
+        (current.stuck_values, expected.stuck_values),
+        *zip(current.masks(), expected.masks()),
+        (current.apply(words), expected.apply(words)),
+    ]
+    for got, want in arrays:
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    assert current.faults == expected.faults
+    assert current.num_faults == expected.num_faults
+    assert len(current) == len(expected)
+    for address in range(-1, current.num_words + 1):
+        for bit in range(-1, current.word_bits + 1):
+            assert ((address, bit) in current) == ((address, bit) in expected)
+    assert current.clustering_summary() == expected.clustering_summary()
+
+
+class TestMatchesBitMatrixReference:
+    """The word-domain map against the bit-matrix map it replaced
+    (``tests/reference_fault_map.py``), edit by edit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(sequence=edit_sequences(), words_seed=st.integers(0, 2**32 - 1))
+    def test_edit_sequences_agree(self, sequence, words_seed):
+        num_words, word_bits, edits = sequence
+        words = np.random.default_rng(words_seed).integers(
+            0, 2**64, num_words, dtype=np.uint64, endpoint=False
+        )
+        maps = (FaultMap(num_words, word_bits), ReferenceFaultMap(num_words, word_bits))
+        _assert_same_map(*maps, words)
+        for edit in edits:
+            previous = maps
+            maps = _replay(edit, maps, num_words, word_bits)
+            _assert_same_map(*maps, words)
+            assert (maps[0] == previous[0]) == (maps[1] == previous[1])
+            assert maps[0] == FaultMap.from_arrays(maps[1].stuck_mask, maps[1].stuck_values)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        word_bits=st.sampled_from(DIFFERENTIAL_WORD_BITS),
+        num_words=st.integers(1, 16),
+        seed=st.integers(0, 2**16),
+        voltage=st.floats(0.38, 0.60),
+        temperature=st.sampled_from([-15.0, 25.0, 90.0]),
+        edit=st.sampled_from(["assign", "resample", "in_place"]),
+    )
+    def test_bank_corruption_masks_agree(
+        self, word_bits, num_words, seed, voltage, temperature, edit
+    ):
+        bank = SramBank(num_words, word_bits, seed=seed)
+        words = np.random.default_rng(seed).integers(
+            0, 2**64, num_words, dtype=np.uint64, endpoint=False
+        )
+
+        def assert_agrees():
+            stuck = bank.effective_vmin(temperature) > voltage
+            preferred = bank.cells.preferred_state
+            expected = masks_from_arrays(stuck, preferred)
+            for got, want in zip(bank.corruption_masks(voltage, temperature), expected):
+                np.testing.assert_array_equal(got, want)
+            _assert_same_map(
+                bank.fault_map_at(voltage, temperature),
+                ReferenceFaultMap.from_arrays(stuck, preferred),
+                words,
+            )
+
+        assert_agrees()
+        if edit == "assign":
+            bank.cells = SramBank(num_words, word_bits, seed=seed + 1).cells
+        elif edit == "resample":
+            bank.resample_cells(seed + 1)
+        else:
+            bank.cells.preferred_state[...] ^= 1
+            bank.cells.vmin_read[::2] += 0.05
+            bank.invalidate_operating_point_cache()
+        assert_agrees()
 
 
 class TestFaultMapProperties:

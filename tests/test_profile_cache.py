@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.accelerator.soc import Snnac, SnnacConfig
-from repro.experiments.cache import ArtifactCache
+from repro.experiments.cache import ArtifactCache, cache_digest
 from repro.matic.flow import MaticFlow
 
 
@@ -184,3 +186,59 @@ class TestProfileChipMemoization:
         ]
         for measured, expected in zip(maps, truth):
             assert measured == expected
+
+
+def _array_records(value) -> list[tuple[str, tuple[int, ...], str]]:
+    """``(dtype, shape, sha256 of the bytes)`` of every array in a stored value."""
+    if isinstance(value, np.ndarray):
+        return [(str(value.dtype), value.shape, hashlib.sha256(value.tobytes()).hexdigest())]
+    return [record for item in value for record in _array_records(item)]
+
+
+class _RecordingCache:
+    """A cache that misses every lookup and records each store."""
+
+    def __init__(self) -> None:
+        self.stores: list[tuple[str, str, list]] = []
+
+    def get(self, kind: str, key):
+        return None
+
+    def put(self, kind: str, key, value) -> None:
+        self.stores.append((kind, cache_digest(key), _array_records(value)))
+
+
+class TestPinnedMemoRecords:
+    """The fault-map memo's keys and stored arrays, pinned to values computed
+    while a fault map stored bit matrices as its state: an existing cache
+    stays readable only while both are unchanged."""
+
+    BANK_0 = [
+        ("bool", (64, 16), "af6eff34260271d5bca715381aa24096399d34cde2eaacdffa7652a1a9e25534"),
+        ("uint8", (64, 16), "6f8bd17a5f32005f1731f5f5e0f27dc2bc305dd799c389622620799ac997d432"),
+    ]
+    BANK_1 = [
+        ("bool", (64, 16), "8475a524b0f92e0a8245be94c1e7614ea7fba2195ec920429158a5d82dcd2b8a"),
+        ("uint8", (64, 16), "5a3eccdad036a0cf49f419c9bd8f0ec89268bb319f8b29ed8fc77235d78c7cf6"),
+    ]
+
+    def test_keys_and_stored_arrays(self):
+        spy = _RecordingCache()
+        MaticFlow(training_cache=spy).profile_chip(make_chip(), 0.44)
+        assert spy.stores == [
+            (
+                "fault-map",
+                "07ecb28919620d4bd16977f31b03367796ef50cec2560f57dfe72242a00af00a",
+                self.BANK_0,
+            ),
+            (
+                "fault-map",
+                "f44a9088208a9b36fff86977666ff3400fba49cedf91a2961a787934553debfa",
+                self.BANK_1,
+            ),
+            (
+                "fault-map-chip",
+                "f43cb837b712be1d7dcc0a1a035e081202026ad024f5b107d0eb901984b91434",
+                self.BANK_0 + self.BANK_1,
+            ),
+        ]

@@ -100,8 +100,11 @@ class TestSramProfiler:
 
     def test_failure_rate_curve_monotone(self):
         bank = SramBank(256, 16, seed=7)
-        voltages = np.array([0.42, 0.46, 0.50, 0.54])
-        rates = SramProfiler().failure_rate_curve(bank, voltages)
+        profiler = SramProfiler()
+        rates = [
+            profiler.profile_bank(bank, voltage).fault_rate
+            for voltage in (0.42, 0.46, 0.50, 0.54)
+        ]
         assert np.all(np.diff(rates) <= 0)
 
     def test_temperature_dependence(self):

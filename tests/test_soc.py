@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,15 @@ class TestDeploymentAndInference:
         assert chip.mcu.inference_requests == 3
         assert chip.mcu.wake_count >= 2  # deploy + inference
         assert chip.mcu.asleep
+
+    def test_mcu_state_stays_bounded(self, deployed_chip):
+        """A long-lived chip's controller keeps counters, not a history."""
+        chip, _ = deployed_chip
+        for _ in range(50):
+            chip.run_inference(np.zeros((1, 10)))
+        state = dataclasses.asdict(chip.mcu)
+        assert all(isinstance(value, (bool, int)) for value in state.values())
+        assert state["inference_requests"] == 50
 
     def test_operating_point_roundtrip(self, chip):
         point = OperatingPoint(0.55, 0.5, 17.8e6)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sram import BitcellPopulation, GaussianVminModel, SramBank, WeightMemorySystem
+from repro.sram.bitops import unpack_words
 
 
 @pytest.fixture()
@@ -201,9 +202,8 @@ class TestRailBoundary:
         }
         boundary_bank.write_all(np.zeros(16, dtype=np.uint64))
         boundary_bank.read_all(voltage=self.VOLTAGE)
-        disturbed = {
-            (int(a), int(b)) for a, b in zip(*np.nonzero(boundary_bank.data_bits))
-        }
+        stored = unpack_words(boundary_bank.stored_words(), boundary_bank.word_bits)
+        disturbed = {(int(a), int(b)) for a, b in zip(*np.nonzero(stored))}
         assert disturbed == fault_positions
         marginal_positions = {
             (f.address, f.bit)
