@@ -479,26 +479,25 @@ class WeightPlacement:
                 )
         return pe_of, addr_of
 
-    def layer_fault_masks(
-        self, fault_maps: list[FaultMap], layer_index: int, word_bits: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def fault_masks(
+        self, fault_maps: list[FaultMap], word_bits: int
+    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
         """Translate per-bank fault maps into per-layer injection masks.
 
-        Returns ``(weight_and, weight_or, bias_and, bias_or)`` where the
-        weight masks have the layer's ``(in_features, out_features)`` shape
-        and the bias masks have shape ``(out_features,)``.  Applying
-        ``(word & and) | or`` reproduces exactly the corruption the SRAM
-        would inflict at the profiled operating point.  Spilled neurons
-        gather each word's mask from the bank that actually hosts it.
+        Returns one ``(weight_and, weight_or, bias_and, bias_or)`` per layer,
+        where the weight masks have the layer's ``(in_features,
+        out_features)`` shape and the bias masks have shape
+        ``(out_features,)``.  Applying ``(word & and) | or`` reproduces
+        exactly the corruption the SRAM would inflict at the profiled
+        operating point.  Spilled neurons gather each word's mask from the
+        bank that actually hosts it.
         """
         if len(fault_maps) < self.num_pes:
             raise ValueError(
                 f"expected {self.num_pes} fault maps, got {len(fault_maps)}"
             )
         full = np.uint64((1 << word_bits) - 1)
-        layer = self.layers[layer_index]
-
-        for placement in layer.neurons:
+        for placement in (neuron for layer in self.layers for neuron in layer.neurons):
             for segment in placement.segments:
                 covered = fault_maps[segment.pe].num_words
                 if segment.end_address > covered:
@@ -507,10 +506,10 @@ class WeightPlacement:
                         f"{segment.pe}, fault map covers {covered}"
                     )
 
-        # One gather resolves every word at once: stack the per-bank mask
-        # arrays into a (num_banks, max_words) matrix (identity-padded where
-        # a bank is shorter) and index it with the per-word (pe, address)
-        # coordinates of the placement.
+        # One gather per layer resolves every word at once: stack the
+        # per-bank mask arrays once into a (num_banks, max_words) matrix
+        # (identity-padded where a bank is shorter) and index it with each
+        # layer's per-word (pe, address) coordinates.
         max_words = max(fault_map.num_words for fault_map in fault_maps)
         bank_and = np.full((len(fault_maps), max_words), full, dtype=np.uint64)
         bank_or = np.zeros((len(fault_maps), max_words), dtype=np.uint64)
@@ -519,12 +518,12 @@ class WeightPlacement:
             bank_and[index, : fault_map.num_words] = and_masks & full
             bank_or[index, : fault_map.num_words] = or_masks & full
 
-        pe_of, addr_of = self._word_homes(layer)
-        bias_and = bank_and[pe_of[0], addr_of[0]]
-        bias_or = bank_or[pe_of[0], addr_of[0]]
-        weight_and = bank_and[pe_of[1:], addr_of[1:]]
-        weight_or = bank_or[pe_of[1:], addr_of[1:]]
-        return weight_and, weight_or, bias_and, bias_or
+        masks = []
+        for layer in self.layers:
+            pe_of, addr_of = self._word_homes(layer)
+            weights, bias = (pe_of[1:], addr_of[1:]), (pe_of[0], addr_of[0])
+            masks.append((bank_and[weights], bank_or[weights], bank_and[bias], bank_or[bias]))
+        return masks
 
 
 # ------------------------------------------------------------------ planning

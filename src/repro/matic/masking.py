@@ -162,17 +162,12 @@ class FaultMaskSet:
     ) -> "FaultMaskSet":
         """Build masks from profiled per-bank fault maps via the placement."""
         formats = quantizer.layer_formats(network)
-        masks: list[LayerMasks] = []
-        for layer_index in range(len(network.layers)):
-            weight_and, weight_or, bias_and, bias_or = placement.layer_fault_masks(
-                fault_maps, layer_index, quantizer.total_bits
-            )
-            masks.append(
-                LayerMasks(
-                    weight_and, weight_or, bias_and, bias_or, word_bits=quantizer.total_bits
-                )
-            )
-        return cls(masks, formats, quantizer.total_bits, description=description)
+        word_bits = quantizer.total_bits
+        masks = [
+            LayerMasks(*layer_masks, word_bits=word_bits)
+            for layer_masks in placement.fault_masks(fault_maps, word_bits)
+        ]
+        return cls(masks, formats, word_bits, description=description)
 
     @classmethod
     def random(
@@ -223,6 +218,12 @@ class CompiledMasks:
     masking the whole network is a fixed handful of numpy calls whatever its
     depth.  Results equal :func:`apply_masks_to_values` per tensor bit for
     bit (see ``docs/performance.md``).
+
+    It owns one flat buffer of masked parameters, :attr:`effective`, which
+    :meth:`apply` overwrites on every call.  Memory-adaptive training points
+    the layers' effective views at it once per fit and rewrites it every
+    step; a view meant to outlive the next :meth:`apply` needs a
+    :class:`CompiledMasks` of its own, as :meth:`FaultMaskSet.install` makes.
     """
 
     def __init__(self, mask_set: FaultMaskSet, network: Network) -> None:
@@ -261,25 +262,15 @@ class CompiledMasks:
         self.min_code = formats[0].min_code
         self.max_code = formats[0].max_code
         self.shift = 64 - formats[0].total_bits
-
-    def masters(self, network: Network) -> np.ndarray:
-        """The network's flat master buffer (writing into it writes the layers)."""
-        return network.flat_parameters()
-
-    def gradients(self, network: Network) -> np.ndarray:
-        """The network's flat gradient buffer, as the last backward pass left it."""
-        return network.flat_gradients()
+        #: the masked parameters, flat; :meth:`apply` writes them
+        self.effective = np.empty_like(self.scale)
 
     def quantize(self, values: np.ndarray) -> np.ndarray:
         """Saturated codes of flat values, exactly ``quantize_to_code`` per tensor.
 
-        The range check is ``code_to_word``'s: saturated codes always pass it,
-        so it only rejects NaN values.
+        A NaN value raises ``ValueError`` (see :func:`round_to_code`).
         """
-        codes = round_to_code(values / self.scale, self.min_code, self.max_code)
-        if codes.min() < self.min_code or codes.max() > self.max_code:
-            raise ValueError("code out of range for this format")
-        return codes
+        return round_to_code(values / self.scale, self.min_code, self.max_code)
 
     def clip(self, values: np.ndarray) -> np.ndarray:
         """Flat values clamped to each element's representable range."""
@@ -288,18 +279,20 @@ class CompiledMasks:
 
     def dequantize(self, codes: np.ndarray) -> np.ndarray:
         """Flat codes back to values."""
-        return codes.astype(float) * self.scale
+        return np.multiply(codes, self.scale)
 
     def apply(self, codes: np.ndarray) -> np.ndarray:
-        """Flat codes through the AND/OR masks, decoded to values."""
+        """Flat codes through the AND/OR masks, decoded into :attr:`effective`."""
         words = (codes & self.and_mask) | self.or_mask
         # move the word's sign bit to bit 63 and shift back arithmetically:
         # the bits above the word (from the codes or the masks) drop out
-        return self.dequantize((words << self.shift) >> self.shift)
+        words <<= self.shift
+        words >>= self.shift
+        return np.multiply(words, self.scale, out=self.effective)  # dequantize in place
 
     def masked(self, network: Network) -> np.ndarray:
-        """The masked view of the network's master parameters, flat."""
-        return self.apply(self.quantize(self.masters(network)))
+        """The masked view of the network's master parameters: :attr:`effective`."""
+        return self.apply(self.quantize(network.flat_parameters()))
 
     def split(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per-layer ``(weights, bias)`` views into a flat vector."""
@@ -311,10 +304,6 @@ class CompiledMasks:
         """Install views of ``flat`` as every layer's effective parameters."""
         for layer, (weights, bias) in zip(network.layers, self.split(flat)):
             layer.set_effective(weights, bias)
-
-    def set_masters(self, network: Network, flat: np.ndarray) -> None:
-        """Write ``flat`` into the network's master buffer."""
-        network.flat_parameters()[...] = flat
 
 
 def _flat(arrays: list[np.ndarray]) -> np.ndarray:

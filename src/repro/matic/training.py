@@ -72,7 +72,8 @@ class MemoryAdaptiveTrainer(Trainer):
         if len(mask_set) != len(network.layers):
             raise ValueError("mask set depth does not match the network")
         self.mask_set = mask_set
-        #: the mask set compiled for this network, refreshed by every fit
+        #: the mask set compiled for this network and bound to its layers'
+        #: effective views; every fit binds its own and drops it at the end
         self._compiled: CompiledMasks | None = None
 
     @classmethod
@@ -106,25 +107,37 @@ class MemoryAdaptiveTrainer(Trainer):
         """Install the quantized, fault-masked effective parameters."""
         self.mask_set.install(self.network)
 
+    def _bind_masks(self) -> CompiledMasks:
+        """Compile the mask set and bind the layers' effective views to its buffer.
+
+        Every step then rewrites that buffer in place.
+        """
+        masks = self._compiled = self.mask_set.compile(self.network)
+        masks.set_effective(self.network, masks.masked(self.network))
+        return masks
+
     def train_step(self, inputs: np.ndarray, targets: np.ndarray) -> float:
         """One MAT iteration: mask, forward, backward, adapted update.
 
         Runs on the flat layout of :class:`~repro.matic.masking.CompiledMasks`,
         so every stage is one numpy expression over all parameters.  The
-        masters and the gradient are the network's own flat buffers, not
-        copies; the masters are read before the update overwrites them.
+        masters and the gradient are the network's own flat buffers, and the
+        masked parameters are the compiled masks' buffer, which the layers'
+        effective views are bound to (by :meth:`fit`, or by the first step
+        outside one).  The masters are read before the update overwrites
+        them.
         """
         masks = self._compiled
         if masks is None:
-            masks = self._compiled = self.mask_set.compile(self.network)
-        masters = masks.masters(self.network)
+            masks = self._bind_masks()
+        network = self.network
+        masters = network.flat_parameters()
         codes = masks.quantize(masters)
         # m[n]: the masked/quantized parameters the passes use
         masked = masks.apply(codes)
-        masks.set_effective(self.network, masked)
-        predictions = self.network.forward(inputs, training=True)
-        loss_value = self.network.backward(predictions, targets)
-        gradient = masks.gradients(self.network)
+        predictions = network.forward(inputs, training=True)
+        loss_value = network.backward(predictions, targets)
+        gradient = network.flat_gradients()
         if self.weight_decay:
             weights = slice(0, masks.num_weights)  # the flat layout's weight prefix
             gradient[weights] += self.weight_decay * masked[weights]
@@ -140,7 +153,8 @@ class MemoryAdaptiveTrainer(Trainer):
         # elementwise, so one delta over the flat gradient equals the
         # per-tensor deltas
         delta = self.optimizer.parameter_delta("parameters", gradient)
-        masks.set_masters(self.network, masks.clip(masked - delta + eps))
+        # the new masters, clamped straight into the master buffer
+        np.minimum(np.maximum(masked - delta + eps, masks.lower), masks.upper, out=masters)
         return loss_value
 
     def fit(
@@ -158,20 +172,9 @@ class MemoryAdaptiveTrainer(Trainer):
         as-is; call :meth:`repro.nn.network.Network.clear_effective` to get
         back the pure float model.
         """
-        self._compiled = self.mask_set.compile(self.network)
+        self._bind_masks()
         history = super().fit(train, validation=validation, verbose=verbose)
+        # a view of its own, not the scratch buffer a later step would rewrite
         self._install_masked_view()
+        self._compiled = None
         return history
-
-    # ------------------------------------------------------------------
-
-    def deployed_accuracy_view(self) -> Network:
-        """Return a copy of the network whose *master* weights are the masked view.
-
-        Useful for handing the trained-around model to tooling that ignores
-        effective weights (e.g. the weight quantizer during deployment).
-        """
-        clone = self.network.copy()
-        masks = self.mask_set.compile(clone)
-        masks.set_masters(clone, masks.masked(clone))
-        return clone

@@ -47,6 +47,9 @@ class Activation:
             The cached output of :meth:`forward` for the same ``x``; several
             activations (sigmoid, tanh) are cheaper to differentiate from
             their output.
+
+        The result must be a new array of ``x``'s shape: the layer scales it
+        by the incoming gradient in place.
         """
         raise NotImplementedError
 
@@ -85,23 +88,21 @@ class Identity(Activation):
 class Sigmoid(Activation):
     """Logistic sigmoid ``1 / (1 + exp(-x))``.
 
-    The implementation is numerically stable for large-magnitude inputs: with
-    ``e = exp(-|x|)``, which never overflows, it is ``1 / (1 + e)`` for
-    ``x >= 0`` and ``e / (1 + e)`` below zero.  That is the branch form
-    ``1 / (1 + exp(-x))`` / ``exp(x) / (1 + exp(x))`` bit for bit on every
-    non-NaN input, ±0 and ±inf included.  A NaN input gives NaN, but
-    ``-|x|`` sets its sign bit, so the output NaN's sign bit may differ from
-    the branch form's.
+    The implementation is numerically stable for large-magnitude inputs: it
+    is ``exp(min(x, 0)) / (1 + exp(-|x|))``, and neither exponent is
+    positive, so nothing overflows.  For ``x >= 0`` the numerator is
+    ``exp(0) = 1``, giving ``1 / (1 + exp(-x))``; below zero both exponents
+    are ``x``, giving ``exp(x) / (1 + exp(x))``.  That is the branch form
+    bit for bit on every non-NaN input, ±0 and ±inf included.  A NaN input
+    gives NaN, but ``-|x|`` sets its sign bit, so the output NaN's sign bit
+    may differ from the branch form's.
     """
 
     name = "sigmoid"
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        e = np.exp(-np.abs(x))
-        out = np.where(x >= 0, 1.0, e)
-        out /= 1.0 + e
-        return out
+        return np.exp(np.minimum(x, 0.0)) / (np.exp(np.copysign(x, -1.0)) + 1.0)
 
     def backward(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return y * (1.0 - y)

@@ -127,16 +127,22 @@ def iterate_minibatches(
     rng: np.random.Generator | None = None,
     shuffle: bool = True,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield ``(inputs, targets)`` mini-batches, optionally shuffled."""
+    """Yield ``(inputs, targets)`` mini-batches, optionally shuffled.
+
+    Shuffling gathers the rows once, in the order of one ``rng.shuffle`` of
+    ``arange(n)``; every batch is a slice of that per-epoch copy (or, when
+    unshuffled, of ``inputs`` and ``targets`` themselves).
+    """
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
     n = len(inputs)
     if len(targets) != n:
         raise ValueError("inputs and targets must have the same length")
-    indices = np.arange(n)
     if shuffle:
         rng = rng if rng is not None else np.random.default_rng()
-        rng.shuffle(indices)
+        order = np.arange(n)
+        rng.shuffle(order)
+        inputs, targets = inputs[order], targets[order]
     for start in range(0, n, batch_size):
-        batch = indices[start : start + batch_size]
-        yield inputs[batch], targets[batch]
+        stop = start + batch_size
+        yield inputs[start:stop], targets[start:stop]

@@ -9,9 +9,10 @@ plumbing MATIC needs:
 * optionally carries *effective* weights (``effective_weights`` /
   ``effective_bias``) that the forward and backward passes use instead.
 
-Memory-adaptive training sets the effective weights each iteration to the
-quantized, fault-masked view of the master weights, so the gradients computed
-by backprop are exactly ``∂J/∂m`` from the paper's update rule.
+Memory-adaptive training binds the effective weights to a buffer that it
+rewrites each iteration with the quantized, fault-masked view of the master
+weights, so the gradients computed by backprop are exactly ``∂J/∂m`` from
+the paper's update rule.
 """
 
 from __future__ import annotations
@@ -32,14 +33,6 @@ class Layer:
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    @property
-    def parameters(self) -> list[np.ndarray]:
-        return []
-
-    @property
-    def gradients(self) -> list[np.ndarray]:
-        return []
 
 
 class DenseLayer(Layer):
@@ -144,6 +137,10 @@ class DenseLayer(Layer):
         self.effective_weights = None
         self.effective_bias = None
 
+    def forget_batch(self) -> None:
+        """Drop the forward caches of the last training batch (backward needs them)."""
+        self._input = self._pre_activation = self._output = None
+
     # ------------------------------------------------------------ forward
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
@@ -192,23 +189,14 @@ class DenseLayer(Layer):
         if self.skip_activation_gradient:
             grad_z = grad_output
         else:
-            grad_z = grad_output * self.activation.backward(
-                self._pre_activation, self._output
-            )
+            grad_z = self.activation.backward(self._pre_activation, self._output)
+            grad_z *= grad_output
 
         np.matmul(self._input.T, grad_z, out=self.grad_weights)
         np.add.reduce(grad_z, axis=0, out=self.grad_bias)
         return grad_z @ self.active_weights.T if input_gradient else None
 
     # -------------------------------------------------------- bookkeeping
-
-    @property
-    def parameters(self) -> list[np.ndarray]:
-        return [self.weights, self.bias]
-
-    @property
-    def gradients(self) -> list[np.ndarray]:
-        return [self.grad_weights, self.grad_bias]
 
     @property
     def num_parameters(self) -> int:
@@ -223,7 +211,7 @@ class DenseLayer(Layer):
         clone = type(self).__new__(type(self))
         clone.__dict__.update(self.__dict__)
         clone.clear_effective()
-        clone._input = clone._pre_activation = clone._output = None
+        clone.forget_batch()
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - trivial

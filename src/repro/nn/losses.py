@@ -93,7 +93,7 @@ class MeanSquaredError(Loss):
     ) -> tuple[float, np.ndarray]:
         p, t = _pair(predictions, targets)
         error = p - t
-        return float(np.mean(error**2)), 2.0 * error / p.size
+        return float(np.add.reduce(error * error, axis=None) / p.size), 2.0 * error / p.size
 
 
 class CrossEntropyLoss(Loss):
@@ -111,8 +111,8 @@ class CrossEntropyLoss(Loss):
         self, predictions: np.ndarray, targets: np.ndarray
     ) -> tuple[float, np.ndarray]:
         p, t = _pair(predictions, targets)
-        value = -np.mean(np.sum(t * np.log(np.clip(p, _EPS, 1.0)), axis=-1))
-        return float(value), (p - t) / p.shape[0]
+        per_sample = np.add.reduce(t * np.log(np.minimum(np.maximum(p, _EPS), 1.0)), axis=-1)
+        return float(-(np.add.reduce(per_sample) / len(p))), (p - t) / p.shape[0]
 
 
 class BinaryCrossEntropyLoss(Loss):
@@ -133,10 +133,10 @@ class BinaryCrossEntropyLoss(Loss):
         self, predictions: np.ndarray, targets: np.ndarray
     ) -> tuple[float, np.ndarray]:
         p, t = _pair(predictions, targets)
-        p = np.clip(p, _EPS, 1.0 - _EPS)
+        p = np.minimum(np.maximum(p, _EPS), 1.0 - _EPS)
         q = 1.0 - p
-        per_sample = -np.sum(t * np.log(p) + (1.0 - t) * np.log(q), axis=-1)
-        return float(np.mean(per_sample)), (p - t) / (p * q) / p.shape[0]
+        per_sample = -np.add.reduce(t * np.log(p) + (1.0 - t) * np.log(q), axis=-1)
+        return float(np.add.reduce(per_sample) / len(p)), (p - t) / (p * q) / p.shape[0]
 
 
 _REGISTRY = {

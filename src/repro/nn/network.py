@@ -330,7 +330,7 @@ def _stripped(layer: DenseLayer) -> DenseLayer:
     or the last training batch its forward pass kept for backward."""
     clone = type(layer).__new__(type(layer))
     clone.__dict__.update((k, v) for k, v in vars(layer).items() if k not in _VIEWS)
-    clone._input = clone._pre_activation = clone._output = None
+    clone.forget_batch()
     return clone
 
 

@@ -5,9 +5,11 @@ and Adam are provided because the memory-adaptive training experiments
 converge noticeably faster with them on the synthetic datasets, and because a
 production library would be expected to offer them.
 
-Optimizers operate on a :class:`~repro.nn.network.Network` by reading each
-layer's ``grad_weights`` / ``grad_bias`` and updating the *master* float
-weights.  Memory-adaptive training wraps this update with its own rule (see
+Optimizers operate on a :class:`~repro.nn.network.Network` through its flat
+gradient buffer and update its flat buffer of *master* float weights in
+place, as one tensor under the key ``"parameters"``: every update is
+elementwise, so this equals a per-tensor update.  Memory-adaptive training
+wraps the delta with its own rule (see
 :class:`repro.matic.training.MemoryAdaptiveTrainer`) but reuses the same
 optimizer implementations for the raw gradient step.
 """
@@ -32,7 +34,7 @@ class Optimizer:
         self.learning_rate = float(learning_rate)
 
     def step(self, network: Network) -> None:
-        """Apply one update using the gradients currently stored in layers."""
+        """Apply one update using the network's current flat gradients."""
         raise NotImplementedError
 
     def reset(self) -> None:
@@ -55,21 +57,14 @@ class Optimizer:
         return f"{type(self).__name__}(lr={self.learning_rate})"
 
 
-def _iter_parameters(network: Network):
-    """Yield (key, parameter array, gradient array) triples for a network."""
-    for index, layer in enumerate(network.layers):
-        yield f"layer{index}.weights", layer.weights, layer.grad_weights
-        yield f"layer{index}.bias", layer.bias, layer.grad_bias
-
-
 class SGD(Optimizer):
     """Plain stochastic gradient descent: ``w ← w − α ∇J``."""
 
     name = "sgd"
 
     def step(self, network: Network) -> None:
-        for _, param, grad in _iter_parameters(network):
-            param -= self.learning_rate * grad
+        parameters = network.flat_parameters()
+        parameters -= self.parameter_delta("parameters", network.flat_gradients())
 
     def parameter_delta(self, key: str, gradient: np.ndarray) -> np.ndarray:
         return self.learning_rate * gradient
@@ -99,8 +94,8 @@ class MomentumSGD(Optimizer):
         return velocity
 
     def step(self, network: Network) -> None:
-        for key, param, grad in _iter_parameters(network):
-            param -= self.parameter_delta(key, grad)
+        parameters = network.flat_parameters()
+        parameters -= self.parameter_delta("parameters", network.flat_gradients())
 
 
 class Adam(Optimizer):
@@ -145,8 +140,8 @@ class Adam(Optimizer):
         return self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
 
     def step(self, network: Network) -> None:
-        for key, param, grad in _iter_parameters(network):
-            param -= self.parameter_delta(key, grad)
+        parameters = network.flat_parameters()
+        parameters -= self.parameter_delta("parameters", network.flat_gradients())
 
 
 _REGISTRY = {cls.name: cls for cls in (SGD, MomentumSGD, Adam)}

@@ -33,10 +33,6 @@ class TrainingHistory:
     def final_train_loss(self) -> float:
         return self.train_loss[-1] if self.train_loss else float("nan")
 
-    @property
-    def final_validation_loss(self) -> float:
-        return self.validation_loss[-1] if self.validation_loss else float("nan")
-
 
 class Trainer:
     """Mini-batch gradient-descent trainer for :class:`Network`.
@@ -105,12 +101,14 @@ class Trainer:
 
     def train_step(self, inputs: np.ndarray, targets: np.ndarray) -> float:
         """One forward/backward/update step on a mini-batch; returns loss."""
-        predictions = self.network.forward(inputs, training=True)
-        loss_value = self.network.backward(predictions, targets)
+        network = self.network
+        predictions = network.forward(inputs, training=True)
+        loss_value = network.backward(predictions, targets)
         if self.weight_decay:
-            for layer in self.network.layers:
-                layer.grad_weights += self.weight_decay * layer.weights
-        self.optimizer.step(self.network)
+            weights = slice(0, network.num_weights)  # the flat layout's weight prefix
+            decay = self.weight_decay * network.flat_parameters()[weights]
+            network.flat_gradients()[weights] += decay
+        self.optimizer.step(network)
         return loss_value
 
     def fit(
@@ -159,4 +157,7 @@ class Trainer:
 
         if best_weights is not None and self.patience is not None:
             self.network.set_weights(best_weights)
+        # the forward caches would keep a view of the epoch's shuffled copy
+        for layer in self.network.layers:
+            layer.forget_batch()
         return history

@@ -23,15 +23,19 @@ def round_to_code(scaled: np.ndarray, min_code: int, max_code: int) -> np.ndarra
     cast, against bounds the cast can take: float64 cannot represent every
     code of formats wider than 53 bits, and ``float(max_code)`` rounds up to
     ``2**(total_bits-1)``, which is out of range (and overflows ``int64`` at
-    64 bits).  A NaN input casts to an arbitrary code, which callers catch
-    with a range check.
+    64 bits).  A NaN input has no code: it raises ``ValueError`` before the
+    cast, whose result for NaN depends on the CPU.
     """
     rounded = np.copysign(np.floor(np.abs(scaled) + 0.5), scaled)
     ceiling = float(max_code)
     if ceiling > max_code:
         # clip to the float just below, then saturate what reached the top
         ceiling = float(np.nextafter(ceiling, 0.0))
-    codes = np.asarray(np.clip(rounded, float(min_code), ceiling).astype(np.int64))
+    clipped = np.minimum(np.maximum(rounded, float(min_code)), ceiling)
+    # clipped values are finite, so their sum is NaN exactly when one is NaN
+    if np.isnan(np.add.reduce(clipped, axis=None)):
+        raise ValueError("code out of range for this format: the value is NaN")
+    codes = np.asarray(clipped.astype(np.int64))
     if ceiling < max_code:
         codes = np.where(rounded >= float(max_code), max_code, codes)
     return codes

@@ -7,13 +7,16 @@ sigmoid's boolean fancy-index form, and the losses' separate ``value`` and
 ``gradient`` calls.  :func:`use_reference_passes` installs them on one
 network, so any trainer run on it trains through them; the differential
 tests compare that against the same trainer on an untouched network.
+:class:`ReferenceTrainer` keeps the float trainer's loop as it was too: a
+fancy-indexed gather per mini-batch and a per-tensor update under per-layer
+optimizer keys.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn import Network, Trainer
+from repro.nn import Network, Trainer, TrainingHistory
 from repro.nn.activations import Activation, Sigmoid
 from repro.nn.layers import DenseLayer
 from repro.nn.losses import Loss
@@ -172,8 +175,32 @@ def use_reference_passes(network: Network) -> Network:
     return network
 
 
+def reference_minibatches(inputs, targets, batch_size, rng=None, shuffle=True):
+    """``iterate_minibatches`` as it was: one fancy index per batch."""
+    if batch_size <= 0:
+        raise ValueError("batch_size must be positive")
+    n = len(inputs)
+    if len(targets) != n:
+        raise ValueError("inputs and targets must have the same length")
+    indices = np.arange(n)
+    if shuffle:
+        rng = rng if rng is not None else np.random.default_rng()
+        rng.shuffle(indices)
+    for start in range(0, n, batch_size):
+        batch = indices[start : start + batch_size]
+        yield inputs[batch], targets[batch]
+
+
+def _iter_parameters(network: Network):
+    """Yield (key, parameter array, gradient array) triples for a network."""
+    for index, layer in enumerate(network.layers):
+        yield f"layer{index}.weights", layer.weights, layer.grad_weights
+        yield f"layer{index}.bias", layer.bias, layer.grad_bias
+
+
 class ReferenceTrainer(Trainer):
-    """The float trainer's step as it was: weight decay rebinds the gradient."""
+    """The float trainer as it was: weight decay rebinds the gradient, the
+    optimizer updates tensor by tensor, and every batch is gathered alone."""
 
     def train_step(self, inputs: np.ndarray, targets: np.ndarray) -> float:
         predictions = self.network.forward(inputs, training=True)
@@ -181,5 +208,41 @@ class ReferenceTrainer(Trainer):
         if self.weight_decay:
             for layer in self.network.layers:
                 layer.grad_weights = layer.grad_weights + self.weight_decay * layer.weights
-        self.optimizer.step(self.network)
+        for key, param, grad in _iter_parameters(self.network):
+            param -= self.optimizer.parameter_delta(key, grad)
         return loss_value
+
+    def fit(self, train, validation=None, verbose=False) -> TrainingHistory:
+        history = TrainingHistory()
+        best_validation = float("inf")
+        best_weights = None
+        epochs_without_improvement = 0
+
+        for epoch in range(self.epochs):
+            epoch_losses = []
+            for batch_x, batch_y in reference_minibatches(
+                train.inputs, train.targets, self.batch_size, rng=self.rng
+            ):
+                epoch_losses.append(self.train_step(batch_x, batch_y))
+            history.train_loss.append(float(np.mean(epoch_losses)))
+            history.epochs_run = epoch + 1
+            self.optimizer.learning_rate *= self.lr_decay
+
+            if validation is not None:
+                val_loss = self.network.evaluate_loss(
+                    validation.inputs, validation.targets
+                )
+                history.validation_loss.append(val_loss)
+                if self.patience is not None:
+                    if val_loss < best_validation - 1e-9:
+                        best_validation = val_loss
+                        best_weights = self.network.get_weights()
+                        epochs_without_improvement = 0
+                    else:
+                        epochs_without_improvement += 1
+                        if epochs_without_improvement >= self.patience:
+                            break
+
+        if best_weights is not None and self.patience is not None:
+            self.network.set_weights(best_weights)
+        return history

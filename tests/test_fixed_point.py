@@ -78,6 +78,40 @@ class TestQuantization:
         assert codes.dtype == np.int64
         assert codes.max() <= fmt.max_code and codes.min() >= fmt.min_code
 
+    @pytest.mark.parametrize(
+        "make", [float, np.float64, np.array], ids=["float", "numpy-scalar", "0-d-array"]
+    )
+    @pytest.mark.parametrize(
+        "total, frac, value, code, quantized",
+        [
+            (16, 12, 0.3, 1229, 0.300048828125),
+            (16, 12, -0.0, 0, 0.0),
+            (16, 12, 7.99999, 32767, 7.999755859375),
+            (16, 12, -8.5, -32768, -8.0),
+            (16, 12, np.inf, 32767, 7.999755859375),
+            (64, 3, 1e30, 2**63 - 1, 2.0**60),
+            (64, 3, -1e30, -(2**63), -(2.0**60)),
+        ],
+    )
+    def test_scalar_inputs(self, make, total, frac, value, code, quantized):
+        """A scalar quantizes to a 0-d int64 code array and a float64 scalar."""
+        fmt = FixedPointFormat(total, frac)
+        codes = fmt.quantize_to_code(make(value))
+        assert type(codes) is np.ndarray and codes.shape == () and codes.dtype == np.int64
+        assert int(codes) == code
+        result = fmt.quantize(make(value))
+        assert type(result) is np.float64
+        assert result == quantized and np.signbit(result) == np.signbit(quantized)
+
+    def test_nan_is_rejected_before_the_int64_cast(self):
+        # the cast gives INT64_MIN on x86 and 0 on AArch64; neither may escape
+        with pytest.raises(ValueError, match="out of range"):
+            round_to_code(np.array([np.nan]), -8, 7)
+        with pytest.raises(ValueError, match="out of range"):
+            round_to_code(np.array([1.0, np.inf, np.nan]), -(2**63), 2**63 - 1)
+        with pytest.raises(ValueError, match="out of range"):
+            FixedPointFormat(16, 12).quantize_to_code(np.nan)
+
 
 class TestBitPacking:
     def test_word_roundtrip_signed(self):

@@ -118,9 +118,9 @@ class TestSpillPlacement:
         pe, address = neuron.locate(word_index)
         fault_maps = [FaultMap(16, 16) for _ in range(6)]
         fault_maps[pe].add(BitFault(address, 5, 1))
-        weight_and, weight_or, bias_and, bias_or = placement.layer_fault_masks(
-            fault_maps, 0, word_bits=16
-        )
+        weight_and, weight_or, bias_and, bias_or = placement.fault_masks(
+            fault_maps, word_bits=16
+        )[0]
         assert weight_or[word_index - 1, 1] == 1 << 5
         assert np.count_nonzero(weight_or) == 1
         assert np.all(weight_and == 0xFFFF)
@@ -130,7 +130,7 @@ class TestSpillPlacement:
         placement = WeightPlacement((40, 2), num_pes=6, words_per_bank=16)
         small = [FaultMap(4, 16) for _ in range(6)]
         with pytest.raises(IndexError):
-            placement.layer_fault_masks(small, 0, 16)
+            placement.fault_masks(small, 16)
 
 
 class TestCapacityPlanning:

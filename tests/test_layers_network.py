@@ -365,6 +365,10 @@ class TestCopyAndPickle:
         net = Network("8-6-2", seed=4)
         fresh = len(pickle.dumps(net))
         _fit(net, toy_dataset, mat=False)
+        for layer in net.layers:  # fit released the epoch's batches
+            assert layer._input is None and layer._pre_activation is None
+            assert layer._output is None
+        Trainer(net, seed=3).train_step(toy_dataset.inputs[:16], toy_dataset.targets[:16])
         assert net.layers[0]._input is not None  # the forward pass kept its batch
         assert len(pickle.dumps(net)) <= fresh
 

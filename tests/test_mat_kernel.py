@@ -92,7 +92,7 @@ class TestKernelMatchesPerTensorPath:
         layer, masks, fmt = network.layers[0], mask_set.layer_masks[0], mask_set.layer_formats[0]
         compiled = mask_set.compile(network)
         with np.errstate(over="ignore"):
-            masters = compiled.masters(network)
+            masters = network.flat_parameters()
             codes = compiled.quantize(masters)
             [(weights, bias)] = compiled.split(compiled.apply(codes))
             eps = compiled.clip(masters) - compiled.dequantize(codes)
@@ -130,13 +130,12 @@ class TestKernelMatchesPerTensorPath:
         fmt = mask_set.layer_formats[1].bias_format
         masks = mask_set.layer_masks[1]
         trainer = MemoryAdaptiveTrainer(network, mask_set)
-        with np.errstate(invalid="ignore"):
-            with pytest.raises(ValueError, match="out of range"):
-                apply_masks_to_values(network.layers[1].bias, masks.bias_and, masks.bias_or, fmt)
-            with pytest.raises(ValueError, match="out of range"):
-                mask_set.install(network)
-            with pytest.raises(ValueError, match="out of range"):
-                trainer.train_step(toy_dataset.inputs[:4], toy_dataset.targets[:4])
+        with pytest.raises(ValueError, match="out of range"):
+            apply_masks_to_values(network.layers[1].bias, masks.bias_and, masks.bias_or, fmt)
+        with pytest.raises(ValueError, match="out of range"):
+            mask_set.install(network)
+        with pytest.raises(ValueError, match="out of range"):
+            trainer.train_step(toy_dataset.inputs[:4], toy_dataset.targets[:4])
 
 
 # ------------------------------------------------------------ mask shapes

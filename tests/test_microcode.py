@@ -92,19 +92,30 @@ class TestWeightPlacement:
         fault_maps = [FaultMap(64, 16) for _ in range(len(memory))]
         fault_maps[neuron.pe].add(BitFault(neuron.weight_address(2), 7, 1))
         fault_maps[neuron.pe].add(BitFault(neuron.bias_address, 3, 0))
-        weight_and, weight_or, bias_and, bias_or = placement.layer_fault_masks(
-            fault_maps, 0, word_bits=16
-        )
+        weight_and, weight_or, bias_and, bias_or = placement.fault_masks(
+            fault_maps, word_bits=16
+        )[0]
         assert weight_or[2, 5] == 1 << 7
         assert bias_and[5] == 0xFFFF ^ (1 << 3)
         # everything else untouched
         assert np.count_nonzero(weight_or) == 1
         assert np.count_nonzero(bias_and != 0xFFFF) == 1
 
+    def test_fault_masks_cover_every_layer(self, network, memory):
+        """One stack of bank masks serves each layer's own words."""
+        placement = WeightPlacement(network.widths, len(memory), 64)
+        neuron = placement.layers[1].neuron(2)
+        fault_maps = [FaultMap(64, 16) for _ in range(len(memory))]
+        fault_maps[neuron.pe].add(BitFault(neuron.weight_address(4), 9, 1))
+        first, second = placement.fault_masks(fault_maps, word_bits=16)
+        assert second[1][4, 2] == 1 << 9 and np.count_nonzero(second[1]) == 1
+        assert second[0].shape == (12, 3) and second[2].shape == (3,)
+        assert not np.any(first[1]) and np.all(first[0] == 0xFFFF)
+
     def test_layer_fault_masks_requires_enough_maps(self, network, memory):
         placement = WeightPlacement(network.widths, len(memory), 64)
         with pytest.raises(ValueError):
-            placement.layer_fault_masks([FaultMap(64, 16)], 0, 16)
+            placement.fault_masks([FaultMap(64, 16)], 16)
 
     def test_layer_fault_masks_rejects_undersized_maps(self, network, memory):
         """A fault map that does not cover the placed address range must fail
@@ -112,7 +123,7 @@ class TestWeightPlacement:
         placement = WeightPlacement(network.widths, len(memory), 64)
         small_maps = [FaultMap(4, 16) for _ in range(len(memory))]
         with pytest.raises(IndexError):
-            placement.layer_fault_masks(small_maps, 0, 16)
+            placement.fault_masks(small_maps, 16)
 
     def test_layer_fault_masks_order_independent(self, network, memory):
         """Masks attach to placements by neuron index, not list position."""
@@ -120,9 +131,9 @@ class TestWeightPlacement:
         neuron = placement.layers[0].neuron(5)
         fault_maps = [FaultMap(64, 16) for _ in range(len(memory))]
         fault_maps[neuron.pe].add(BitFault(neuron.weight_address(2), 7, 1))
-        reference = placement.layer_fault_masks(fault_maps, 0, word_bits=16)
+        reference = placement.fault_masks(fault_maps, word_bits=16)[0]
         placement.layers[0].neurons.reverse()
-        permuted = placement.layer_fault_masks(fault_maps, 0, word_bits=16)
+        permuted = placement.fault_masks(fault_maps, word_bits=16)[0]
         for expected, got in zip(reference, permuted):
             np.testing.assert_array_equal(expected, got)
 
@@ -133,9 +144,9 @@ class TestWeightPlacement:
         fault_maps = [FaultMap(64 + 16 * index, 16) for index in range(len(memory))]
         neuron = placement.layers[0].neuron(2)
         fault_maps[neuron.pe].add(BitFault(neuron.weight_address(0), 1, 1))
-        weight_and, weight_or, bias_and, bias_or = placement.layer_fault_masks(
-            fault_maps, 0, word_bits=16
-        )
+        weight_and, weight_or, bias_and, bias_or = placement.fault_masks(
+            fault_maps, word_bits=16
+        )[0]
         assert weight_or[0, 2] == 0b10
         assert np.count_nonzero(weight_or) == 1
         assert np.all(weight_and == 0xFFFF)
