@@ -28,7 +28,6 @@ from .npu import InferenceStats, Npu
 from .pe import ProcessingElement
 from .soc import (
     CHIP_CHARACTERISTICS,
-    Microcontroller,
     Snnac,
     SnnacConfig,
     chip_characteristics,
@@ -62,7 +61,6 @@ __all__ = [
     "SystolicRing",
     "LayerExecutionStats",
     "evaluate_layer_words",
-    "Microcontroller",
     "Snnac",
     "SnnacConfig",
     "CHIP_CHARACTERISTICS",

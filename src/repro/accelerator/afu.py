@@ -68,14 +68,6 @@ class PiecewiseLinearFunction:
         result = np.where(x > self.high, self.saturate_high, result)
         return result
 
-    def max_error(self, num_points: int = 2001, reference=None) -> float:
-        """Maximum absolute approximation error over the covered range."""
-        xs = np.linspace(self.low, self.high, num_points)
-        approx = self(xs)
-        if reference is None:
-            raise ValueError("reference function required to measure error")
-        return float(np.max(np.abs(approx - np.asarray(reference(xs), dtype=float))))
-
 
 class ActivationFunctionUnit:
     """The accelerator's shared activation unit.
@@ -102,9 +94,6 @@ class ActivationFunctionUnit:
                 reference.forward, input_range=table_range, num_segments=self.num_segments
             )
 
-    def supported(self) -> tuple[str, ...]:
-        return ("identity", "relu", "sigmoid", "tanh", "softmax")
-
     def apply(self, name: str, x: np.ndarray) -> np.ndarray:
         """Apply the named activation with hardware (PWL) semantics."""
         key = str(name).lower()
@@ -116,11 +105,3 @@ class ActivationFunctionUnit:
         if key in self._tables:
             return self._tables[key](x)
         raise ValueError(f"AFU does not implement activation {name!r}")
-
-    def approximation_error(self, name: str) -> float:
-        """Max PWL error versus the exact activation (0 for exact ones)."""
-        key = str(name).lower()
-        if key not in self._tables:
-            return 0.0
-        reference = get_activation(key)
-        return self._tables[key].max_error(reference=reference.forward)

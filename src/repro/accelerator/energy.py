@@ -456,13 +456,6 @@ class SnnacEnergyModel:
         """Total power in watts at the operating point."""
         return self.energy_per_cycle(point) * 1e-12 * point.frequency
 
-    def is_feasible(self, point: OperatingPoint) -> bool:
-        """Check that both voltage domains meet timing at the target frequency."""
-        return bool(
-            self.logic_frequency.fmax(point.logic_voltage) >= point.frequency
-            and self.sram_frequency.fmax(point.sram_voltage) >= point.frequency
-        )
-
     # ---------------------------------------------------------- searches
 
     def logic_minimum_energy_point(

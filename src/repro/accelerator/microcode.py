@@ -106,10 +106,6 @@ class NeuronPlacement:
         return self.segments[0].base_address
 
     @property
-    def bias_address(self) -> int:
-        return self.segments[0].base_address
-
-    @property
     def spilled(self) -> bool:
         """Whether the block needed more than one segment."""
         return len(self.segments) > 1
@@ -124,16 +120,6 @@ class NeuronPlacement:
                     word_index - segment.word_offset
                 )
         raise IndexError("placement segments do not cover the block")  # pragma: no cover
-
-    def weight_address(self, input_index: int) -> int:
-        """Address of the weight from ``input_index`` to this neuron.
-
-        For spilled neurons the word may live in a different bank than the
-        bias; use :meth:`locate` to obtain the hosting PE as well.
-        """
-        if not 0 <= input_index < self.fan_in:
-            raise IndexError("input index out of range")
-        return self.locate(1 + input_index)[1]
 
 
 @dataclass
@@ -639,10 +625,6 @@ class NpuProgram:
     @property
     def total_macs_per_inference(self) -> int:
         return sum(layer.macs for layer in self.layers)
-
-    @property
-    def total_weight_words(self) -> int:
-        return sum((l.in_features + 1) * l.out_features for l in self.layers)
 
 
 class MicrocodeCompiler:

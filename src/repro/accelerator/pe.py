@@ -1,33 +1,23 @@
 """Processing element (PE) model.
 
 Each SNNAC PE is a fixed-point multiply-accumulate unit with a dedicated,
-voltage-scalable weight SRAM bank.  The model keeps the datapath semantics
-that matter for accuracy studies:
-
-* weights arrive as two's-complement SRAM words and are decoded with the
-  layer's fixed-point format (so SRAM bit errors translate to the exact
-  weight perturbation the hardware would see),
-* input activations are quantized to the data fixed-point format before the
-  multiply, and
-* accumulation happens in a wide accumulator that does not overflow for the
-  layer sizes the paper evaluates (modelled as exact accumulation).
-
-:meth:`ProcessingElement.fetch_neuron_parameters` and
-:meth:`ProcessingElement.mac_batch` are the behavioural definition of one
-PE; the systolic ring (:mod:`repro.accelerator.systolic`) performs the
-equivalent work vectorized across the whole layer, reading through
-``weight_bank`` with the placement's compiled gather plan
-(:class:`~repro.accelerator.microcode.LayerGatherPlan`) and crediting
-:attr:`ProcessingElement.mac_count` for the weight words each PE hosts —
-the per-PE counts sum to ``in_features * out_features * batch`` for every
-layer, spilled placements included (the plan asserts it at compile time).
+voltage-scalable weight SRAM bank.  The systolic ring
+(:mod:`repro.accelerator.systolic`) performs every PE's work vectorized
+across the whole layer: it reads through each PE's ``weight_bank`` with the
+placement's compiled gather plan
+(:class:`~repro.accelerator.microcode.LayerGatherPlan`), decodes the
+two's-complement words with the layer's fixed-point format (so SRAM bit
+errors become the exact weight perturbation the hardware would see),
+quantizes input activations to the data format before the multiply, and
+accumulates exactly (a wide accumulator that does not overflow for the layer
+sizes the paper evaluates).  It credits :attr:`ProcessingElement.mac_count`
+for the weight words each PE hosts — the per-PE counts sum to
+``in_features * out_features * batch`` for every layer, spilled placements
+included (the plan asserts it at compile time).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..quant.fixed_point import FixedPointFormat
 from ..sram.array import SramBank
 
 __all__ = ["ProcessingElement"]
@@ -36,67 +26,12 @@ __all__ = ["ProcessingElement"]
 class ProcessingElement:
     """One MAC-based processing element with its local weight bank."""
 
-    def __init__(
-        self,
-        index: int,
-        weight_bank: SramBank,
-        data_format: FixedPointFormat | None = None,
-    ) -> None:
+    def __init__(self, index: int, weight_bank: SramBank) -> None:
         if index < 0:
             raise ValueError("index must be non-negative")
         self.index = int(index)
         self.weight_bank = weight_bank
-        self.data_format = data_format or FixedPointFormat(16, 12)
         #: running MAC-operation count (for utilization / energy accounting)
-        self.mac_count = 0
-
-    # ------------------------------------------------------------------
-
-    def fetch_neuron_parameters(
-        self,
-        base_address: int,
-        fan_in: int,
-        weight_format: FixedPointFormat,
-        bias_format: FixedPointFormat,
-        voltage: float,
-        temperature: float = 25.0,
-    ) -> tuple[np.ndarray, float]:
-        """Read one neuron's bias and weight row from the local SRAM bank.
-
-        Returns the decoded float ``(weights, bias)``; reads are performed at
-        the requested operating point so read-disturb corruption is applied
-        by the SRAM model.
-        """
-        addresses = np.arange(base_address, base_address + fan_in + 1)
-        words = self.weight_bank.read(addresses, voltage=voltage, temperature=temperature)
-        bias = float(bias_format.word_to_float(words[:1])[0])
-        weights = weight_format.word_to_float(words[1:])
-        return weights, bias
-
-    def mac_batch(
-        self,
-        inputs: np.ndarray,
-        weights: np.ndarray,
-        bias: float,
-    ) -> np.ndarray:
-        """Inner product of a batch of input vectors with one weight row.
-
-        ``inputs`` has shape ``(batch, fan_in)`` and is quantized to the data
-        format before the multiply; returns the pre-activation accumulator
-        values, shape ``(batch,)``.
-        """
-        inputs = np.asarray(inputs, dtype=float)
-        if inputs.ndim == 1:
-            inputs = inputs.reshape(1, -1)
-        if inputs.shape[1] != weights.shape[0]:
-            raise ValueError(
-                f"fan-in mismatch: inputs have {inputs.shape[1]}, weights {weights.shape[0]}"
-            )
-        quantized_inputs = self.data_format.quantize(inputs)
-        self.mac_count += inputs.shape[0] * inputs.shape[1]
-        return quantized_inputs @ weights + bias
-
-    def reset_counters(self) -> None:
         self.mac_count = 0
 
     def __repr__(self) -> str:  # pragma: no cover - trivial

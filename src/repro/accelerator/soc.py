@@ -2,10 +2,10 @@
 
 Ties together the subsystems the test chip integrates (Fig. 8 of the paper):
 the NPU (PE ring + AFU + weight SRAMs), the supply regulators for the two
-voltage domains, a behavioural stand-in for the OpenMSP430 runtime
-microcontroller, the environmental conditions the chip sits in, and the
+voltage domains, the environmental conditions the chip sits in, and the
 calibrated energy model.  The MATIC deployment flow and the in-situ canary
-controller operate on this object.
+controller operate on this object; the runtime microcontroller that sequences
+them on silicon only schedules that work, so it is not modelled.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 from ..nn.network import Network
 from ..quant.fixed_point import FixedPointFormat
 from ..quant.quantizer import WeightQuantizer
-from ..sram import calibration
 from ..sram.array import WeightMemorySystem
 from ..sram.bitcell import BitcellVariationModel
 from ..sram.regulator import VoltageRegulator
@@ -28,7 +27,6 @@ from .npu import InferenceStats, Npu
 
 __all__ = [
     "SnnacConfig",
-    "Microcontroller",
     "Snnac",
     "CHIP_CHARACTERISTICS",
     "chip_characteristics",
@@ -113,36 +111,6 @@ def chip_characteristics(config: SnnacConfig | None = None) -> dict:
 CHIP_CHARACTERISTICS = chip_characteristics()
 
 
-@dataclass
-class Microcontroller:
-    """Behavioural stand-in for the on-chip OpenMSP430 runtime controller.
-
-    The real core runs control firmware: it moves inference inputs/outputs
-    through memory-mapped buffers, sleeps between inferences, and wakes
-    periodically to execute the canary-based voltage-control routine.  Only
-    that scheduling behaviour matters to the methodology, so the model tracks
-    wake/sleep state and counts control invocations.
-    """
-
-    asleep: bool = True
-    wake_count: int = 0
-    control_routine_runs: int = 0
-    inference_requests: int = 0
-
-    def wake(self) -> None:
-        self.asleep = False
-        self.wake_count += 1
-
-    def sleep(self) -> None:
-        self.asleep = True
-
-    def record_control_run(self) -> None:
-        self.control_routine_runs += 1
-
-    def record_inference(self, count: int = 1) -> None:
-        self.inference_requests += int(count)
-
-
 class Snnac:
     """The SNNAC accelerator SoC.
 
@@ -207,7 +175,6 @@ class Snnac:
         self.logic_regulator = VoltageRegulator(initial_voltage=0.9)
         self.sram_regulator = VoltageRegulator(initial_voltage=0.9)
         self.frequency = NOMINAL_OPERATING_POINT.frequency
-        self.mcu = Microcontroller()
 
     def characteristics(self) -> dict:
         """Reported chip characteristics for *this* instance's geometry.
@@ -223,23 +190,18 @@ class Snnac:
     def deploy(self, network: Network, quantizer: WeightQuantizer | None = None):
         """Compile and load a model into the weight SRAMs at nominal voltage."""
         quantizer = quantizer or WeightQuantizer(total_bits=self.config.word_bits)
-        self.mcu.wake()
-        program = self.npu.deploy(network, quantizer)
-        self.mcu.sleep()
-        return program
+        return self.npu.deploy(network, quantizer)
 
     def deploy_quantized(self, program, quantized):
         """Load pre-quantized weights against a pre-compiled program.
 
-        Behaviourally identical to :meth:`deploy` (same MCU wake/sleep
-        bracket, same storage path) for a caller that already compiled the
-        program and quantized the network — the voltage-axis-batched MATIC
-        flow compiles once per sweep and re-deploys each operating point's
-        retrained weights through this entry point.
+        Behaviourally identical to :meth:`deploy` (same storage path) for a
+        caller that already compiled the program and quantized the network —
+        the voltage-axis-batched MATIC flow compiles once per sweep and
+        re-deploys each operating point's retrained weights through this
+        entry point.
         """
-        self.mcu.wake()
         self.npu.deploy_quantized(program, quantized)
-        self.mcu.sleep()
         return program
 
     # -------------------------------------------------------- environment
@@ -265,12 +227,6 @@ class Snnac:
 
     # ----------------------------------------------------- operating point
 
-    def set_operating_point(self, point: OperatingPoint) -> None:
-        """Program both supply rails and the clock to an operating point."""
-        self.logic_regulator.set_voltage(point.logic_voltage)
-        self.sram_regulator.set_voltage(point.sram_voltage)
-        self.frequency = point.frequency
-
     @property
     def operating_point(self) -> OperatingPoint:
         return OperatingPoint(
@@ -288,15 +244,11 @@ class Snnac:
 
     def run_inference(self, inputs: np.ndarray) -> tuple[np.ndarray, InferenceStats]:
         """Run a batch of inferences at the current operating point."""
-        self.mcu.wake()
-        outputs, stats = self.npu.run(
+        return self.npu.run(
             inputs,
             sram_voltage=self.effective_sram_voltage,
             temperature=self.environment.temperature,
         )
-        self.mcu.record_inference(stats.batch_size)
-        self.mcu.sleep()
-        return outputs, stats
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
         outputs, _ = self.run_inference(inputs)
@@ -325,17 +277,12 @@ class Snnac:
         programmed = [
             self.sram_regulator.set_voltage(float(v)) for v in sram_voltages
         ]
-        self.mcu.wake()
         noise = self.environment.supply_noise
-        results = self.npu.run_sweep(
+        return self.npu.run_sweep(
             inputs,
             [v + noise for v in programmed],
             temperature=self.environment.temperature,
         )
-        for _, stats in results:
-            self.mcu.record_inference(stats.batch_size)
-        self.mcu.sleep()
-        return results
 
     def refresh_weights(self) -> None:
         """Rewrite the deployed model into SRAM (used when changing operating points)."""

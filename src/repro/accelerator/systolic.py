@@ -140,10 +140,7 @@ class SystolicRing:
         self.memory = memory
         self.data_format = data_format or FixedPointFormat(16, 12)
         self.pipeline_overhead = int(pipeline_overhead)
-        self.pes = [
-            ProcessingElement(index, bank, data_format=self.data_format)
-            for index, bank in enumerate(memory)
-        ]
+        self.pes = [ProcessingElement(index, bank) for index, bank in enumerate(memory)]
 
     @property
     def num_pes(self) -> int:
@@ -227,7 +224,3 @@ class SystolicRing:
             sram_reads=sram_reads,
         )
         return outputs, stats
-
-    def reset_counters(self) -> None:
-        for pe in self.pes:
-            pe.reset_counters()

@@ -23,8 +23,6 @@ from .registry import (
     BenchmarkSpec,
     ProceduralSpec,
     get_benchmark,
-    list_benchmarks,
-    register_benchmark,
 )
 
 __all__ = [
@@ -49,6 +47,4 @@ __all__ = [
     "BenchmarkSpec",
     "ProceduralSpec",
     "get_benchmark",
-    "list_benchmarks",
-    "register_benchmark",
 ]

@@ -3,7 +3,7 @@
 Each :class:`BenchmarkSpec` bundles everything an experiment needs to train
 and evaluate one workload: the dataset generator, the DNN topology, the loss,
 the activation configuration, the error metric, and the train/test split
-ratio.  The catalog has three sources:
+ratio.  The catalog has two sources:
 
 * the four **paper benchmarks** of Table I (``mnist``, ``facedet``,
   ``inversek2j``, ``bscholes``), registered eagerly in :data:`BENCHMARKS`;
@@ -11,8 +11,7 @@ ratio.  The catalog has three sources:
   parametric name grammar under the ``synth/`` prefix — e.g.
   ``synth/mlp-d8-w256`` is an MLP with 8 hidden layers of width 256.  Their
   datasets come from the seeded generators in
-  :mod:`repro.datasets.procedural`;
-* **caller-registered specs** via :func:`register_benchmark`.
+  :mod:`repro.datasets.procedural`.
 
 Procedural name grammar
 -----------------------
@@ -59,8 +58,6 @@ __all__ = [
     "PROCEDURAL_PREFIX",
     "PROCEDURAL_FAMILIES",
     "get_benchmark",
-    "list_benchmarks",
-    "register_benchmark",
 ]
 
 
@@ -308,14 +305,6 @@ def _build_procedural(name: str) -> ProceduralSpec:
 # ------------------------------------------------------------------ lookup
 
 
-def register_benchmark(spec: BenchmarkSpec, overwrite: bool = False) -> None:
-    """Add a spec to the catalog under ``spec.name`` (lower-cased)."""
-    key = spec.name.lower()
-    if not overwrite and key in BENCHMARKS:
-        raise ValueError(f"benchmark {spec.name!r} is already registered")
-    BENCHMARKS[key] = spec
-
-
 def get_benchmark(name: str) -> BenchmarkSpec:
     """Look up a benchmark spec by name.
 
@@ -337,12 +326,3 @@ def get_benchmark(name: str) -> BenchmarkSpec:
         f"plus procedural '{PROCEDURAL_PREFIX}' names (families: "
         f"{sorted(PROCEDURAL_FAMILIES)})"
     )
-
-
-def list_benchmarks() -> list[str]:
-    """Names of all registered benchmarks (paper order first).
-
-    Procedural ``synth/`` workloads are resolved on demand and therefore do
-    not appear here; see :data:`PROCEDURAL_FAMILIES` for the grammar.
-    """
-    return list(BENCHMARKS)

@@ -49,7 +49,7 @@ fault harness it spares every serial run their import cost, and that of
 
 from importlib import import_module
 
-from .cache import ArtifactCache, cache_digest, default_cache, set_default_cache
+from .cache import ArtifactCache, cache_digest, default_cache
 from .common import (
     ExperimentResult,
     PreparedBenchmark,
@@ -144,7 +144,6 @@ __all__ = [
     "SweepTask",
     "cache_digest",
     "default_cache",
-    "set_default_cache",
     "expand_grid",
     "resolve_backend",
     "retry_delay",

@@ -89,7 +89,6 @@ __all__ = [
     "CacheStats",
     "cache_digest",
     "default_cache",
-    "set_default_cache",
     "parse_age",
     "parse_size",
     "main",
@@ -309,11 +308,6 @@ class ArtifactCache:
             while len(self._memory) >= self.memory_items:
                 self._memory.pop(next(iter(self._memory)))
             self._memory[memory_key] = value
-
-    def clear_memory(self) -> None:
-        """Drop the in-process layer (disk artifacts stay)."""
-        with self._memory_lock:
-            self._memory.clear()
 
     # -------------------------------------------------------- maintenance
 
@@ -590,12 +584,6 @@ def default_cache() -> ArtifactCache:
         disabled = os.environ.get(_ENV_DISABLE, "").strip() not in ("", "0", "false")
         _DEFAULT_CACHE = ArtifactCache(enabled=not disabled)
     return _DEFAULT_CACHE
-
-
-def set_default_cache(cache: ArtifactCache | None) -> None:
-    """Replace the process-wide default cache (None resets to lazy init)."""
-    global _DEFAULT_CACHE
-    _DEFAULT_CACHE = cache
 
 
 # --------------------------------------------------------------------- CLI

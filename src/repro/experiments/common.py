@@ -56,8 +56,6 @@ from importlib import import_module
 from importlib.machinery import ModuleSpec
 from typing import Any, Callable, Iterable
 
-import numpy as np
-
 from ..accelerator.soc import Snnac, SnnacConfig
 from ..datasets.registry import BenchmarkSpec, get_benchmark
 from ..matic.flow import MaticFlow, TrainingConfig
@@ -98,7 +96,9 @@ class PreparedBenchmark:
         return self.spec.name
 
 
-#: Per-benchmark baseline training settings (tuned once; see DESIGN.md).
+#: Per-benchmark baseline training settings, fixed so that every experiment
+#: starts from the same float baseline; they are part of the baseline's cache
+#: key (see :func:`prepare_benchmark`), so changing one retrains that baseline.
 #: Weight decay keeps the trained weight range tight so the fixed-point
 #: format (and therefore the worst-case impact of a stuck bit) stays small.
 _BASELINE_TRAINING = {

@@ -68,7 +68,7 @@ import os
 import shutil
 import tempfile
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
@@ -124,11 +124,6 @@ class SweepTask:
             if key == name:
                 return value
         return default
-
-    def with_params(self, **extra: Any) -> "SweepTask":
-        merged = dict(self.params)
-        merged.update(extra)
-        return replace(self, params=tuple(sorted(merged.items())))
 
     def describe(self) -> str:
         """Compact one-line rendering of the task's non-empty axes."""
@@ -593,15 +588,6 @@ class SweepRunner:
             self.tasks_run += 1
 
         return SweepExecution(tasks, stream, progress=self.progress, on_result=count)
-
-    def as_completed(
-        self,
-        fn: Callable[[Any, SweepTask], Any],
-        tasks: Sequence[SweepTask],
-        shared: Any = None,
-    ) -> Iterator[tuple[SweepTask, Any]]:
-        """Yield ``(task, result)`` pairs as they land (completion order)."""
-        return self.submit(fn, tasks, shared=shared).as_completed()
 
     def map(
         self,

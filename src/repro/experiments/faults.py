@@ -240,12 +240,6 @@ class FaultPlan:
         ]
         return cls(rules=tuple(rules))
 
-    def to_env(self, environ: dict[str, str] | None = None) -> dict[str, str]:
-        """Write the plan into an environment mapping (default ``os.environ``)."""
-        target = os.environ if environ is None else environ
-        target[ENV_FAULT_PLAN] = self.to_json()
-        return target
-
     @classmethod
     def from_env(cls) -> "FaultPlan | None":
         """The plan carried by ``$REPRO_FAULT_PLAN``, or None when unset.

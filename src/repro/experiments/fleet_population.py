@@ -83,12 +83,6 @@ class FleetPopulationResult:
     scenario_digest: str | None = None
     quarantined: list[str] = field(default_factory=list)
 
-    def report_for(self, die: int) -> DieReport:
-        for report in self.reports:
-            if report.die == die:
-                return report
-        raise KeyError(f"no report for die {die}")
-
     def to_experiment_result(self) -> ExperimentResult:
         rows = []
         for report in self.reports:

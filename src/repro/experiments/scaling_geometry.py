@@ -107,9 +107,6 @@ class ScalingGeometryResult:
     voltage: float = 0.9
     quarantined: list[str] = field(default_factory=list)
 
-    def points_for(self, workload: str) -> list[GeometryPoint]:
-        return [point for point in self.points if point.workload == workload]
-
     def to_experiment_result(self) -> ExperimentResult:
         rows = []
         for p in self.points:

@@ -126,9 +126,6 @@ class VariationScenariosResult:
     target_fault_rate: float = 0.01
     quarantined: list[str] = field(default_factory=list)
 
-    def points_for(self, shape: str) -> list[VariationPoint]:
-        return [point for point in self.points if point.shape == shape]
-
     def to_experiment_result(self) -> ExperimentResult:
         rows = []
         for p in self.points:

@@ -319,7 +319,6 @@ class CanaryController:
         above the last-known-good setting (the paper's conservative one-step
         margin), restores the canary storage states, and returns.
         """
-        self.chip.mcu.wake()
         regulator = self.chip.sram_regulator
         if safe_voltage is not None:
             regulator.set_voltage(safe_voltage)
@@ -352,6 +351,4 @@ class CanaryController:
             voltages_visited=visited,
         )
         self.traces.append(trace)
-        self.chip.mcu.record_control_run()
-        self.chip.mcu.sleep()
         return trace

@@ -49,7 +49,11 @@ __all__ = [
 
 @dataclass
 class TrainingConfig:
-    """Hyper-parameters shared by the baseline and memory-adaptive trainers."""
+    """Hyper-parameters shared by the baseline and memory-adaptive trainers.
+
+    The fields are exactly the trainers' keyword arguments, so a trainer is
+    built as ``Trainer(network, **asdict(config))``.
+    """
 
     optimizer: str = "momentum"
     learning_rate: float = 0.15
@@ -81,10 +85,6 @@ class ProfileCacheCounters:
     chip_misses: int = 0
     bank_hits: int = 0
     bank_misses: int = 0
-
-    def reset(self) -> None:
-        self.chip_hits = self.chip_misses = 0
-        self.bank_hits = self.bank_misses = 0
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -239,17 +239,7 @@ class MaticFlow:
         self, network: Network, train: Dataset, validation: Dataset | None = None
     ) -> TrainingHistory:
         """Train the naive (fault-unaware, full-precision) baseline model."""
-        trainer = Trainer(
-            network,
-            optimizer=self.training.optimizer,
-            learning_rate=self.training.learning_rate,
-            batch_size=self.training.batch_size,
-            epochs=self.training.epochs,
-            patience=self.training.patience,
-            lr_decay=self.training.lr_decay,
-            weight_decay=self.training.weight_decay,
-            seed=self.training.seed,
-        )
+        trainer = Trainer(network, **asdict(self.training))
         return trainer.fit(train, validation=validation)
 
     @staticmethod
@@ -547,7 +537,7 @@ class MaticFlow:
                 network.set_weights(cached)
                 mask_set.install(network)
                 return None
-        trainer = MemoryAdaptiveTrainer.from_config(network, mask_set, config)
+        trainer = MemoryAdaptiveTrainer(network, mask_set, **asdict(config))
         history = trainer.fit(train, validation=validation)
         if self.training_cache is not None and key is not None:
             self.training_cache.put("trained-weights", key, network.get_weights())

@@ -222,8 +222,9 @@ class CompiledMasks:
     It owns one flat buffer of masked parameters, :attr:`effective`, which
     :meth:`apply` overwrites on every call.  Memory-adaptive training points
     the layers' effective views at it once per fit and rewrites it every
-    step; a view meant to outlive the next :meth:`apply` needs a
-    :class:`CompiledMasks` of its own, as :meth:`FaultMaskSet.install` makes.
+    step; a view meant to outlive the next :meth:`apply` needs a copy of the
+    buffer (the view a fit leaves installed) or a :class:`CompiledMasks` of
+    its own (as :meth:`FaultMaskSet.install` makes).
     """
 
     def __init__(self, mask_set: FaultMaskSet, network: Network) -> None:

@@ -76,36 +76,7 @@ class MemoryAdaptiveTrainer(Trainer):
         #: effective views; every fit binds its own and drops it at the end
         self._compiled: CompiledMasks | None = None
 
-    @classmethod
-    def from_config(cls, network: Network, mask_set: FaultMaskSet, config) -> "MemoryAdaptiveTrainer":
-        """Build a trainer from a :class:`repro.matic.flow.TrainingConfig`.
-
-        The single construction point the MATIC flow uses for both cold
-        (full-budget) and warm-started (reduced ``epochs``/``patience``)
-        fine-tuning runs — every hyper-parameter comes from ``config``, so a
-        sweep that swaps configs between operating points can never leak a
-        stale setting from the flow's defaults.  ``config`` is duck-typed to
-        avoid a circular import; any object with the ``TrainingConfig``
-        fields works.
-        """
-        return cls(
-            network,
-            mask_set,
-            optimizer=config.optimizer,
-            learning_rate=config.learning_rate,
-            batch_size=config.batch_size,
-            epochs=config.epochs,
-            patience=config.patience,
-            lr_decay=config.lr_decay,
-            weight_decay=config.weight_decay,
-            seed=config.seed,
-        )
-
     # ------------------------------------------------------------------
-
-    def _install_masked_view(self) -> None:
-        """Install the quantized, fault-masked effective parameters."""
-        self.mask_set.install(self.network)
 
     def _bind_masks(self) -> CompiledMasks:
         """Compile the mask set and bind the layers' effective views to its buffer.
@@ -172,9 +143,9 @@ class MemoryAdaptiveTrainer(Trainer):
         as-is; call :meth:`repro.nn.network.Network.clear_effective` to get
         back the pure float model.
         """
-        self._bind_masks()
+        masks = self._bind_masks()
         history = super().fit(train, validation=validation, verbose=verbose)
-        # a view of its own, not the scratch buffer a later step would rewrite
-        self._install_masked_view()
+        # a copy, not the scratch buffer a later step would rewrite
+        masks.set_effective(self.network, masks.masked(self.network).copy())
         self._compiled = None
         return history

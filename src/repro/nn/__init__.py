@@ -39,7 +39,6 @@ from .metrics import (
     average_error_increase,
     classification_error,
     classification_rate,
-    error_increase,
     mean_squared_error,
 )
 from .network import Network, Topology, parse_topology
@@ -88,5 +87,4 @@ __all__ = [
     "classification_rate",
     "mean_squared_error",
     "average_error_increase",
-    "error_increase",
 ]

@@ -72,14 +72,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.inputs)
 
-    @property
-    def num_features(self) -> int:
-        return self.inputs.shape[1]
-
-    @property
-    def num_outputs(self) -> int:
-        return self.targets.shape[1]
-
     def subset(self, indices: np.ndarray) -> "Dataset":
         """Return a new dataset containing only ``indices``."""
         indices = np.asarray(indices, dtype=int)
@@ -90,12 +82,6 @@ class Dataset:
             name=self.name,
             metadata=dict(self.metadata),
         )
-
-    def shuffled(self, rng: np.random.Generator | int | None = None) -> "Dataset":
-        """Return a row-shuffled copy."""
-        rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-        order = rng.permutation(len(self))
-        return self.subset(order)
 
 
 def train_test_split(

@@ -20,7 +20,6 @@ __all__ = [
     "classification_rate",
     "mean_squared_error",
     "average_error_increase",
-    "error_increase",
 ]
 
 
@@ -65,15 +64,6 @@ def mean_squared_error(predictions: np.ndarray, targets: np.ndarray) -> float:
     if predictions.size == 0:
         raise ValueError("cannot compute MSE of an empty set")
     return float(np.mean((predictions - targets) ** 2))
-
-
-def error_increase(error: float, nominal_error: float) -> float:
-    """Error increase of an operating point relative to the nominal error.
-
-    Expressed as an absolute increase (``error − nominal``), clipped at zero:
-    operating points that happen to beat nominal count as zero increase.
-    """
-    return max(float(error) - float(nominal_error), 0.0)
 
 
 def average_error_increase(errors: np.ndarray, nominal_error: float) -> float:

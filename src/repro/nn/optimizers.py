@@ -37,9 +37,6 @@ class Optimizer:
         """Apply one update using the network's current flat gradients."""
         raise NotImplementedError
 
-    def reset(self) -> None:
-        """Clear any internal state (momentum buffers, moment estimates)."""
-
     # ------------------------------------------------------------------
     # Helper used by MAT: compute the raw update delta for one parameter
     # tensor without applying it, so the caller can fold it into its own
@@ -82,9 +79,6 @@ class MomentumSGD(Optimizer):
         self.momentum = float(momentum)
         self._velocity: dict[str, np.ndarray] = {}
 
-    def reset(self) -> None:
-        self._velocity.clear()
-
     def parameter_delta(self, key: str, gradient: np.ndarray) -> np.ndarray:
         velocity = self._velocity.get(key)
         if velocity is None:
@@ -119,11 +113,6 @@ class Adam(Optimizer):
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
         self._t: dict[str, int] = {}
-
-    def reset(self) -> None:
-        self._m.clear()
-        self._v.clear()
-        self._t.clear()
 
     def parameter_delta(self, key: str, gradient: np.ndarray) -> np.ndarray:
         m = self._m.get(key)

@@ -29,10 +29,6 @@ class TrainingHistory:
     validation_loss: list[float] = field(default_factory=list)
     epochs_run: int = 0
 
-    @property
-    def final_train_loss(self) -> float:
-        return self.train_loss[-1] if self.train_loss else float("nan")
-
 
 class Trainer:
     """Mini-batch gradient-descent trainer for :class:`Network`.

@@ -2,10 +2,10 @@
 
 The weight SRAM stores one fixed-point word per synaptic weight.  The
 :class:`WeightQuantizer` decides a fixed-point format per layer (or a single
-shared format), converts a network's float weights to SRAM words and back,
-and reports quantization error — the building block both for naive deployment
-(quantize once, after training) and for memory-adaptive training (quantize
-every iteration, inside the training loop).
+shared format) and converts a network's float weights to SRAM words — the
+building block both for naive deployment (quantize once, after training) and
+for memory-adaptive training (quantize every iteration, inside the training
+loop).
 """
 
 from __future__ import annotations
@@ -44,20 +44,6 @@ class QuantizedWeights:
     weight_words: list[np.ndarray]
     bias_words: list[np.ndarray]
     layer_formats: list[LayerQuantization]
-
-    def to_float(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Decode back to float ``(weights, bias)`` pairs per layer."""
-        decoded = []
-        for words, bias_words, fmt in zip(
-            self.weight_words, self.bias_words, self.layer_formats
-        ):
-            decoded.append(
-                (
-                    fmt.weight_format.word_to_float(words),
-                    fmt.bias_format.word_to_float(bias_words),
-                )
-            )
-        return decoded
 
 
 class WeightQuantizer:
@@ -119,31 +105,6 @@ class WeightQuantizer:
             bias_words.append(fmt.bias_format.float_to_word(layer.bias))
         return QuantizedWeights(weight_words, bias_words, formats)
 
-    def apply_to_network(
-        self,
-        network: Network,
-        layer_formats: list[LayerQuantization] | None = None,
-    ) -> QuantizedWeights:
-        """Quantize and install the quantized values as *effective* weights.
-
-        The master float weights are untouched; forward passes will use the
-        quantized view until :meth:`repro.nn.network.Network.clear_effective`
-        is called.  Returns the quantized words for further processing (e.g.
-        fault-mask application).
-        """
-        quantized = self.quantize_network(network, layer_formats)
-        for layer, words, bias_words, fmt in zip(
-            network.layers,
-            quantized.weight_words,
-            quantized.bias_words,
-            quantized.layer_formats,
-        ):
-            layer.set_effective(
-                fmt.weight_format.word_to_float(words),
-                fmt.bias_format.word_to_float(bias_words),
-            )
-        return quantized
-
     def freeze(self, layer_formats: list[LayerQuantization]) -> "FrozenWeightQuantizer":
         """Return a quantizer pinned to the given per-layer formats.
 
@@ -153,19 +114,6 @@ class WeightQuantizer:
         profiled fault masks would not describe the deployed words.
         """
         return FrozenWeightQuantizer(self.total_bits, layer_formats)
-
-    def quantization_snr_db(self, network: Network) -> float:
-        """Signal-to-quantization-noise ratio over all weights, in dB."""
-        formats = self.layer_formats(network)
-        signal = 0.0
-        noise = 0.0
-        for layer, fmt in zip(network.layers, formats):
-            q = fmt.weight_format.quantize(layer.weights)
-            signal += float(np.sum(layer.weights**2))
-            noise += float(np.sum((layer.weights - q) ** 2))
-        if noise == 0.0:
-            return float("inf")
-        return 10.0 * float(np.log10(signal / noise))
 
 
 class FrozenWeightQuantizer(WeightQuantizer):
@@ -182,10 +130,6 @@ class FrozenWeightQuantizer(WeightQuantizer):
         if not layer_formats:
             raise ValueError("at least one layer format is required")
         self._frozen_formats = list(layer_formats)
-
-    @property
-    def frozen_formats(self) -> list[LayerQuantization]:
-        return list(self._frozen_formats)
 
     def layer_formats(self, network: Network) -> list[LayerQuantization]:
         if len(network.layers) != len(self._frozen_formats):

@@ -25,8 +25,9 @@ single ``(words & and_mask) | or_mask`` over the addressed words, with the
 persistent corruption written back in the same operation — no per-read bit
 unpack/compare/repack round-trip.  The cache is invalidated when the cell
 population changes (:attr:`SramBank.cells` assignment or
-:meth:`SramBank.resample_cells`); writes never invalidate it because the
-masks depend only on cell physics, not on stored contents.  Content changes
+:meth:`SramBank.invalidate_operating_point_cache` after an in-place edit);
+writes never invalidate it because the masks depend only on cell physics,
+not on stored contents.  Content changes
 are tracked by :attr:`SramBank.content_epoch`, which bumps on every write or
 corrupting read that actually changes stored words — consumers (the NPU's
 decoded-weight memoization) use it to skip re-decoding unchanged words.
@@ -40,7 +41,7 @@ import numpy as np
 
 from . import calibration
 from .bitcell import BitcellPopulation, BitcellVariationModel, EmpiricalVminModel
-from .bitops import pack_bits, popcount
+from .bitops import pack_bits
 from .fault_map import BitFault, FaultMap, masks_from_words
 from .variation import VariationScenario
 
@@ -152,16 +153,6 @@ class SramBank:
     def cells(self, population: BitcellPopulation) -> None:
         self._cells = population
         self.invalidate_operating_point_cache()
-
-    def resample_cells(self, seed: int | np.random.Generator | None = None) -> None:
-        """Draw a fresh cell population (a new die) and drop cached masks.
-
-        Stored contents are untouched — resampling changes the physics, not
-        the data — but every cached ``(voltage, temperature)`` mask pair is
-        invalidated because the new cells fail at different voltages.
-        """
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        self.cells = self.variation_model.sample(self.num_words, self.word_bits, rng)
 
     def invalidate_operating_point_cache(self) -> None:
         """Drop every cached corruption mask and the packed preferred states."""
@@ -373,21 +364,6 @@ class SramBank:
         self.read_count += int(addresses.size)
         return words
 
-    def read_all(
-        self,
-        voltage: float = calibration.NOMINAL_VOLTAGE,
-        temperature: float = calibration.NOMINAL_TEMPERATURE,
-    ) -> np.ndarray:
-        """Read every word in address order."""
-        return self.read(np.arange(self.num_words), voltage, temperature)
-
-    def write_all(self, words: np.ndarray) -> None:
-        """Write the full bank contents in address order."""
-        words = np.asarray(words, dtype=np.uint64)
-        if words.shape != (self.num_words,):
-            raise ValueError(f"expected {self.num_words} words, got {words.shape}")
-        self.write(np.arange(self.num_words), words)
-
     # ---------------------------------------------------------- analysis
 
     def stored_words(self) -> np.ndarray:
@@ -466,14 +442,6 @@ class SramBank:
             for (address, bit), state in zip(cells.tolist(), states.tolist())
         ]
 
-    def bit_error_count(self, reference_words: np.ndarray) -> int:
-        """Number of stored bits that differ from ``reference_words``."""
-        reference_words = np.asarray(reference_words, dtype=np.uint64)
-        if reference_words.shape != (self.num_words,):
-            raise ValueError(f"expected {self.num_words} words, got {reference_words.shape}")
-        mask = np.uint64(self.word_mask)
-        return popcount((reference_words & mask) ^ self._words)
-
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (
             f"SramBank({self.name!r}, {self.num_words}x{self.word_bits} bits, "
@@ -548,10 +516,6 @@ class WeightMemorySystem:
     @property
     def word_bits(self) -> int:
         return self.banks[0].word_bits
-
-    @property
-    def total_words(self) -> int:
-        return sum(bank.num_words for bank in self.banks)
 
     @property
     def total_bits(self) -> int:

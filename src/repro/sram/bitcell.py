@@ -67,10 +67,6 @@ class BitcellPopulation:
     def shape(self) -> tuple[int, ...]:
         return self.vmin_read.shape
 
-    @property
-    def num_cells(self) -> int:
-        return int(self.vmin_read.size)
-
 
 class BitcellVariationModel:
     """Base class for bit-cell V_min,read variation models."""

@@ -132,16 +132,6 @@ class FaultMap:
         else:
             self._values[fault.address] &= ~bit
 
-    def merge(self, other: "FaultMap") -> "FaultMap":
-        """Union of two fault maps over the same geometry (other wins ties)."""
-        if (other.num_words, other.word_bits) != (self.num_words, self.word_bits):
-            raise ValueError("fault maps cover different SRAM geometries")
-        return FaultMap.from_words(
-            self._stuck | other._stuck,
-            other._values | (self._values & ~other._stuck),
-            self.word_bits,
-        )
-
     # ------------------------------------------------------------ queries
 
     @property
@@ -209,29 +199,16 @@ class FaultMap:
 
     # ------------------------------------------- clustering diagnostics
 
-    def fault_run_lengths(self, axis: str = "row") -> np.ndarray:
-        """Lengths of contiguous stuck-cell runs along words or bit columns.
-
-        ``axis="row"`` scans each word left to right (runs of adjacent stuck
-        bits within a word); ``axis="column"`` scans each bit position down
-        the address space.  Under i.i.d. faults runs are geometrically short;
-        shared-peripheral (correlated) failures produce long runs, which is
-        what the scenario sweeps and tests use as a clustering signal.
-        """
-        return _run_lengths(self.stuck_mask, axis)
-
-    def spatial_autocorrelation(self, axis: str = "row") -> float:
-        """Pearson correlation of adjacent-cell stuck indicators.
-
-        ``axis="row"`` correlates horizontally adjacent cells (within a
-        word), ``axis="column"`` vertically adjacent ones (same bit, next
-        address).  Returns 0.0 for degenerate maps (no faults, all faults,
-        or a single-line geometry along the chosen axis).
-        """
-        return _autocorrelation(self.stuck_mask, axis)
-
     def clustering_summary(self) -> dict:
-        """Compact clustering diagnostics for reporting and sweep rows."""
+        """Compact clustering diagnostics for reporting and sweep rows.
+
+        Runs are contiguous stuck cells along a word (``row``) or down a bit
+        column (``column``); under i.i.d. faults they are geometrically short,
+        while shared-peripheral (correlated) failures produce long ones.  The
+        autocorrelations are the Pearson correlation of adjacent cells' stuck
+        indicators along each axis, 0.0 for degenerate maps (no faults, all
+        faults, or a single line along the axis).
+        """
         stuck = self.stuck_mask
         row_runs = _run_lengths(stuck, "row")
         column_runs = _run_lengths(stuck, "column")
@@ -343,13 +320,8 @@ class FaultMap:
 
 
 def _run_lengths(stuck: np.ndarray, axis: str) -> np.ndarray:
-    """:meth:`FaultMap.fault_run_lengths` of a stuck-cell bit matrix."""
-    if axis == "row":
-        grid = stuck
-    elif axis == "column":
-        grid = stuck.T
-    else:
-        raise ValueError("axis must be 'row' or 'column'")
+    """Lengths of the stuck-cell runs along each ``row`` or ``column``."""
+    grid = stuck if axis == "row" else stuck.T
     # pad each line with False so runs never join across line boundaries,
     # then diff the flattened sequence: +1 marks run starts, -1 run ends
     padded = np.zeros((grid.shape[0], grid.shape[1] + 1), dtype=np.int8)
@@ -362,15 +334,13 @@ def _run_lengths(stuck: np.ndarray, axis: str) -> np.ndarray:
 
 
 def _autocorrelation(stuck: np.ndarray, axis: str) -> float:
-    """:meth:`FaultMap.spatial_autocorrelation` of a stuck-cell bit matrix."""
+    """Correlation of adjacent cells' stuck indicators along ``row`` or ``column``."""
     if axis == "row":
         a = stuck[:, :-1].ravel()
         b = stuck[:, 1:].ravel()
-    elif axis == "column":
+    else:
         a = stuck[:-1, :].ravel()
         b = stuck[1:, :].ravel()
-    else:
-        raise ValueError("axis must be 'row' or 'column'")
     if a.size == 0:
         return 0.0
     a = a.astype(float)

@@ -1,11 +1,11 @@
 """Digitally-programmable voltage regulator model.
 
 The test chip's SRAM supply is driven by external digitally-programmable
-regulators; the in-situ canary controller (Algorithm 1) adjusts the SRAM rail
-in fixed ``Δv`` steps through this interface.  The model quantizes requested
-voltages to the regulator's step size and clamps to its output range, and
-keeps a history of programmed values so experiments (e.g. the Fig. 12
-temperature-tracking run) can plot the control trajectory.
+regulators; the in-situ canary controller (Algorithm 1) moves the SRAM rail
+in fixed ``Δv`` steps through :meth:`VoltageRegulator.set_voltage`.  The model
+quantizes requested voltages to the regulator's step size and clamps them to
+its output range; the controller records the trajectory it visits in its own
+:class:`~repro.matic.canary.RegulationTrace`.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ class VoltageRegulator:
         self.min_voltage = float(min_voltage)
         self.max_voltage = float(max_voltage)
         self._voltage = self._quantize(initial_voltage)
-        self.history: list[float] = [self._voltage]
 
     # ------------------------------------------------------------------
 
@@ -60,24 +59,7 @@ class VoltageRegulator:
     def set_voltage(self, voltage: float) -> float:
         """Program a new output voltage; returns the quantized value applied."""
         self._voltage = self._quantize(voltage)
-        self.history.append(self._voltage)
         return self._voltage
-
-    def adjust(self, delta: float) -> float:
-        """Move the output voltage by ``delta`` volts (positive or negative)."""
-        return self.set_voltage(self._voltage + float(delta))
-
-    def step_down(self) -> float:
-        """Lower the output by one programming step."""
-        return self.adjust(-self.step)
-
-    def step_up(self) -> float:
-        """Raise the output by one programming step."""
-        return self.adjust(self.step)
-
-    def reset_history(self) -> None:
-        """Clear the programming history (keeps the current voltage)."""
-        self.history = [self._voltage]
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (

@@ -102,15 +102,6 @@ class FaultMap:
         self._values[fault.address, fault.bit] = fault.stuck_value
         self._invalidate()
 
-    def merge(self, other: "FaultMap") -> "FaultMap":
-        """Union of two fault maps over the same geometry (other wins ties)."""
-        if (other.num_words, other.word_bits) != (self.num_words, self.word_bits):
-            raise ValueError("fault maps cover different SRAM geometries")
-        merged = FaultMap(self.num_words, self.word_bits)
-        merged._stuck = self._stuck | other._stuck
-        merged._values = np.where(other._stuck, other._values, self._values)
-        return merged
-
     # ------------------------------------------------------------ queries
 
     @property

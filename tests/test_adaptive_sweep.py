@@ -109,7 +109,7 @@ class TestProfilerSweepEquivalence:
         deployed contents intact."""
         bank = make_chip().memory[0]
         words = (np.arange(bank.num_words, dtype=np.uint64) * 17) & np.uint64(0xFFFF)
-        bank.write_all(words)
+        bank.write(np.arange(bank.num_words), words)
         reads = bank.read_count
         SramProfiler().profile_bank_sweep(bank, VOLTAGES)
         assert bank.read_count == reads
@@ -172,8 +172,7 @@ class TestProfileChipSweep:
         counters = ProfileCacheCounters(chip_hits=3, bank_misses=2)
         snapshot = counters.as_dict()
         assert snapshot["chip_hits"] == 3 and snapshot["bank_misses"] == 2
-        counters.reset()
-        assert all(value == 0 for value in counters.as_dict().values())
+        assert all(value == 0 for value in ProfileCacheCounters().as_dict().values())
 
 
 class TestColdPathIdentity:

@@ -36,7 +36,6 @@ class TestGaussianModel:
         assert population.vmin_read.shape == (32, 16)
         assert population.preferred_state.shape == (32, 16)
         assert set(np.unique(population.preferred_state)).issubset({0, 1})
-        assert population.num_cells == 32 * 16
 
     def test_sample_statistics_match_parameters(self):
         model = GaussianVminModel(mean=0.46, sigma=0.02)

@@ -451,7 +451,8 @@ class TestSizeBudgetEviction:
         cache.put("trained-weights", {"run": "cold"}, b"c" * 512)
         cold_path = cache._path("trained-weights", cache_digest({"run": "cold"}))
         os.utime(cold_path, (time.time() - 1000,) * 2)
-        cache.clear_memory()
+        # a fresh instance has no memory layer: eviction sees the disk alone
+        cache = ArtifactCache(root=tmp_path / "hot")
         cache.evict_to_budget(cache.disk_stats()["total_bytes"] - 256)
         assert hot_path.exists()  # the memory-hit refresh saved it
         assert not cold_path.exists()

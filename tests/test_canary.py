@@ -169,7 +169,6 @@ class TestCanaryController:
         controller.regulate(safe_voltage=0.60)
         controller.regulate(safe_voltage=0.60)
         assert len(controller.traces) == 2
-        assert chip.mcu.control_routine_runs == 2
 
     def test_invalid_parameters(self, deployed_chip):
         chip, program = deployed_chip
@@ -354,7 +353,9 @@ def _random_memory(data, num_banks, scenario, ties):
     )
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="words"))
     for bank in memory:
-        bank.write_all(rng.integers(0, 1 << word_bits, num_words, dtype=np.uint64))
+        bank.write(
+            np.arange(num_words), rng.integers(0, 1 << word_bits, num_words, dtype=np.uint64)
+        )
         if ties:
             # coarse V_min grid: many cells share one margin exactly
             bank.cells.vmin_read[:] = np.round(bank.cells.vmin_read, 2)

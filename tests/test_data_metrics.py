@@ -12,7 +12,6 @@ from repro.nn import (
     average_error_increase,
     classification_error,
     classification_rate,
-    error_increase,
     iterate_minibatches,
     mean_squared_error,
     one_hot,
@@ -60,16 +59,10 @@ class TestDataset:
         np.testing.assert_array_equal(sub.labels, [1, 3])
         assert len(sub) == 2
 
-    def test_shuffled_is_permutation(self):
-        ds = Dataset(np.arange(20).reshape(10, 2), np.arange(10), labels=np.arange(10))
-        shuffled = ds.shuffled(rng=0)
-        assert sorted(shuffled.labels.tolist()) == list(range(10))
-        assert len(shuffled) == 10
-
     def test_properties(self):
         ds = Dataset(np.zeros((6, 4)), np.zeros((6, 3)))
-        assert ds.num_features == 4
-        assert ds.num_outputs == 3
+        assert len(ds) == 6
+        assert ds.inputs.shape == (6, 4) and ds.targets.shape == (6, 3)
 
 
 class TestTrainTestSplit:
@@ -159,8 +152,8 @@ class TestMetrics:
             mean_squared_error(np.zeros((2, 2)), np.zeros((2, 3)))
 
     def test_error_increase_clips_at_zero(self):
-        assert error_increase(0.05, 0.10) == 0.0
-        assert error_increase(0.30, 0.10) == pytest.approx(0.20)
+        assert average_error_increase(np.array([0.05]), 0.10) == 0.0
+        assert average_error_increase(np.array([0.30]), 0.10) == pytest.approx(0.20)
 
     def test_average_error_increase(self):
         errors = np.array([0.2, 0.4, 0.05])

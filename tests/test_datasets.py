@@ -15,7 +15,6 @@ from repro.datasets import (
     generate_inversek2j,
     get_benchmark,
     inverse_kinematics,
-    list_benchmarks,
     norm_cdf,
 )
 from repro.nn import Trainer, classification_error
@@ -165,7 +164,7 @@ class TestBlackScholes:
 
 class TestRegistry:
     def test_benchmark_list_matches_paper_table(self):
-        assert list_benchmarks() == ["mnist", "facedet", "inversek2j", "bscholes"]
+        assert list(BENCHMARKS) == ["mnist", "facedet", "inversek2j", "bscholes"]
 
     @pytest.mark.parametrize(
         "name,topology",
@@ -183,8 +182,8 @@ class TestRegistry:
     def test_generate_and_split_consistent_with_topology(self, name):
         spec = get_benchmark(name)
         ds = spec.generate(num_samples=120, seed=0)
-        assert ds.num_features == int(spec.topology.split("-")[0])
-        assert ds.num_outputs == int(spec.topology.split("-")[-1])
+        assert ds.inputs.shape[1] == int(spec.topology.split("-")[0])
+        assert ds.targets.shape[1] == int(spec.topology.split("-")[-1])
         train, test = spec.split(ds, seed=1)
         assert len(train) + len(test) == 120
         ratio = len(train) / len(test)

@@ -137,12 +137,14 @@ class TestSnnacEnergyModel:
 
     def test_feasibility_checks(self):
         model = SnnacEnergyModel()
-        assert model.is_feasible(NOMINAL_OPERATING_POINT)
-        assert model.is_feasible(OperatingPoint(0.9, 0.65, 250e6))
+        nominal = NOMINAL_OPERATING_POINT
+        assert model.logic_frequency.fmax(nominal.logic_voltage) >= nominal.frequency
+        assert model.sram_frequency.fmax(nominal.sram_voltage) >= nominal.frequency
+        assert model.sram_frequency.fmax(0.65) >= 250e6
         # logic cannot run 250 MHz at 0.55 V
-        assert not model.is_feasible(OperatingPoint(0.55, 0.9, 250e6))
+        assert model.logic_frequency.fmax(0.55) < 250e6
         # SRAM periphery cannot run 250 MHz at 0.5 V
-        assert not model.is_feasible(OperatingPoint(0.9, 0.50, 250e6))
+        assert model.sram_frequency.fmax(0.50) < 250e6
 
     def test_logic_mep_near_paper_value(self):
         model = SnnacEnergyModel()

@@ -18,7 +18,6 @@ from repro.experiments.cache import ArtifactCache, cache_digest
 from repro.experiments.engine import (
     SerialBackend,
     SweepRunner,
-    SweepTask,
     expand_grid,
     resolve_backend,
     store_label,
@@ -88,10 +87,11 @@ class TestExpandGrid:
         assert expand_grid(params=[]) == []
 
     def test_with_params_merges(self):
-        task = SweepTask(index=0, seed=1, params=(("x", 1),))
-        merged = task.with_params(y=2)
-        assert merged.param("x") == 1 and merged.param("y") == 2
-        assert task.param("y", "missing") == "missing"
+        # expand_grid merges the swept params into each task's sorted params
+        (task,) = expand_grid(params=[{"y": 2, "x": 1}])
+        assert task.params == (("x", 1), ("y", 2))
+        assert task.param("x") == 1 and task.param("y") == 2
+        assert task.param("z", "missing") == "missing"
 
 
 class TestTaskDigest:
@@ -218,7 +218,7 @@ class TestBackends:
     def test_tasks_run_counts_consumed_results_only(self):
         tasks = expand_grid(params=[{"value": v} for v in range(5)], seed=1)
         runner = SweepRunner(workers=1)
-        stream = runner.as_completed(_square_worker, tasks, shared={"offset": 0})
+        stream = runner.submit(_square_worker, tasks, shared={"offset": 0}).as_completed()
         assert runner.tasks_run == 0  # nothing executed at submission time
         next(stream)
         assert runner.tasks_run == 1
@@ -233,7 +233,8 @@ class TestBackends:
         runner = SweepRunner(
             workers=workers, backend=backend, store=ArtifactCache(root=tmp_path)
         )
-        pairs = list(runner.as_completed(_square_worker, tasks, shared={"offset": 0}))
+        execution = runner.submit(_square_worker, tasks, shared={"offset": 0})
+        pairs = list(execution.as_completed())
         assert len(pairs) == len(tasks)
         # every yielded pair couples a task with its own result
         for task, result in pairs:
@@ -255,7 +256,7 @@ class TestBackends:
             return task.index
 
         tasks = expand_grid(params=[{"value": v} for v in range(5)], seed=1)
-        stream = SweepRunner(workers=1).as_completed(recording_worker, tasks)
+        stream = SweepRunner(workers=1).submit(recording_worker, tasks).as_completed()
         assert executed == []  # nothing runs until the consumer pulls
         first = next(stream)
         assert executed == [0] and first[1] == 0

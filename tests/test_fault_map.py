@@ -90,20 +90,6 @@ class TestFaultMap:
         with pytest.raises(ValueError):
             fm.apply(np.zeros(4, dtype=np.uint64))
 
-    def test_merge(self):
-        a = FaultMap(4, 8, [BitFault(0, 0, 1)])
-        b = FaultMap(4, 8, [BitFault(1, 1, 0), BitFault(0, 0, 0)])
-        merged = a.merge(b)
-        assert merged.num_faults == 2
-        # later map wins on conflicts
-        assert merged.faults == [BitFault(0, 0, 0), BitFault(1, 1, 0)]
-        # originals untouched
-        assert a.faults == [BitFault(0, 0, 1)]
-
-    def test_merge_geometry_mismatch(self):
-        with pytest.raises(ValueError):
-            FaultMap(4, 8).merge(FaultMap(4, 16))
-
     def test_equality(self):
         a = FaultMap(4, 8, [BitFault(0, 0, 1)])
         b = FaultMap(4, 8, [BitFault(0, 0, 1)])
@@ -179,29 +165,6 @@ class TestArrayBackedEquivalence:
         for address in range(16):
             for bit in range(8):
                 assert ((address, bit) in fm) == ((address, bit) in reference)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        first=st.lists(
-            st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 1)),
-            max_size=20,
-        ),
-        second=st.lists(
-            st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 1)),
-            max_size=20,
-        ),
-    )
-    def test_merge_matches_dict_union(self, first, second):
-        a = FaultMap(8, 8, [BitFault(*entry) for entry in first])
-        b = FaultMap(8, 8, [BitFault(*entry) for entry in second])
-        reference: dict[tuple[int, int], int] = {}
-        for address, bit, value in first + second:  # later adds win, b wins ties
-            reference[(address, bit)] = value
-        merged = a.merge(b)
-        assert [(f.address, f.bit, f.stuck_value) for f in merged.faults] == [
-            (address, bit, value)
-            for (address, bit), value in sorted(reference.items())
-        ]
 
     def test_masks_refresh_after_add(self):
         fm = FaultMap(4, 8, [BitFault(0, 0, 1)])
@@ -301,7 +264,6 @@ def edit_sequences(draw):
     )
     edit = st.one_of(
         st.tuples(st.just("add"), cell),
-        st.tuples(st.just("merge"), st.lists(cell, max_size=12), st.booleans()),
         st.tuples(st.just("from_arrays"), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0)),
         st.tuples(
             st.just("random"),
@@ -322,13 +284,6 @@ def _replay(edit, maps, num_words, word_bits):
         current.add(fault)
         expected.add(fault)
         return current, expected
-    if kind == "merge":
-        faults = [BitFault(*entry) for entry in edit[1]]
-        other = FaultMap(num_words, word_bits, faults)
-        other_expected = ReferenceFaultMap(num_words, word_bits, faults)
-        if edit[2]:
-            return current.merge(other), expected.merge(other_expected)
-        return other.merge(current), other_expected.merge(expected)
     if kind == "from_arrays":
         rng = np.random.default_rng(edit[1])
         stuck = rng.random((num_words, word_bits)) < edit[2]
@@ -424,7 +379,8 @@ class TestMatchesBitMatrixReference:
         if edit == "assign":
             bank.cells = SramBank(num_words, word_bits, seed=seed + 1).cells
         elif edit == "resample":
-            bank.resample_cells(seed + 1)
+            rng = np.random.default_rng(seed + 1)
+            bank.cells = bank.variation_model.sample(num_words, word_bits, rng)
         else:
             bank.cells.preferred_state[...] ^= 1
             bank.cells.vmin_read[::2] += 0.05
@@ -496,9 +452,11 @@ class TestClusteringDiagnostics:
         for bit in (2, 3, 4):  # one horizontal run of 3 in word 0
             fm.add(BitFault(0, bit, 1))
         fm.add(BitFault(5, 0, 0))  # plus an isolated fault
-        assert sorted(fm.fault_run_lengths("row").tolist()) == [1, 3]
+        summary = fm.clustering_summary()
+        # row runs of 1 and 3
+        assert (summary["mean_row_run"], summary["max_row_run"]) == (2.0, 3)
         # vertically every fault is isolated: four runs of 1
-        assert sorted(fm.fault_run_lengths("column").tolist()) == [1, 1, 1, 1]
+        assert (summary["mean_column_run"], summary["max_column_run"]) == (1.0, 1)
 
     def test_runs_do_not_join_across_line_boundaries(self):
         fm = FaultMap(2, 4)
@@ -506,36 +464,32 @@ class TestClusteringDiagnostics:
             fm.add(BitFault(0, bit, 1))
         for bit in (0, 1):  # ...and a run starting word 1
             fm.add(BitFault(1, bit, 1))
-        assert sorted(fm.fault_run_lengths("row").tolist()) == [2, 2]
+        summary = fm.clustering_summary()
+        assert (summary["mean_row_run"], summary["max_row_run"]) == (2.0, 2)
 
     def test_full_row_has_perfect_row_autocorrelation(self):
         fm = FaultMap(8, 16)
         for bit in range(16):
             fm.add(BitFault(3, bit, 1))
-        assert fm.spatial_autocorrelation("row") == pytest.approx(1.0)
-        assert fm.spatial_autocorrelation("column") < fm.spatial_autocorrelation("row")
-        assert fm.clustering_summary()["max_row_run"] == 16
+        summary = fm.clustering_summary()
+        assert summary["row_autocorrelation"] == pytest.approx(1.0)
+        assert summary["column_autocorrelation"] < summary["row_autocorrelation"]
+        assert summary["max_row_run"] == 16
 
     def test_full_column_has_perfect_column_autocorrelation(self):
         fm = FaultMap(8, 16)
         for address in range(8):
             fm.add(BitFault(address, 5, 1))
-        assert fm.spatial_autocorrelation("column") == pytest.approx(1.0)
-        assert fm.clustering_summary()["max_column_run"] == 8
+        summary = fm.clustering_summary()
+        assert summary["column_autocorrelation"] == pytest.approx(1.0)
+        assert summary["max_column_run"] == 8
 
     def test_degenerate_maps_report_zero_autocorrelation(self):
         full = FaultMap(4, 4)
         for address in range(4):
             for bit in range(4):
                 full.add(BitFault(address, bit, 1))
-        assert full.spatial_autocorrelation("row") == 0.0  # zero variance
+        assert full.clustering_summary()["row_autocorrelation"] == 0.0  # zero variance
         single_word = FaultMap(1, 4)
         single_word.add(BitFault(0, 1, 1))
-        assert single_word.spatial_autocorrelation("column") == 0.0
-
-    def test_invalid_axis_rejected(self):
-        fm = FaultMap(4, 4)
-        with pytest.raises(ValueError):
-            fm.fault_run_lengths("diagonal")
-        with pytest.raises(ValueError):
-            fm.spatial_autocorrelation("diagonal")
+        assert single_word.clustering_summary()["column_autocorrelation"] == 0.0

@@ -50,9 +50,9 @@ class TestFrozenWeightQuantizer:
         frozen = base.freeze(base.layer_formats(network))
         network.layers[0].weights *= 50.0  # would overflow the frozen range
         quantized = frozen.quantize_network(network)
-        decoded = quantized.to_float()[0][0]
         # values saturate at the frozen format's range instead of refitting
         fmt = quantized.layer_formats[0].weight_format
+        decoded = fmt.word_to_float(quantized.weight_words[0])
         assert np.max(decoded) <= fmt.max_value
         assert np.min(decoded) >= fmt.min_value
 

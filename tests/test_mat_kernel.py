@@ -11,6 +11,8 @@ process, so the comparison does not depend on the BLAS build.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -197,13 +199,20 @@ class TestMisShapedMasksRejected:
 class PerLayerTrainer(MemoryAdaptiveTrainer):
     """The per-layer, per-tensor MAT step the flat kernel replaced.
 
-    Its network runs the per-layer passes the flat buffer replaced.
+    Its network runs the per-layer passes the flat buffer replaced, and a fit
+    leaves its own per-tensor masked view installed, so the final effective
+    parameters are checked against code the production path does not share.
     """
 
     def __init__(self, network: Network, *args, **kwargs) -> None:
         super().__init__(use_reference_passes(network), *args, **kwargs)
 
-    def _install_masked_view(self) -> None:
+    def fit(self, train, validation=None, verbose=False):
+        history = super().fit(train, validation=validation, verbose=verbose)
+        self._install_per_layer_view()
+        return history
+
+    def _install_per_layer_view(self) -> None:
         for layer, masks, fmt in zip(
             self.network.layers, self.mask_set.layer_masks, self.mask_set.layer_formats
         ):
@@ -215,7 +224,7 @@ class PerLayerTrainer(MemoryAdaptiveTrainer):
             )
 
     def train_step(self, inputs: np.ndarray, targets: np.ndarray) -> float:
-        self._install_masked_view()
+        self._install_per_layer_view()
         predictions = self.network.forward(inputs, training=True)
         loss_value = self.network.backward(predictions, targets)
         if self.weight_decay:
@@ -271,7 +280,7 @@ def _fit(trainer_class, name: str, config: TrainingConfig, start_scale: float = 
     for layer in network.layers:
         # > 1 starts masters beyond the formats fitted above: ε_q's clip acts
         layer.weights = layer.weights * start_scale
-    trainer = trainer_class.from_config(network, mask_set, config)
+    trainer = trainer_class(network, mask_set, **asdict(config))
     history = trainer.fit(train, validation=validation)
     key = MaticFlow(training=config)._adaptive_cache_key(
         network, mask_set, train, validation, config

@@ -50,10 +50,10 @@ class TestWeightPlacement:
     def test_weight_address_bounds(self):
         placement = WeightPlacement((4, 3), num_pes=2, words_per_bank=16)
         neuron = placement.layers[0].neuron(0)
-        assert neuron.bias_address == neuron.base_address
-        assert neuron.weight_address(0) == neuron.base_address + 1
+        assert neuron.locate(0) == (neuron.pe, neuron.base_address)
+        assert neuron.locate(1) == (neuron.pe, neuron.base_address + 1)
         with pytest.raises(IndexError):
-            neuron.weight_address(4)
+            neuron.locate(1 + 4)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -90,8 +90,8 @@ class TestWeightPlacement:
         placement = WeightPlacement(network.widths, len(memory), 64)
         neuron = placement.layers[0].neuron(5)
         fault_maps = [FaultMap(64, 16) for _ in range(len(memory))]
-        fault_maps[neuron.pe].add(BitFault(neuron.weight_address(2), 7, 1))
-        fault_maps[neuron.pe].add(BitFault(neuron.bias_address, 3, 0))
+        fault_maps[neuron.pe].add(BitFault(neuron.locate(1 + 2)[1], 7, 1))
+        fault_maps[neuron.pe].add(BitFault(neuron.base_address, 3, 0))
         weight_and, weight_or, bias_and, bias_or = placement.fault_masks(
             fault_maps, word_bits=16
         )[0]
@@ -106,7 +106,7 @@ class TestWeightPlacement:
         placement = WeightPlacement(network.widths, len(memory), 64)
         neuron = placement.layers[1].neuron(2)
         fault_maps = [FaultMap(64, 16) for _ in range(len(memory))]
-        fault_maps[neuron.pe].add(BitFault(neuron.weight_address(4), 9, 1))
+        fault_maps[neuron.pe].add(BitFault(neuron.locate(1 + 4)[1], 9, 1))
         first, second = placement.fault_masks(fault_maps, word_bits=16)
         assert second[1][4, 2] == 1 << 9 and np.count_nonzero(second[1]) == 1
         assert second[0].shape == (12, 3) and second[2].shape == (3,)
@@ -130,7 +130,7 @@ class TestWeightPlacement:
         placement = WeightPlacement(network.widths, len(memory), 64)
         neuron = placement.layers[0].neuron(5)
         fault_maps = [FaultMap(64, 16) for _ in range(len(memory))]
-        fault_maps[neuron.pe].add(BitFault(neuron.weight_address(2), 7, 1))
+        fault_maps[neuron.pe].add(BitFault(neuron.locate(1 + 2)[1], 7, 1))
         reference = placement.fault_masks(fault_maps, word_bits=16)[0]
         placement.layers[0].neurons.reverse()
         permuted = placement.fault_masks(fault_maps, word_bits=16)[0]
@@ -143,7 +143,7 @@ class TestWeightPlacement:
         placement = WeightPlacement(network.widths, len(memory), 64)
         fault_maps = [FaultMap(64 + 16 * index, 16) for index in range(len(memory))]
         neuron = placement.layers[0].neuron(2)
-        fault_maps[neuron.pe].add(BitFault(neuron.weight_address(0), 1, 1))
+        fault_maps[neuron.pe].add(BitFault(neuron.locate(1 + 0)[1], 1, 1))
         weight_and, weight_or, bias_and, bias_or = placement.fault_masks(
             fault_maps, word_bits=16
         )[0]
@@ -174,7 +174,6 @@ class TestMicrocodeCompiler:
     def test_mac_counts(self, network, quantizer):
         program = MicrocodeCompiler(num_pes=4, words_per_bank=64).compile(network, quantizer)
         assert program.total_macs_per_inference == 10 * 12 + 12 * 3
-        assert program.total_weight_words == (10 + 1) * 12 + (12 + 1) * 3
 
     def test_wide_layer_time_multiplexing(self, quantizer):
         wide = Network("8-100-2", seed=0)

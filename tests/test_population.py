@@ -213,7 +213,7 @@ class TestFleetPopulationDriver:
         population = ChipPopulation(num_dies=1, entropy=11, **GEOMETRY)
         requests = population.request_stream(6, (0.90, 0.50), seed=SEED)
         direct = _simulate(population, 0, flow, prepared, requests)
-        fleet = result.report_for(0)
+        (fleet,) = [report for report in result.reports if report.die == 0]
         assert (fleet.vmin, fleet.fault_rate, fleet.canary_margin) == (
             direct.vmin,
             direct.fault_rate,

@@ -67,7 +67,7 @@ class TestProfileChipMemoization:
             for bank in chip.memory
         ]
         for bank, words in zip(chip.memory, deployed):
-            bank.write_all(words)
+            bank.write(np.arange(bank.num_words), words)
         reads_before = [bank.read_count for bank in chip.memory]
         flow.profile_chip(chip, VOLTAGE)
         for bank, words, reads in zip(chip.memory, deployed, reads_before):

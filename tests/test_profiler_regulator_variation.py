@@ -37,14 +37,14 @@ class TestSramProfiler:
     def test_profile_restores_contents(self):
         bank = SramBank(64, 16, seed=3)
         deployed = np.arange(64, dtype=np.uint64) * 7 % 65536
-        bank.write_all(deployed)
+        bank.write(np.arange(bank.num_words), deployed)
         SramProfiler().profile_bank(bank, 0.45)
         np.testing.assert_array_equal(bank.stored_words(), deployed)
 
     def test_profile_without_restore(self):
         bank = SramBank(64, 16, seed=3)
         deployed = np.full(64, 0x1234, dtype=np.uint64)
-        bank.write_all(deployed)
+        bank.write(np.arange(bank.num_words), deployed)
         SramProfiler(restore_contents=False).profile_bank(bank, 0.45)
         assert not np.array_equal(bank.stored_words(), deployed)
 
@@ -185,7 +185,10 @@ class TestWordDomainProfileMatchesReference:
         bank.vmin_offset = setup["vmin_offset"]
         if setup["prior"] is not None:
             rng = np.random.default_rng(setup["prior"])
-            bank.write_all(rng.integers(0, 2**64, size=bank.num_words, dtype=np.uint64))
+            bank.write(
+                np.arange(bank.num_words),
+                rng.integers(0, 2**64, size=bank.num_words, dtype=np.uint64),
+            )
         return bank
 
     @given(profiling_setups(), st.booleans())
@@ -226,20 +229,13 @@ class TestVoltageRegulator:
 
     def test_step_up_down(self):
         regulator = VoltageRegulator(initial_voltage=0.5, step=0.01)
-        assert regulator.step_down() == pytest.approx(0.49)
-        assert regulator.step_up() == pytest.approx(0.5)
+        down = regulator.set_voltage(regulator.voltage - regulator.step)
+        assert down == pytest.approx(0.49)
+        assert regulator.set_voltage(down + regulator.step) == pytest.approx(0.5)
 
     def test_adjust(self):
         regulator = VoltageRegulator(initial_voltage=0.5, step=0.005)
-        assert regulator.adjust(-0.02) == pytest.approx(0.48)
-
-    def test_history_recorded(self):
-        regulator = VoltageRegulator(initial_voltage=0.9)
-        regulator.set_voltage(0.6)
-        regulator.set_voltage(0.55)
-        assert regulator.history == pytest.approx([0.9, 0.6, 0.55])
-        regulator.reset_history()
-        assert regulator.history == pytest.approx([0.55])
+        assert regulator.set_voltage(regulator.voltage - 0.02) == pytest.approx(0.48)
 
     def test_quantizes_to_step(self):
         regulator = VoltageRegulator(step=0.025)

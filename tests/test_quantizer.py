@@ -5,8 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.matic import FaultMaskSet
 from repro.nn import Network
 from repro.quant import FixedPointFormat, WeightQuantizer
+
+
+def install_quantized(network, quantizer):
+    """Install the quantized weights as the effective view (no bit errors)."""
+    FaultMaskSet.identity(network, quantizer).install(network)
 
 
 @pytest.fixture()
@@ -55,9 +61,14 @@ class TestQuantizeNetwork:
     def test_roundtrip_error_bounded_by_lsb(self, network):
         quantizer = WeightQuantizer(total_bits=16, frac_bits=12)
         quantized = quantizer.quantize_network(network)
-        for (weights, bias), layer, fmt in zip(
-            quantized.to_float(), network.layers, quantized.layer_formats
+        for words, bias_words, layer, fmt in zip(
+            quantized.weight_words,
+            quantized.bias_words,
+            network.layers,
+            quantized.layer_formats,
         ):
+            weights = fmt.weight_format.word_to_float(words)
+            bias = fmt.bias_format.word_to_float(bias_words)
             assert np.max(np.abs(weights - layer.weights)) <= fmt.weight_format.scale
             assert np.max(np.abs(bias - layer.bias)) <= fmt.bias_format.scale
 
@@ -68,8 +79,7 @@ class TestQuantizeNetwork:
             quantizer.quantize_network(network, formats[:1])
 
     def test_apply_to_network_sets_effective(self, network):
-        quantizer = WeightQuantizer(total_bits=8, frac_bits=4)
-        quantizer.apply_to_network(network)
+        install_quantized(network, WeightQuantizer(total_bits=8, frac_bits=4))
         for layer in network.layers:
             assert layer.effective_weights is not None
             # effective weights lie on the quantization grid
@@ -80,7 +90,7 @@ class TestQuantizeNetwork:
     def test_apply_changes_predictions_only_slightly(self, network):
         x = np.random.default_rng(0).normal(size=(10, 6))
         before = network.predict(x)
-        WeightQuantizer(total_bits=16, frac_bits=12).apply_to_network(network)
+        install_quantized(network, WeightQuantizer(total_bits=16, frac_bits=12))
         after = network.predict(x)
         assert np.max(np.abs(before - after)) < 0.01
         network.clear_effective()
@@ -88,15 +98,21 @@ class TestQuantizeNetwork:
     def test_coarse_quantization_changes_predictions_more(self, network):
         x = np.random.default_rng(0).normal(size=(10, 6))
         before = network.predict(x)
-        WeightQuantizer(total_bits=6, frac_bits=2).apply_to_network(network)
+        install_quantized(network, WeightQuantizer(total_bits=6, frac_bits=2))
         coarse = network.predict(x)
         network.clear_effective()
-        WeightQuantizer(total_bits=16, frac_bits=12).apply_to_network(network)
+        install_quantized(network, WeightQuantizer(total_bits=16, frac_bits=12))
         fine = network.predict(x)
         network.clear_effective()
         assert np.max(np.abs(before - coarse)) >= np.max(np.abs(before - fine))
 
     def test_snr_improves_with_word_length(self, network):
-        snr_8 = WeightQuantizer(total_bits=8).quantization_snr_db(network)
-        snr_16 = WeightQuantizer(total_bits=16).quantization_snr_db(network)
-        assert snr_16 > snr_8 > 0
+        def noise_power(total_bits):
+            formats = WeightQuantizer(total_bits=total_bits).layer_formats(network)
+            return sum(
+                float(np.sum(fmt.weight_format.quantization_error(layer.weights) ** 2))
+                for layer, fmt in zip(network.layers, formats)
+            )
+
+        signal = sum(float(np.sum(layer.weights**2)) for layer in network.layers)
+        assert signal > noise_power(8) > noise_power(16) > 0

@@ -246,20 +246,16 @@ class TestFaultPlan:
 
     def test_env_round_trip(self, monkeypatch):
         plan = self._plan()
-        env: dict[str, str] = {}
-        plan.to_env(env)
-        monkeypatch.setenv(ENV_FAULT_PLAN, env[ENV_FAULT_PLAN])
+        monkeypatch.setenv(ENV_FAULT_PLAN, plan.to_json())
         assert FaultPlan.from_env() == plan
 
     def test_env_json_round_trip(self, monkeypatch):
         # the variable holds the plan's JSON verbatim, so a hand-written
-        # $REPRO_FAULT_PLAN parses exactly as one written by to_env
+        # $REPRO_FAULT_PLAN parses exactly as the plan's own to_json
         plan = FaultPlan(rules=(PoisonTask(match="voltage=0.44"),))
-        env: dict[str, str] = {}
-        plan.to_env(env)
-        assert env[ENV_FAULT_PLAN] == plan.to_json()
-        monkeypatch.setenv(ENV_FAULT_PLAN, env[ENV_FAULT_PLAN])
+        monkeypatch.setenv(ENV_FAULT_PLAN, plan.to_json())
         assert FaultPlan.from_env() == plan
+        assert FaultPlan.from_env().to_json() == plan.to_json()
 
     def test_from_env_absent(self, monkeypatch):
         monkeypatch.delenv(ENV_FAULT_PLAN, raising=False)

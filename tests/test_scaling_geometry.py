@@ -61,13 +61,13 @@ class TestScalingGeometry:
 
     def test_error_is_geometry_invariant(self, result):
         for name in KWARGS["workloads"]:
-            errors = {p.error for p in result.points_for(name) if p.fits}
+            errors = {p.error for p in result.points if p.workload == name and p.fits}
             assert len(errors) == 1
 
     def test_cycles_drop_with_more_pes(self, result):
         # the two workloads small enough to fit a 2-PE, 128-word ring
         for name in ("inversek2j", "synth/ae-i16-b4"):
-            fitting = [p for p in result.points_for(name) if p.fits]
+            fitting = [p for p in result.points if p.workload == name and p.fits]
             by_geometry = {(p.num_pes, p.words_per_bank): p for p in fitting}
             few = by_geometry.get((2, 128))
             many = by_geometry.get((8, 128))
@@ -85,8 +85,8 @@ class TestScalingGeometry:
         # ring with roomy banks
         by_geometry = {
             (p.num_pes, p.words_per_bank): p
-            for p in result.points_for("inversek2j")
-            if p.fits
+            for p in result.points
+            if p.workload == "inversek2j" and p.fits
         }
         tight = by_geometry[(8, 16)]
         roomy = by_geometry[(8, 128)]

@@ -9,7 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sram import BitcellPopulation, GaussianVminModel, SramBank, WeightMemorySystem
-from repro.sram.bitops import unpack_words
+from repro.sram.bitops import popcount, unpack_words
+
+
+def write_all(bank, words):
+    """Write the whole bank in address order."""
+    bank.write(np.arange(bank.num_words), words)
+
+
+def read_all(bank, **operating_point):
+    """Read the whole bank in address order at an operating point."""
+    return bank.read(np.arange(bank.num_words), **operating_point)
+
+
+def bit_errors(bank, reference):
+    """Number of stored bits that differ from ``reference``."""
+    return popcount(bank.stored_words() ^ reference)
 
 
 @pytest.fixture()
@@ -31,8 +46,8 @@ class TestBasicAccess:
 
     def test_write_read_at_nominal_voltage(self, bank):
         words = np.arange(64, dtype=np.uint64)
-        bank.write_all(words)
-        np.testing.assert_array_equal(bank.read_all(voltage=0.9), words)
+        write_all(bank, words)
+        np.testing.assert_array_equal(read_all(bank, voltage=0.9), words)
 
     def test_single_address_access(self, bank):
         bank.write(5, 0xBEEF)
@@ -52,20 +67,20 @@ class TestBasicAccess:
         with pytest.raises(ValueError):
             bank.write(np.array([0, 1]), np.array([1, 2, 3]))
         with pytest.raises(ValueError):
-            bank.write_all(np.zeros(10, dtype=np.uint64))
+            write_all(bank, np.zeros(10, dtype=np.uint64))
 
     def test_invalid_voltage(self, bank):
         with pytest.raises(ValueError):
             bank.read(0, voltage=0.0)
 
     def test_counters(self, bank):
-        bank.write_all(np.zeros(64, dtype=np.uint64))
-        bank.read_all()
+        write_all(bank, np.zeros(64, dtype=np.uint64))
+        read_all(bank)
         assert bank.write_count == 64
         assert bank.read_count == 64
 
     def test_stored_words_is_non_destructive(self, bank):
-        bank.write_all(np.arange(64, dtype=np.uint64))
+        write_all(bank, np.arange(64, dtype=np.uint64))
         before_reads = bank.read_count
         bank.stored_words()
         assert bank.read_count == before_reads
@@ -74,57 +89,57 @@ class TestBasicAccess:
 class TestReadDisturbBehaviour:
     def test_no_errors_at_nominal(self, bank):
         reference = np.full(64, 0xA5A5, dtype=np.uint64)
-        bank.write_all(reference)
-        bank.read_all(voltage=0.9)
-        assert bank.bit_error_count(reference) == 0
+        write_all(bank, reference)
+        read_all(bank, voltage=0.9)
+        assert bit_errors(bank, reference) == 0
 
     def test_errors_appear_at_low_voltage(self, bank):
         reference = np.full(64, 0xA5A5, dtype=np.uint64)
-        bank.write_all(reference)
-        bank.read_all(voltage=0.45)
-        assert bank.bit_error_count(reference) > 0
+        write_all(bank, reference)
+        read_all(bank, voltage=0.45)
+        assert bit_errors(bank, reference) > 0
 
     def test_corruption_matches_fault_map(self, bank):
         """Reads at voltage V corrupt exactly the cells the fault map predicts."""
         reference = np.arange(64, dtype=np.uint64) * 321 % 65536
-        bank.write_all(reference)
+        write_all(bank, reference)
         fault_map = bank.fault_map_at(0.46)
-        observed = bank.read_all(voltage=0.46)
+        observed = read_all(bank, voltage=0.46)
         np.testing.assert_array_equal(observed, fault_map.apply(reference))
 
     def test_corruption_is_stable_across_repeated_reads(self, bank):
         reference = np.full(64, 0x0F0F, dtype=np.uint64)
-        bank.write_all(reference)
-        first = bank.read_all(voltage=0.45)
-        second = bank.read_all(voltage=0.45)
-        third = bank.read_all(voltage=0.9)  # corruption persists even at nominal
+        write_all(bank, reference)
+        first = read_all(bank, voltage=0.45)
+        second = read_all(bank, voltage=0.45)
+        third = read_all(bank, voltage=0.9)  # corruption persists even at nominal
         np.testing.assert_array_equal(first, second)
         np.testing.assert_array_equal(first, third)
 
     def test_write_refreshes_disturbed_cells(self, bank):
         reference = np.full(64, 0x3333, dtype=np.uint64)
-        bank.write_all(reference)
-        bank.read_all(voltage=0.42)
-        bank.write_all(reference)
-        np.testing.assert_array_equal(bank.read_all(voltage=0.9), reference)
+        write_all(bank, reference)
+        read_all(bank, voltage=0.42)
+        write_all(bank, reference)
+        np.testing.assert_array_equal(read_all(bank, voltage=0.9), reference)
 
     def test_lower_voltage_corrupts_more_cells(self, bank):
         reference = np.full(64, 0xFFFF, dtype=np.uint64)
         errors = []
         for voltage in (0.52, 0.48, 0.44):
-            bank.write_all(reference)
-            bank.read_all(voltage=voltage)
-            errors.append(bank.bit_error_count(reference))
+            write_all(bank, reference)
+            read_all(bank, voltage=voltage)
+            errors.append(bit_errors(bank, reference))
         assert errors[0] <= errors[1] <= errors[2]
 
     def test_temperature_shifts_failure_boundary(self, bank):
         reference = np.full(64, 0x5A5A, dtype=np.uint64)
-        bank.write_all(reference)
-        bank.read_all(voltage=0.47, temperature=-15.0)
-        cold_errors = bank.bit_error_count(reference)
-        bank.write_all(reference)
-        bank.read_all(voltage=0.47, temperature=90.0)
-        hot_errors = bank.bit_error_count(reference)
+        write_all(bank, reference)
+        read_all(bank, voltage=0.47, temperature=-15.0)
+        cold_errors = bit_errors(bank, reference)
+        write_all(bank, reference)
+        read_all(bank, voltage=0.47, temperature=90.0)
+        hot_errors = bit_errors(bank, reference)
         assert cold_errors >= hot_errors
 
     def test_fault_map_polarity_is_preferred_state(self, bank):
@@ -153,10 +168,10 @@ class TestReadDisturbBehaviour:
         """Once disturbed, repeated reads at the same or higher voltage return
         the same data (the stability property MAT relies on)."""
         bank = SramBank(16, 16, seed=seed)
-        bank.write_all(np.full(16, pattern, dtype=np.uint64))
-        first = bank.read_all(voltage=voltage)
-        second = bank.read_all(voltage=voltage)
-        higher = bank.read_all(voltage=voltage + 0.2)
+        write_all(bank, np.full(16, pattern, dtype=np.uint64))
+        first = read_all(bank, voltage=voltage)
+        second = read_all(bank, voltage=voltage)
+        higher = read_all(bank, voltage=voltage + 0.2)
         np.testing.assert_array_equal(first, second)
         np.testing.assert_array_equal(first, higher)
 
@@ -178,8 +193,8 @@ class TestRailBoundary:
         return bank
 
     def test_read_at_rail_is_safe(self, boundary_bank):
-        boundary_bank.write_all(np.zeros(16, dtype=np.uint64))
-        words = boundary_bank.read_all(voltage=self.VOLTAGE)
+        write_all(boundary_bank, np.zeros(16, dtype=np.uint64))
+        words = read_all(boundary_bank, voltage=self.VOLTAGE)
         # bit (4, 2) at the rail survives; bit (4, 3) above it flips to 1
         assert (int(words[4]) >> 2) & 1 == 0
         assert (int(words[4]) >> 3) & 1 == 1
@@ -200,8 +215,8 @@ class TestRailBoundary:
         fault_positions = {
             (f.address, f.bit) for f in boundary_bank.fault_map_at(self.VOLTAGE).faults
         }
-        boundary_bank.write_all(np.zeros(16, dtype=np.uint64))
-        boundary_bank.read_all(voltage=self.VOLTAGE)
+        write_all(boundary_bank, np.zeros(16, dtype=np.uint64))
+        read_all(boundary_bank, voltage=self.VOLTAGE)
         stored = unpack_words(boundary_bank.stored_words(), boundary_bank.word_bits)
         disturbed = {(int(a), int(b)) for a, b in zip(*np.nonzero(stored))}
         assert disturbed == fault_positions
@@ -271,9 +286,11 @@ class TestGivenPopulation:
         sampled = SramBank(32, 12, seed=4)
         for voltage in (0.44, 0.50):
             assert bank.fault_map_at(voltage) == sampled.fault_map_at(voltage)
-            bank.write_all(np.arange(32, dtype=np.uint64))
-            sampled.write_all(np.arange(32, dtype=np.uint64))
-            np.testing.assert_array_equal(bank.read_all(voltage), sampled.read_all(voltage))
+            write_all(bank, np.arange(32, dtype=np.uint64))
+            write_all(sampled, np.arange(32, dtype=np.uint64))
+            np.testing.assert_array_equal(
+                read_all(bank, voltage=voltage), read_all(sampled, voltage=voltage)
+            )
 
     @pytest.mark.parametrize("shape", [(32, 11), (31, 12), (12, 32)])
     def test_rejects_a_population_of_another_shape(self, shape):
@@ -286,7 +303,6 @@ class TestWeightMemorySystem:
     def test_build(self):
         memory = WeightMemorySystem.build(8, 128, 16, seed=0)
         assert len(memory) == 8
-        assert memory.total_words == 8 * 128
         assert memory.total_bits == 8 * 128 * 16
         assert memory.word_bits == 16
         assert memory[0].name == "pe0.weights"

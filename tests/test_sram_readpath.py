@@ -18,7 +18,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sram import SramBank
-from repro.sram.bitops import pack_bits, unpack_words
+from repro.sram.bitops import pack_bits, popcount, unpack_words
+
+
+def write_all(bank, words):
+    """Write the whole bank in address order."""
+    bank.write(np.arange(bank.num_words), words)
+
+
+def read_all(bank, **operating_point):
+    """Read the whole bank in address order at an operating point."""
+    return bank.read(np.arange(bank.num_words), **operating_point)
+
+
+def bit_errors(bank, reference):
+    """Number of stored bits that differ from ``reference``."""
+    return popcount(bank.stored_words() ^ reference)
 
 
 class ReferenceBitBank:
@@ -113,10 +128,10 @@ class TestEquivalenceOracle:
             0, 1 << 16, size=bank.num_words, dtype=np.uint64
         )
         for voltage in DEFAULT_VOLTAGES:
-            bank.write_all(contents)
+            write_all(bank, contents)
             reference.write(addresses, contents)
             np.testing.assert_array_equal(
-                bank.read_all(voltage=voltage), reference.read(addresses, voltage)
+                read_all(bank, voltage=voltage), reference.read(addresses, voltage)
             )
             np.testing.assert_array_equal(bank.stored_words(), reference.stored_words())
 
@@ -132,8 +147,8 @@ class TestEquivalenceOracle:
 
     def test_read_count_includes_non_corrupting_reads(self):
         bank = SramBank(8, 16, seed=0)
-        bank.read_all(voltage=0.9)
-        bank.read_all(voltage=0.9)
+        read_all(bank, voltage=0.9)
+        read_all(bank, voltage=0.9)
         assert bank.read_count == 16
 
 
@@ -144,18 +159,18 @@ class TestCacheInvalidation:
 
     def test_corruption_persists_across_reads_at_one_point(self, bank):
         reference = np.full(64, 0x0F0F, dtype=np.uint64)
-        bank.write_all(reference)
-        first = bank.read_all(voltage=0.45)
-        assert bank.bit_error_count(reference) > 0
-        np.testing.assert_array_equal(bank.read_all(voltage=0.45), first)
-        np.testing.assert_array_equal(bank.read_all(voltage=0.9), first)
+        write_all(bank, reference)
+        first = read_all(bank, voltage=0.45)
+        assert bit_errors(bank, reference) > 0
+        np.testing.assert_array_equal(read_all(bank, voltage=0.45), first)
+        np.testing.assert_array_equal(read_all(bank, voltage=0.9), first)
 
     def test_write_refreshes_corrupted_words(self, bank):
         reference = np.full(64, 0x3333, dtype=np.uint64)
-        bank.write_all(reference)
-        bank.read_all(voltage=0.42)
-        bank.write_all(reference)
-        np.testing.assert_array_equal(bank.read_all(voltage=0.9), reference)
+        write_all(bank, reference)
+        read_all(bank, voltage=0.42)
+        write_all(bank, reference)
+        np.testing.assert_array_equal(read_all(bank, voltage=0.9), reference)
 
     def test_operating_point_change_builds_distinct_masks(self, bank):
         low_and, low_or = bank.corruption_masks(0.44)
@@ -198,10 +213,10 @@ class TestCacheInvalidation:
 
     def test_resample_cells_changes_physics_not_contents(self, bank):
         contents = np.arange(64, dtype=np.uint64)
-        bank.write_all(contents)
+        write_all(bank, contents)
         old_vmin = bank.cells.vmin_read.copy()
         epoch = bank.content_epoch
-        bank.resample_cells(seed=99)
+        bank.cells = SramBank(64, 16, seed=99).cells
         assert not np.array_equal(bank.cells.vmin_read, old_vmin)
         assert not bank._point_masks  # cache dropped
         np.testing.assert_array_equal(bank.stored_words(), contents)
@@ -227,14 +242,14 @@ class TestContentEpoch:
         bank = SramBank(32, 16, seed=5)
         epoch = bank.content_epoch
         words = np.arange(32, dtype=np.uint64)
-        bank.write_all(words)
+        write_all(bank, words)
         assert bank.content_epoch == epoch + 1
-        bank.write_all(words)  # identical content: no bump
+        write_all(bank, words)  # identical content: no bump
         assert bank.content_epoch == epoch + 1
-        bank.read_all(voltage=0.9)  # nothing corrupts at nominal
+        read_all(bank, voltage=0.9)  # nothing corrupts at nominal
         assert bank.content_epoch == epoch + 1
-        bank.read_all(voltage=0.42)  # corrupting read bumps
+        read_all(bank, voltage=0.42)  # corrupting read bumps
         assert bank.content_epoch > epoch + 1
         after_corruption = bank.content_epoch
-        bank.read_all(voltage=0.42)  # already-corrupted: stable, no bump
+        read_all(bank, voltage=0.42)  # already-corrupted: stable, no bump
         assert bank.content_epoch == after_corruption

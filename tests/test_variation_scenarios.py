@@ -89,9 +89,9 @@ class TestCorrelatedVminModel:
         iid_bank = SramBank(256, 16, seed=7)
         corr_bank = SramBank(256, 16, seed=7, scenario=scenario)
         voltage = 0.47
-        iid_corr = iid_bank.fault_map_at(voltage).spatial_autocorrelation("column")
-        corr_corr = corr_bank.fault_map_at(voltage).spatial_autocorrelation("column")
-        assert corr_corr > iid_corr
+        iid_corr = iid_bank.fault_map_at(voltage).clustering_summary()
+        corr_corr = corr_bank.fault_map_at(voltage).clustering_summary()
+        assert corr_corr["column_autocorrelation"] > iid_corr["column_autocorrelation"]
 
     def test_preferred_one_probability_respected(self):
         base = GaussianVminModel(preferred_one_probability=1.0)
